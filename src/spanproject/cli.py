@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .candidates import SourceKind, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence
+from .core import AlignmentSet, EntitySpan, LabeledSentence, Sentence
 from .errors import (
     DataError,
     FormatError,
@@ -47,7 +47,6 @@ from .matching import (
     BRUTE_FORCE_MAX_CANDIDATES,
     BRUTE_FORCE_MAX_SOURCES,
     MatchMode,
-    build_problem,
     render_problem,
     solve_bruteforce,
 )
@@ -56,7 +55,7 @@ from .projection import (
     ProjectionConfig,
     Solver,
     assign_marker_labels,
-    build_candidates,
+    matching_problem,
     project_heuristic,
     project_matching,
     solve,
@@ -103,7 +102,8 @@ class LoadedInputs:
 
 
 def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
+    # utf-8-sig drops a byte-order mark that would otherwise join the first token
+    return path.read_text(encoding="utf-8-sig")
 
 
 def _file_lines(text: str) -> list[str]:
@@ -251,7 +251,7 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     if not wants_spans and args.spans is not None:
         raise UsageError("--spans is only used with --method matching --candidates ner")
 
-    jobs = args.jobs if args.jobs is not None else 1
+    jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
@@ -317,32 +317,31 @@ def load_inputs(manifest: RunManifest) -> LoadedInputs:
     )
 
 
-def _labeled_side(manifest: RunManifest, inputs: LoadedInputs, i: int) -> LabeledSentence:
-    if inputs.labeled_doc is not None:
-        return inputs.labeled_doc.sentences[i]
-    marked = parse_marked_sentence(
-        inputs.marked_lines[i], parse_translations_line(inputs.translations_lines[i])
-    )
-    return assign_marker_labels(marked, sentence_id=i)
-
-
-def _project_sentence(manifest: RunManifest, inputs: LoadedInputs, i: int) -> LabeledSentence:
-    target_sentence = inputs.target.sentences[i].sentence
+def _sentence_inputs(
+    inputs: LoadedInputs, i: int
+) -> tuple[LabeledSentence, Sentence, AlignmentSet, list[EntitySpan] | None]:
+    """Sentence i's (labeled, target, alignment, external spans); alignment errors come first."""
     align = parse_pharaoh(inputs.align_lines[i])
-    labeled = _labeled_side(manifest, inputs, i)
-    cfg = manifest.config
-    if cfg.method is Method.HEURISTIC:
-        return project_heuristic(labeled, target_sentence, align, cfg.ratio_threshold)
-    external = None
-    if inputs.spans_by_id is not None:
-        external = inputs.spans_by_id.get(i, [])
-    return project_matching(labeled, target_sentence, align, cfg, external)
+    if inputs.labeled_doc is not None:
+        labeled = inputs.labeled_doc.sentences[i]
+    else:
+        marked = parse_marked_sentence(
+            inputs.marked_lines[i], parse_translations_line(inputs.translations_lines[i])
+        )
+        labeled = assign_marker_labels(marked, sentence_id=i)
+    external = None if inputs.spans_by_id is None else inputs.spans_by_id.get(i, [])
+    return labeled, inputs.target.sentences[i].sentence, align, external
 
 
 def _run_projection(manifest: RunManifest, inputs: LoadedInputs) -> list[LabeledSentence]:
+    cfg = manifest.config
+
     def work(i: int) -> LabeledSentence:
         try:
-            return _project_sentence(manifest, inputs, i)
+            labeled, target, align, external = _sentence_inputs(inputs, i)
+            if cfg.method is Method.HEURISTIC:
+                return project_heuristic(labeled, target, align, cfg.ratio_threshold)
+            return project_matching(labeled, target, align, cfg, external)
         except (FormatError, DataError, GuardError, InfeasibleError) as exc:
             if not manifest.skip_bad:
                 raise
@@ -387,15 +386,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not 0 <= i < len(inputs.target):
         raise UsageError(f"--sentence {i} out of range for corpus of {len(inputs.target)}")
 
-    target_sentence = inputs.target.sentences[i].sentence
-    align = parse_pharaoh(inputs.align_lines[i])
-    labeled = _labeled_side(manifest, inputs, i)
     cfg = manifest.config
-    external = None
-    if inputs.spans_by_id is not None:
-        external = inputs.spans_by_id.get(i, [])
-    cands = build_candidates(target_sentence, cfg, external)
-    problem = build_problem(labeled, cands, align, cfg.mode)
+    labeled, target, align, external = _sentence_inputs(inputs, i)
+    problem = matching_problem(labeled, target, align, cfg, external)
 
     out = sys.stdout
     out.write(render_problem(problem))
@@ -476,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
     _add_common_flags(solver, with_out=False)
     solver.add_argument("--sentence", type=int, default=0)
-    solver.add_argument("--jobs", type=int, default=1)
 
     ev = commands.add_parser("evaluate", help="score predictions against gold")
     ev.add_argument("pred", metavar="PRED")

@@ -142,13 +142,13 @@ def bio_encode(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int)
     return tags
 
 
-def _parse_tag(tag: str) -> tuple[str, str | None]:
-    """Split a BIO tag into (prefix, label); raises on anything unparseable."""
+def parse_bio_tag(tag: str, line: int | None = None) -> tuple[str, str | None]:
+    """Split a BIO tag into (prefix, label); raises FormatError (at `line`) otherwise."""
     if tag == "O":
         return "O", None
     if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "I"):
         return tag[0], tag[2:]
-    raise FormatError(f"unparseable BIO tag {tag!r}")
+    raise FormatError(f"tag {tag!r} does not match the BIO grammar", line=line)
 
 
 def bio_decode(tags: list[str] | tuple[str, ...]) -> list[EntitySpan]:
@@ -168,7 +168,7 @@ def bio_decode(tags: list[str] | tuple[str, ...]) -> list[EntitySpan]:
             open_start, open_label = None, None
 
     for i, tag in enumerate(tags):
-        prefix, label = _parse_tag(tag)
+        prefix, label = parse_bio_tag(tag)
         if prefix == "O":
             close(i)
         elif prefix == "B":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError
-from .formats import CorpusDocument
+from .formats import CorpusDocument, render_table
 
 
 @dataclass
@@ -94,11 +94,7 @@ def render_report(report: EvalReport) -> str:
         ["ALL", str(t.tp), str(t.fp), str(t.fn)]
         + [_metric_cell(m) for m in (t.precision, t.recall, t.f1)]
     )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
-        for row in rows
-    ) + "\n"
+    return render_table(rows)
 
 
 def report_record(report: EvalReport) -> dict:

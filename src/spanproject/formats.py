@@ -25,6 +25,7 @@ from .core import (
     Sentence,
     bio_decode,
     bio_encode,
+    parse_bio_tag,
     spans_overlap,
 )
 from .errors import DataError, FormatError
@@ -80,10 +81,6 @@ class MarkedSentence:
         return " ".join(self.tokens[span.start : span.end])
 
 
-def _is_valid_tag(tag: str) -> bool:
-    return tag == "O" or (len(tag) > 2 and tag[0] in ("B", "I") and tag[1] == "-")
-
-
 def parse_conll(text: str) -> CorpusDocument:
     """Parse a CoNLL file: ``token [tag]`` lines with blank-line sentence breaks."""
     sentences: list[LabeledSentence] = []
@@ -110,8 +107,7 @@ def parse_conll(text: str) -> CorpusDocument:
             )
         token = fields[0]
         tag = fields[1] if len(fields) == 2 else "O"
-        if not _is_valid_tag(tag):
-            raise FormatError(f"tag {tag!r} does not match the BIO grammar", line=lineno)
+        parse_bio_tag(tag, line=lineno)
         tokens.append(token)
         tags.append(tag)
     flush()
@@ -178,7 +174,7 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
                 raise FormatError("each span must be an object", line=lineno)
             start, end = raw.get("start"), raw.get("end")
             label = raw.get("label")
-            if not isinstance(start, int) or not isinstance(end, int):
+            if any(not isinstance(v, int) or isinstance(v, bool) for v in (start, end)):
                 raise FormatError("span 'start' and 'end' must be integers", line=lineno)
             if label is not None and not isinstance(label, str):
                 raise FormatError("span 'label' must be a string when present", line=lineno)
@@ -264,7 +260,19 @@ def parse_translations_line(line: str) -> tuple[tuple[str, str], ...]:
     pairs: list[tuple[str, str]] = []
     for entry in line.split("|||"):
         label, sep, text = entry.partition("\t")
-        if not sep or not label.strip() or not text.strip():
+        label, text = label.strip(), text.strip()
+        if not sep or not label or not text:
             raise FormatError(f"translation entry {entry!r} is not 'label<TAB>text'")
-        pairs.append((text.strip(), label.strip()))
+        if any(ch.isspace() for ch in label):
+            raise FormatError(f"label {label!r} contains whitespace, which BIO tags cannot hold")
+        pairs.append((text, label))
     return tuple(pairs)
+
+
+def render_table(rows: list[list[str]]) -> str:
+    """Plain-text table: left-aligned columns two spaces apart, one line per row."""
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )

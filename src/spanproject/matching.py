@@ -29,6 +29,7 @@ from fractions import Fraction
 from .candidates import CandidateSet
 from .core import AlignmentSet, EntitySpan, LabeledSentence, spans_overlap
 from .errors import DataError, GuardError, InfeasibleError
+from .formats import render_table
 
 BRUTE_FORCE_MAX_SOURCES = 6
 BRUTE_FORCE_MAX_CANDIDATES = 12
@@ -100,8 +101,8 @@ def build_problem(
 ) -> MatchingProblem:
     """Assemble the full cost matrix for one sentence pair.
 
-    Alignment indices are checked against the labeled sentence here; the
-    target side was already validated when the candidate set was built.
+    Alignment indices are checked against the labeled sentence only; the
+    target side is checked by callers such as ``matching_problem``.
     """
     for i, _ in align.pairs:
         if i >= len(labeled.sentence):
@@ -423,13 +424,7 @@ def render_problem(p: MatchingProblem) -> str:
             [f"s{s}={spans_fmt(p.sources[s])}:{label}"]
             + [str(p.costs[s][t]) for t in range(n_cand)]
         )
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-    lines.insert(0, f"mode={p.mode.value} shape={n_src}x{n_cand}")
-    return "\n".join(lines) + "\n"
+    return f"mode={p.mode.value} shape={n_src}x{n_cand}\n" + render_table(rows)
 
 
 def spans_fmt(span: EntitySpan) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .candidates import CandidateSet, SourceKind, external_candidates, ngram_candidates
+from .candidates import SourceKind, external_candidates, ngram_candidates
 from .core import AlignmentSet, EntitySpan, LabeledSentence, Sentence, spans_overlap
 from .errors import DataError
 from .formats import MarkedSentence
@@ -135,22 +135,27 @@ def project_heuristic(
     return LabeledSentence(target, tuple(projected))
 
 
-def build_candidates(
+def matching_problem(
+    labeled: LabeledSentence,
     target: Sentence,
+    align: AlignmentSet,
     cfg: ProjectionConfig,
     external_spans: list[EntitySpan] | None = None,
-) -> CandidateSet:
-    """Produce the candidate set called for by cfg.candidate_source."""
+) -> MatchingProblem:
+    """Check the alignment against both sentences, pick candidates as cfg says, price them."""
+    align.check_bounds(len(labeled.sentence), len(target))
     if cfg.candidate_source is SourceKind.EXTERNAL_NER:
         if external_spans is None:
             raise DataError(
                 f"external candidate spans required for sentence {target.id} "
                 "but none were supplied"
             )
-        return external_candidates(target, external_spans)
-    if external_spans is not None:
+        cands = external_candidates(target, external_spans)
+    elif external_spans is not None:
         raise DataError("external spans supplied but candidate source is n-gram")
-    return ngram_candidates(target, cfg.max_ngram_len)
+    else:
+        cands = ngram_candidates(target, cfg.max_ngram_len)
+    return build_problem(labeled, cands, align, cfg.mode)
 
 
 def solve(problem: MatchingProblem, solver: Solver) -> MatchingSolution:
@@ -170,12 +175,10 @@ def project_matching(
     the source entity's label; unassigned sources vanish. The solver's
     non-overlap constraint is what makes the output a valid flat labeling.
     """
-    align.check_bounds(len(labeled.sentence), len(target))
-    cands = build_candidates(target, cfg, external_spans)
-    problem = build_problem(labeled, cands, align, cfg.mode)
+    problem = matching_problem(labeled, target, align, cfg, external_spans)
     solution = solve(problem, cfg.solver)
     entities = tuple(
-        cands.spans[t].with_label(labeled.entities[s].label)
+        problem.candidates.spans[t].with_label(problem.sources[s].label)
         for s, t in solution.assignments
     )
     return LabeledSentence(target, entities)

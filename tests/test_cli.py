@@ -267,6 +267,37 @@ def test_solve_sentence_out_of_range(capsys):
     assert "out of range" in err
 
 
+def test_solve_checks_target_alignment_bounds_like_project(tmp_path, capsys):
+    labeled = tmp_path / "src.conll"
+    target = tmp_path / "tgt.conll"
+    align = tmp_path / "a.align"
+    labeled.write_text("a B-PER\nb O\n", encoding="utf-8")
+    target.write_text("x\ny\n", encoding="utf-8")
+    align.write_text("0-0 1-7\n", encoding="utf-8")
+    inputs = ("--labeled", str(labeled), "--target", str(target), "--align", str(align))
+    solve_code, solve_out, solve_err = run(capsys, "solve", *inputs)
+    project_code, _, project_err = run(
+        capsys, "project", *inputs, "--out", str(tmp_path / "p.conll")
+    )
+    assert (solve_code, solve_out) == (2, "")
+    assert project_code == 2
+    assert "alignment pair (1, 7) out of bounds" in solve_err
+    assert solve_err == project_err
+
+
+def test_solve_has_no_jobs_flag(capsys):
+    code, _, err = run(
+        capsys,
+        "solve",
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", fixture("clean.align"),
+        "--jobs", "1",
+    )
+    assert code == 1
+    assert "--jobs" in err
+
+
 def test_candidates_subcommand_dumps_ngrams(tmp_path, capsys):
     corpus = tmp_path / "tgt.conll"
     corpus.write_text("a\nb\nc\n", encoding="utf-8")
@@ -424,6 +455,23 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     code, _, err = project(capsys, tmp_path / "p.conll", "--jobs", "0")
     assert code == 1
     assert "--jobs" in err
+
+
+def test_byte_order_mark_does_not_change_output(tmp_path, capsys):
+    target = tmp_path / "bom_target.conll"
+    target.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "clean_target.conll").read_bytes())
+    plain, with_bom = tmp_path / "plain.conll", tmp_path / "bom.conll"
+    assert project(capsys, plain)[0] == 0
+    code, _, err = run(
+        capsys,
+        "project",
+        "--labeled", fixture("clean_source.conll"),
+        "--target", str(target),
+        "--align", fixture("clean.align"),
+        "--out", str(with_bom),
+    )
+    assert (code, err) == (0, "")
+    assert with_bom.read_bytes() == plain.read_bytes()
 
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):

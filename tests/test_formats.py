@@ -127,6 +127,7 @@ def test_span_records_reject_bad_records():
         '{"sentence_id": 0, "spans": 3}',
         '{"sentence_id": 0, "spans": [[0, 2]]}',
         '{"sentence_id": 0, "spans": [{"start": "0", "end": 2}]}',
+        '{"sentence_id": 0, "spans": [{"start": false, "end": true}]}',
         '{"sentence_id": 0, "spans": [{"start": 0, "end": 2, "label": 7}]}',
         '{"sentence_id": 0, "spans": [{"start": 3, "end": 3}]}',
     ]
@@ -177,6 +178,6 @@ def test_parse_translations_line():
 
 
 def test_parse_translations_line_rejects_bad_entries():
-    for bad in ("LOC Washington", "\tWashington", "LOC\t", "LOC\tx|||broken"):
+    for bad in ("LOC Washington", "\tWashington", "LOC\t", "LOC\tx|||broken", "MY LAB\ta"):
         with pytest.raises(FormatError):
             parse_translations_line(bad)
