@@ -19,8 +19,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .candidates import SourceKind, ngram_candidates
@@ -62,28 +62,6 @@ from .projection import (
 )
 
 
-class Direction(Enum):
-    SRC2TGT = "src2tgt"
-    TGT2TGT = "tgt2tgt"
-
-
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """A fully resolved projection run: configuration plus every file path."""
-
-    config: ProjectionConfig
-    direction: Direction
-    target_path: Path
-    align_path: Path
-    labeled_path: Path | None = None
-    spans_path: Path | None = None
-    marked_path: Path | None = None
-    translations_path: Path | None = None
-    out_path: Path | None = None
-    jobs: int = 1
-    skip_bad: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class LoadedInputs:
     """Parsed run inputs, cross-checked for consistent sentence counts.
@@ -99,6 +77,10 @@ class LoadedInputs:
     marked_lines: tuple[str, ...] | None = None
     translations_lines: tuple[str, ...] | None = None
     spans_by_id: dict[int, list[EntitySpan]] | None = None
+
+
+# Per-sentence failures: fatal by default, a skipped sentence under --skip-bad-sentences.
+_SENTENCE_ERRORS = (FormatError, DataError, GuardError, InfeasibleError)
 
 
 def _read_text(path: Path) -> str:
@@ -129,9 +111,6 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-_CONFIG_KEYS = ("method", "candidates", "solver", "mode", "threshold", "max_ngram")
-
-
 def load_config_file(path: Path) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment line."""
     try:
@@ -147,16 +126,10 @@ def load_config_file(path: Path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise UsageError(f"config file line {lineno} is not key=value: {line!r}")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r}; known keys: {', '.join(_CONFIG_KEYS)}")
+        if key not in _CONFIG:
+            raise UsageError(f"unknown config key {key!r}; known keys: {', '.join(_CONFIG)}")
         values[key] = value
     return values
-
-
-def _pick(cli_value, file_values: dict[str, str], key: str):
-    if cli_value is not None:
-        return cli_value
-    return file_values.get(key)
 
 
 def _as_enum(enum_cls, raw, flag: str):
@@ -184,62 +157,56 @@ def _as_positive_int(raw, flag: str) -> int:
     return value
 
 
+# Config-file key -> (ProjectionConfig field, flag, converter). Each key is also
+# the flag's argparse dest; this order is the "known keys" order in messages.
+_CONFIG = {
+    "method": ("method", "--method", partial(_as_enum, Method)),
+    "candidates": ("candidate_source", "--candidates", partial(_as_enum, SourceKind)),
+    "solver": ("solver", "--solver", partial(_as_enum, Solver)),
+    "mode": ("mode", "--mode", partial(_as_enum, MatchMode)),
+    "threshold": ("ratio_threshold", "--threshold", _as_fraction),
+    "max_ngram": ("max_ngram_len", "--max-ngram", _as_positive_int),
+}
+
+
 def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
     """Merge flags over config-file values over defaults into a ProjectionConfig."""
     file_values = load_config_file(Path(args.config)) if getattr(args, "config", None) else {}
-    defaults = ProjectionConfig()
-
-    method = _pick(getattr(args, "method", None), file_values, "method")
-    cand = _pick(getattr(args, "candidates", None), file_values, "candidates")
-    solver = _pick(getattr(args, "solver", None), file_values, "solver")
-    mode = _pick(getattr(args, "mode", None), file_values, "mode")
-    threshold = _pick(getattr(args, "threshold", None), file_values, "threshold")
-    max_ngram = _pick(getattr(args, "max_ngram", None), file_values, "max_ngram")
-
+    fields = {}
+    for key, (field, flag, convert) in _CONFIG.items():
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = file_values.get(key)
+        if raw is not None:
+            fields[field] = convert(raw, flag)
     try:
-        return ProjectionConfig(
-            method=_as_enum(Method, method, "--method") if method else defaults.method,
-            candidate_source=(
-                _as_enum(SourceKind, cand, "--candidates") if cand else defaults.candidate_source
-            ),
-            solver=_as_enum(Solver, solver, "--solver") if solver else defaults.solver,
-            ratio_threshold=(
-                _as_fraction(threshold, "--threshold")
-                if threshold is not None
-                else defaults.ratio_threshold
-            ),
-            max_ngram_len=(
-                _as_positive_int(max_ngram, "--max-ngram")
-                if max_ngram is not None
-                else defaults.max_ngram_len
-            ),
-            mode=_as_enum(MatchMode, mode, "--mode") if mode else defaults.mode,
-        )
+        return ProjectionConfig(**fields)
     except DataError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def build_manifest(args: argparse.Namespace) -> RunManifest:
+def _require(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name} is required")
+
+
+def checked_config(args: argparse.Namespace) -> ProjectionConfig:
+    """Resolve a project or solve run's config, then check its flag combination."""
     config = resolve_config(args)
-    direction = Direction(args.direction)
-    needs_out = args.command in ("project",)
+    _require(args, "target", "align")
+    if args.command == "project":
+        _require(args, "out")
 
-    if args.target is None:
-        raise UsageError("--target is required")
-    if args.align is None:
-        raise UsageError("--align is required")
-    if needs_out and args.out is None:
-        raise UsageError("--out is required")
-
-    if direction is Direction.SRC2TGT:
+    if args.direction == "src2tgt":
         if args.labeled is None:
             raise UsageError("--labeled is required for --direction src2tgt")
-        if args.marked or args.translations:
+        if args.marked is not None or args.translations is not None:
             raise UsageError("--marked/--translations only apply to --direction tgt2tgt")
     else:
         if args.marked is None or args.translations is None:
             raise UsageError("--marked and --translations are required for --direction tgt2tgt")
-        if args.labeled:
+        if args.labeled is not None:
             raise UsageError("--labeled does not apply to --direction tgt2tgt")
 
     wants_spans = (
@@ -254,27 +221,14 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
-
-    return RunManifest(
-        config=config,
-        direction=direction,
-        target_path=Path(args.target),
-        align_path=Path(args.align),
-        labeled_path=Path(args.labeled) if args.labeled else None,
-        spans_path=Path(args.spans) if args.spans else None,
-        marked_path=Path(args.marked) if args.marked else None,
-        translations_path=Path(args.translations) if args.translations else None,
-        out_path=Path(args.out) if getattr(args, "out", None) else None,
-        jobs=jobs,
-        skip_bad=bool(getattr(args, "skip_bad_sentences", False)),
-    )
+    return config
 
 
-def load_inputs(manifest: RunManifest) -> LoadedInputs:
-    """Read and parse every input file, then check counts line up."""
-    target = parse_conll(_read_text(manifest.target_path))
+def load_inputs(args: argparse.Namespace) -> LoadedInputs:
+    """Read and parse every input file the run names, then check counts line up."""
+    target = parse_conll(_read_text(Path(args.target)))
     n = len(target)
-    align_lines = _file_lines(_read_text(manifest.align_path))
+    align_lines = _file_lines(_read_text(Path(args.align)))
     if len(align_lines) != n:
         raise DataError(
             f"alignment file has {len(align_lines)} lines for {n} target sentences"
@@ -282,15 +236,15 @@ def load_inputs(manifest: RunManifest) -> LoadedInputs:
 
     labeled_doc = None
     marked_lines = translations_lines = None
-    if manifest.direction is Direction.SRC2TGT:
-        labeled_doc = parse_conll(_read_text(manifest.labeled_path))
+    if args.labeled is not None:
+        labeled_doc = parse_conll(_read_text(Path(args.labeled)))
         if len(labeled_doc) != n:
             raise DataError(
                 f"labeled corpus has {len(labeled_doc)} sentences for {n} target sentences"
             )
     else:
-        marked_lines = tuple(_file_lines(_read_text(manifest.marked_path)))
-        translations_lines = tuple(_file_lines(_read_text(manifest.translations_path)))
+        marked_lines = tuple(_file_lines(_read_text(Path(args.marked))))
+        translations_lines = tuple(_file_lines(_read_text(Path(args.translations))))
         if len(marked_lines) != n:
             raise DataError(f"marked file has {len(marked_lines)} lines for {n} target sentences")
         if len(translations_lines) != n:
@@ -299,8 +253,8 @@ def load_inputs(manifest: RunManifest) -> LoadedInputs:
             )
 
     spans_by_id = None
-    if manifest.spans_path is not None:
-        spans_by_id = parse_span_records(_read_text(manifest.spans_path))
+    if args.spans is not None:
+        spans_by_id = parse_span_records(_read_text(Path(args.spans)))
         for sentence_id in spans_by_id:
             if sentence_id >= n:
                 raise DataError(
@@ -333,32 +287,43 @@ def _sentence_inputs(
     return labeled, inputs.target.sentences[i].sentence, align, external
 
 
-def _run_projection(manifest: RunManifest, inputs: LoadedInputs) -> list[LabeledSentence]:
-    cfg = manifest.config
+def _at_sentence(i: int, exc: Exception) -> Exception:
+    """The same error, its message prefixed with the sentence it happened in."""
+    return type(exc)(f"sentence {i}: {exc}")
 
-    def work(i: int) -> LabeledSentence:
+
+def _run_projection(
+    cfg: ProjectionConfig, inputs: LoadedInputs, jobs: int, skip_bad: bool
+) -> list[LabeledSentence]:
+    def work(i: int) -> tuple[LabeledSentence, str | None]:
         try:
             labeled, target, align, external = _sentence_inputs(inputs, i)
             if cfg.method is Method.HEURISTIC:
-                return project_heuristic(labeled, target, align, cfg.ratio_threshold)
-            return project_matching(labeled, target, align, cfg, external)
-        except (FormatError, DataError, GuardError, InfeasibleError) as exc:
-            if not manifest.skip_bad:
-                raise
-            print(f"warning: sentence {i} skipped: {exc}", file=sys.stderr)
-            return LabeledSentence(inputs.target.sentences[i].sentence, ())
+                return project_heuristic(labeled, target, align, cfg.ratio_threshold), None
+            return project_matching(labeled, target, align, cfg, external), None
+        except _SENTENCE_ERRORS as exc:
+            if not skip_bad:
+                raise _at_sentence(i, exc) from exc
+            skipped = LabeledSentence(inputs.target.sentences[i].sentence, ())
+            return skipped, f"warning: sentence {i} skipped: {exc}"
 
-    ids = range(len(inputs.target))
-    if manifest.jobs == 1:
-        return [work(i) for i in ids]
-    with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-        return list(pool.map(work, ids))
+    # Warnings are printed here, as results arrive in sentence order, and not
+    # by the workers, so stderr does not depend on --jobs.
+    results = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        ids = range(len(inputs.target))
+        for result, warning in pool.map(work, ids) if jobs > 1 else map(work, ids):
+            if warning is not None:
+                print(warning, file=sys.stderr)
+            results.append(result)
+    return results
 
 
-def cmd_project(manifest: RunManifest) -> int:
-    inputs = load_inputs(manifest)
-    results = _run_projection(manifest, inputs)
-    atomic_write(manifest.out_path, serialize_conll(CorpusDocument(tuple(results))))
+def cmd_project(args: argparse.Namespace) -> int:
+    cfg = checked_config(args)
+    inputs = load_inputs(args)
+    results = _run_projection(cfg, inputs, args.jobs, args.skip_bad_sentences)
+    atomic_write(Path(args.out), serialize_conll(CorpusDocument(tuple(results))))
     return 0
 
 
@@ -366,10 +331,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.candidate_source is not SourceKind.NGRAM:
         raise UsageError("the candidates subcommand only generates n-gram candidates")
-    if args.target is None:
-        raise UsageError("--target is required")
-    if args.out is None:
-        raise UsageError("--out is required")
+    _require(args, "target", "out")
     doc = parse_conll(_read_text(Path(args.target)))
     records = {
         labeled.sentence.id: list(ngram_candidates(labeled.sentence, config.max_ngram_len).spans)
@@ -380,40 +342,41 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    manifest = build_manifest(args)
-    inputs = load_inputs(manifest)
+    cfg = checked_config(args)
+    inputs = load_inputs(args)
     i = args.sentence
     if not 0 <= i < len(inputs.target):
         raise UsageError(f"--sentence {i} out of range for corpus of {len(inputs.target)}")
 
-    cfg = manifest.config
-    labeled, target, align, external = _sentence_inputs(inputs, i)
-    problem = matching_problem(labeled, target, align, cfg, external)
-
     out = sys.stdout
-    out.write(render_problem(problem))
-    n_src, n_cand = problem.shape
-    if n_src == 0 or n_cand == 0:
-        out.write("empty problem: nothing to solve\n")
-        return 0
-    solution = solve(problem, cfg.solver)
-    out.write(
-        f"{cfg.solver.value}: objective={solution.objective} "
-        f"assignments={list(solution.assignments)}\n"
-    )
-    if cfg.solver is Solver.BRUTE_FORCE:
-        return 0
-    if n_src <= BRUTE_FORCE_MAX_SOURCES and n_cand <= BRUTE_FORCE_MAX_CANDIDATES:
-        oracle = solve_bruteforce(problem)
+    try:
+        labeled, target, align, external = _sentence_inputs(inputs, i)
+        problem = matching_problem(labeled, target, align, cfg, external)
+        out.write(render_problem(problem))
+        n_src, n_cand = problem.shape
+        if n_src == 0 or n_cand == 0:
+            out.write("empty problem: nothing to solve\n")
+            return 0
+        solution = solve(problem, cfg.solver)
         out.write(
-            f"brute-force oracle: objective={oracle.objective} "
-            f"assignments={list(oracle.assignments)}\n"
+            f"{cfg.solver.value}: objective={solution.objective} "
+            f"assignments={list(solution.assignments)}\n"
         )
-    else:
-        out.write(
-            f"brute-force oracle skipped: instance exceeds "
-            f"{BRUTE_FORCE_MAX_SOURCES}x{BRUTE_FORCE_MAX_CANDIDATES} guard\n"
-        )
+        if cfg.solver is Solver.BRUTE_FORCE:
+            return 0
+        if n_src <= BRUTE_FORCE_MAX_SOURCES and n_cand <= BRUTE_FORCE_MAX_CANDIDATES:
+            oracle = solve_bruteforce(problem)
+            out.write(
+                f"brute-force oracle: objective={oracle.objective} "
+                f"assignments={list(oracle.assignments)}\n"
+            )
+        else:
+            out.write(
+                f"brute-force oracle skipped: instance exceeds "
+                f"{BRUTE_FORCE_MAX_SOURCES}x{BRUTE_FORCE_MAX_CANDIDATES} guard\n"
+            )
+    except _SENTENCE_ERRORS as exc:
+        raise _at_sentence(i, exc) from exc
     return 0
 
 
@@ -438,7 +401,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> No
     sub.add_argument("--mode", choices=[m.value for m in MatchMode])
     sub.add_argument("--threshold", metavar="RATIONAL")
     sub.add_argument("--max-ngram", dest="max_ngram", type=int)
-    sub.add_argument("--direction", choices=[d.value for d in Direction], default="src2tgt")
+    sub.add_argument("--direction", choices=["src2tgt", "tgt2tgt"], default="src2tgt")
     sub.add_argument("--labeled", metavar="PATH")
     sub.add_argument("--target", metavar="PATH")
     sub.add_argument("--align", metavar="PATH")
@@ -481,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "project":
-            return cmd_project(build_manifest(args))
+            return cmd_project(args)
         if args.command == "candidates":
             return cmd_candidates(args)
         if args.command == "solve":

@@ -134,7 +134,8 @@ def parse_pharaoh(line: str) -> AlignmentSet:
     pairs: set[tuple[int, int]] = set()
     for token in line.split():
         left, sep, right = token.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        # isascii: str.isdigit alone accepts '²' (int() rejects it) and '１' (read as 1)
+        if not sep or not token.isascii() or not left.isdigit() or not right.isdigit():
             raise FormatError(f"alignment token {token!r} is not of the form <digits>-<digits>")
         pairs.add((int(left), int(right)))
     return AlignmentSet(frozenset(pairs))

@@ -31,6 +31,7 @@ from .matching import (
     solve_bruteforce,
     solve_greedy,
     solve_relaxed_mwis,
+    validate_solution,
 )
 
 DEFAULT_RATIO_THRESHOLD = Fraction(4, 5)
@@ -159,7 +160,10 @@ def matching_problem(
 
 
 def solve(problem: MatchingProblem, solver: Solver) -> MatchingSolution:
-    return _SOLVER_FUNCS[solver](problem)
+    """Run the chosen solver and check its result; an invalid one raises DataError."""
+    solution = _SOLVER_FUNCS[solver](problem)
+    validate_solution(problem, solution, relaxed=solver is Solver.RELAXED_MWIS)
+    return solution
 
 
 def project_matching(

@@ -1,6 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
+import pytest
+
+from spanproject import MatchingSolution, Solver, projection, spans_overlap
 from spanproject.cli import atomic_write, main
 from helpers import FIXTURES
 
@@ -184,6 +188,84 @@ def test_skip_bad_sentences_downgrades_to_warning(tmp_path, capsys):
     blocks = text.rstrip("\n").split("\n\n")
     assert blocks[2] == "Mia O\nliest O"
     assert "New B-LOC\nYork I-LOC\nCity I-LOC" in blocks[1]
+
+
+def test_sentence_errors_name_their_sentence(tmp_path, capsys):
+    align = tmp_path / "bad.align"
+    lines = (FIXTURES / "clean.align").read_text(encoding="utf-8").splitlines()
+    lines[2] += " 1-²"
+    align.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = (
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", str(align),
+    )
+    message = "alignment token '1-²' is not of the form <digits>-<digits>"
+    out = tmp_path / "p.conll"
+    assert run(capsys, "project", *inputs, "--out", str(out)) == (
+        2, "", f"format error: sentence 2: {message}\n"
+    )
+    assert not out.exists()
+    assert run(capsys, "solve", *inputs, "--sentence", "2") == (
+        2, "", f"format error: sentence 2: {message}\n"
+    )
+    code, _, err = run(capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences")
+    assert (code, err) == (0, f"warning: sentence 2 skipped: {message}\n")
+
+
+def test_jobs_print_warnings_in_sentence_order(tmp_path, capsys):
+    n = 600
+    labeled = tmp_path / "src.conll"
+    target = tmp_path / "tgt.conll"
+    align = tmp_path / "a.align"
+    labeled.write_text("\n".join("A B-PER\nb O\nc B-LOC\n" for _ in range(n)), encoding="utf-8")
+    target.write_text("\n".join("x\ny\nz\n" for _ in range(n)), encoding="utf-8")
+    # every other sentence has a target index out of bounds
+    align.write_text(
+        "".join("0-0 2-9\n" if i % 2 == 0 else "0-0 2-2\n" for i in range(n)), encoding="utf-8"
+    )
+    inputs = ("--labeled", str(labeled), "--target", str(target), "--align", str(align))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for jobs in ("1", "4"):
+            out = tmp_path / f"jobs{jobs}.conll"
+            code, _, err = run(
+                capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences",
+                "--jobs", jobs,
+            )
+            runs.append((code, err, out.read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0][1].count("warning: sentence") == n // 2
+    assert runs[1] == runs[0]
+
+
+def test_project_rejects_invalid_solver_output(tmp_path, capsys, monkeypatch):
+    def overlapping(problem):
+        """Two sources on two overlapping candidates, when the problem has them."""
+        spans = problem.candidates.spans
+        cells = [
+            (s, t)
+            for s, row in enumerate(problem.costs)
+            for t, cost in enumerate(row)
+            if cost > 0
+        ]
+        for s, t in cells:
+            for s2, t2 in cells:
+                if s < s2 and t != t2 and spans_overlap(spans[t], spans[t2]):
+                    objective = problem.costs[s][t] + problem.costs[s2][t2]
+                    return MatchingSolution(((s, t), (s2, t2)), objective, True)
+        return MatchingSolution((), Fraction(0), True)
+
+    monkeypatch.setitem(projection._SOLVER_FUNCS, Solver.GREEDY, overlapping)
+    out = tmp_path / "p.conll"
+    code, _, err = project(capsys, out)
+    assert code == 2
+    assert err.startswith("data error: sentence 0: chosen candidates ")
+    assert err.endswith(" overlap\n")
+    assert not out.exists()
 
 
 def test_brute_force_guard_is_exit_3(tmp_path, capsys):
@@ -396,6 +478,40 @@ def test_config_file_supplies_defaults_and_cli_overrides(tmp_path, capsys):
     overridden = tmp_path / "overridden.conll"
     assert project_noisy(capsys, overridden, "--config", str(cfg), "--method", "matching")[0] == 0
     assert eval_f1(capsys, str(overridden), gold) == Fraction(4, 5)
+
+
+@pytest.mark.parametrize(
+    ("key", "flag", "value", "extra", "bad"),
+    [
+        ("method", "--method", "heuristic", (), "nope"),
+        ("candidates", "--candidates", "ner", ("--spans", "SPANS"), "nope"),
+        ("solver", "--solver", "mwis", (), "nope"),
+        ("mode", "--mode", "all", ("--solver", "brute"), "nope"),
+        ("threshold", "--threshold", "1/2", ("--method", "heuristic"), "x"),
+        ("max_ngram", "--max-ngram", "1", (), "0"),
+    ],
+)
+def test_config_file_value_acts_like_its_flag(tmp_path, capsys, key, flag, value, extra, bad):
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text('{"sentence_id": 0, "spans": [{"start": 0, "end": 1}]}\n', encoding="utf-8")
+    extra = tuple(str(spans) if arg == "SPANS" else arg for arg in extra)
+    cfg = tmp_path / "run.cfg"
+
+    def outcome(*args: str):
+        out = tmp_path / "p.conll"
+        out.unlink(missing_ok=True)
+        code, _, err = project_noisy(capsys, out, *extra, *args)
+        return code, err, out.read_bytes() if out.exists() else None
+
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_flag = outcome(flag, value)
+    assert outcome("--config", str(cfg)) == from_flag
+    assert outcome() != from_flag
+
+    cfg.write_text(f"{key} = {bad}\n", encoding="utf-8")
+    code, _, err = project_noisy(capsys, tmp_path / "p.conll", *extra, "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("usage error: ") and flag in err
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_parse_pharaoh():
 
 
 def test_parse_pharaoh_rejects_malformed_tokens():
-    for bad in ("1:2", "a-2", "1-", "-2", "1-2-3", "1--2"):
+    for bad in ("1:2", "a-2", "1-", "-2", "1-2-3", "1--2", "1-²", "１-２"):
         with pytest.raises(FormatError):
             parse_pharaoh(bad)
 
