@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -67,8 +66,8 @@ class LoadedInputs:
     """Parsed run inputs, cross-checked for consistent sentence counts.
 
     The labeled side stays per-sentence raw material for the tgt2tgt
-    direction (marker parsing happens in the worker so --skip-bad-sentences
-    can catch per-sentence marker damage).
+    direction (markers are parsed one sentence at a time, so
+    --skip-bad-sentences can catch per-sentence marker damage).
     """
 
     target: CorpusDocument
@@ -84,8 +83,21 @@ _SENTENCE_ERRORS = (FormatError, DataError, GuardError, InfeasibleError)
 
 
 def _read_text(path: Path) -> str:
-    # utf-8-sig drops a byte-order mark that would otherwise join the first token
-    return path.read_text(encoding="utf-8-sig")
+    """The file decoded as UTF-8 with universal newlines, minus a leading BOM.
+
+    A byte-order mark would otherwise join the first token. Bytes that are not
+    UTF-8 are a FormatError naming the file and the line.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise FormatError(
+            f"{path}: line {line}: invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _file_lines(text: str) -> list[str]:
@@ -115,7 +127,7 @@ def load_config_file(path: Path) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment line."""
     try:
         text = _read_text(path)
-    except OSError as exc:
+    except (OSError, FormatError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -293,36 +305,28 @@ def _at_sentence(i: int, exc: Exception) -> Exception:
 
 
 def _run_projection(
-    cfg: ProjectionConfig, inputs: LoadedInputs, jobs: int, skip_bad: bool
+    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool
 ) -> list[LabeledSentence]:
-    def work(i: int) -> tuple[LabeledSentence, str | None]:
+    results = []
+    for i in range(len(inputs.target)):
         try:
             labeled, target, align, external = _sentence_inputs(inputs, i)
             if cfg.method is Method.HEURISTIC:
-                return project_heuristic(labeled, target, align, cfg.ratio_threshold), None
-            return project_matching(labeled, target, align, cfg, external), None
+                results.append(project_heuristic(labeled, target, align, cfg.ratio_threshold))
+            else:
+                results.append(project_matching(labeled, target, align, cfg, external))
         except _SENTENCE_ERRORS as exc:
             if not skip_bad:
                 raise _at_sentence(i, exc) from exc
-            skipped = LabeledSentence(inputs.target.sentences[i].sentence, ())
-            return skipped, f"warning: sentence {i} skipped: {exc}"
-
-    # Warnings are printed here, as results arrive in sentence order, and not
-    # by the workers, so stderr does not depend on --jobs.
-    results = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        ids = range(len(inputs.target))
-        for result, warning in pool.map(work, ids) if jobs > 1 else map(work, ids):
-            if warning is not None:
-                print(warning, file=sys.stderr)
-            results.append(result)
+            print(f"warning: sentence {i} skipped: {exc}", file=sys.stderr)
+            results.append(LabeledSentence(inputs.target.sentences[i].sentence, ()))
     return results
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
     inputs = load_inputs(args)
-    results = _run_projection(cfg, inputs, args.jobs, args.skip_bad_sentences)
+    results = _run_projection(cfg, inputs, args.skip_bad_sentences)
     atomic_write(Path(args.out), serialize_conll(CorpusDocument(tuple(results))))
     return 0
 
@@ -419,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     project = commands.add_parser("project", help="label a target corpus")
     _add_common_flags(project)
-    project.add_argument("--jobs", type=int, default=1)
+    project.add_argument(
+        "--jobs", type=int, default=1, help="no effect; sentences run in one serial loop"
+    )
     project.add_argument("--skip-bad-sentences", action="store_true")
 
     candidates = commands.add_parser("candidates", help="dump n-gram candidate spans")

@@ -65,7 +65,8 @@ class ProjectionConfig:
 
     candidate_source and solver only matter for CANDIDATE_MATCHING;
     ratio_threshold only for HEURISTIC. The ASSIGNMENT solver insists on
-    external candidates because n-gram candidates always overlap.
+    external candidates because n-gram candidates always overlap. GREEDY and
+    RELAXED_MWIS refuse REQUIRE_ALL: neither guarantees to cover every source.
     """
 
     method: Method = Method.CANDIDATE_MATCHING
@@ -88,9 +89,12 @@ class ProjectionConfig:
             and self.candidate_source is not SourceKind.EXTERNAL_NER
         ):
             raise DataError("the assignment solver requires external (disjoint) candidates")
-        if self.method is Method.CANDIDATE_MATCHING and self.solver is Solver.GREEDY:
-            if self.mode is MatchMode.REQUIRE_ALL:
-                raise DataError("greedy solving cannot guarantee REQUIRE_ALL coverage")
+        if (
+            self.method is Method.CANDIDATE_MATCHING
+            and self.solver in (Solver.GREEDY, Solver.RELAXED_MWIS)
+            and self.mode is MatchMode.REQUIRE_ALL
+        ):
+            raise DataError(f"{self.solver.value} solving cannot guarantee REQUIRE_ALL coverage")
 
 
 def _longest_run(indices: list[int]) -> tuple[int, int]:

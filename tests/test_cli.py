@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spanproject import MatchingSolution, Solver, projection, spans_overlap
+from spanproject import MatchingSolution, Solver, parse_conll, projection, spans_overlap
 from spanproject.cli import atomic_write, main
 from helpers import FIXTURES
 
@@ -588,6 +592,143 @@ def test_byte_order_mark_does_not_change_output(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     assert with_bom.read_bytes() == plain.read_bytes()
+
+
+_CLEAN = ("--labeled", "clean_source.conll", "--target", "clean_target.conll",
+          "--align", "clean.align")
+_ROUND_TRIP = ("--direction", "tgt2tgt", "--marked", "backtrans.marked",
+               "--translations", "backtrans.trans", "--target", "backtrans_target.conll",
+               "--align", "backtrans.align")
+# Input files that are not fixtures, by the name argv gives them.
+_WRITTEN = {
+    "spans.jsonl": (
+        b'{"sentence_id": 0, "spans": [{"start": 0, "end": 2}, {"start": 3, "end": 4}]}\n'
+        b'{"sentence_id": 2, "spans": [{"start": 0, "end": 1}, {"start": 1, "end": 3}]}\n'
+    ),
+    "run.cfg": b"# knobs\nmax_ngram = 3\n",
+}
+
+
+def _input_files(argv) -> dict[str, bytes]:
+    """The contents of each input file argv names: a fixture or one of _WRITTEN."""
+    return {
+        arg: _WRITTEN[arg] if arg in _WRITTEN else (FIXTURES / arg).read_bytes()
+        for arg in argv
+        if arg in _WRITTEN or (FIXTURES / arg).is_file()
+    }
+
+
+def _run_in(root, argv, contents: dict[str, bytes]) -> tuple[int, str, str]:
+    """Write contents under root and run main() on argv with its files there."""
+    for name, raw in contents.items():
+        (root / name).write_bytes(raw)
+    args = [str(root / arg) if arg in contents else arg for arg in argv]
+    if argv[0] == "project":
+        args += ["--out", str(root / "out.conll")]
+    with (
+        contextlib.redirect_stdout(io.StringIO()) as out,
+        contextlib.redirect_stderr(io.StringIO()) as err,
+    ):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (("project", *_CLEAN), "clean_target.conll"),
+        (("project", *_CLEAN), "clean.align"),
+        (("project", *_CLEAN), "clean_source.conll"),
+        (("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl"),
+        (("project", *_ROUND_TRIP), "backtrans.marked"),
+        (("project", *_ROUND_TRIP), "backtrans.trans"),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_gold.conll"),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_source.conll"),
+        (("project", *_CLEAN, "--config", "run.cfg"), "run.cfg"),
+    ],
+    ids=["target", "align", "labeled", "spans", "marked", "translations", "pred", "gold", "config"],
+)
+def test_invalid_utf8_is_a_located_error(tmp_path, argv, bad):
+    contents = _input_files(argv)
+    lines = contents[bad].split(b"\n")
+    line = min(2, len(lines) - 1)  # the second line, or the only one
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    contents[bad] = b"\n".join(lines)
+
+    code, out, err = _run_in(tmp_path, argv, contents)
+    message = f"{tmp_path / bad}: line {line}: invalid UTF-8 byte 0xff"
+    if bad == "run.cfg":
+        assert (code, err) == (
+            1, f"usage error: cannot read config file {tmp_path / bad}: {message}\n"
+        )
+    else:
+        assert (code, err) == (2, f"format error: {message}\n")
+    assert out == ""
+    assert not (tmp_path / "out.conll").exists()
+
+
+# Fragments of every input grammar, so that joined runs of them get past the
+# first parse check more often than uniform random bytes do.
+_PIECES = [
+    b"0", b"1", b"2", b"9", b"-", b" ", b"\t", b"\n", b"\n\n", b"\r", b"x", b"Mia",
+    b"O", b"B-PER", b"I-PER", b"B-LOC", b"I-", b"[", b"]", b"|||", b"PER\t", b"=",
+    b"#", b"solver", b"method", b"{", b"}", b'"', b":", b",", b'"spans"', b'"start"',
+    b'"end"', b'"sentence_id"', b"\xef\xbb\xbf", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.sampled_from([
+        ("project", "--method", "heuristic", *_CLEAN),
+        ("project", "--skip-bad-sentences", "--config", "run.cfg", *_CLEAN),
+        ("project", "--candidates", "ner", "--solver", "assignment", "--spans", "spans.jsonl",
+         *_CLEAN),
+        ("project", "--skip-bad-sentences", *_ROUND_TRIP),
+        ("solve", "--sentence", "1", *_CLEAN),
+        ("evaluate", "clean_gold.conll", "clean_source.conll"),
+    ]),
+    data=st.data(),
+)
+def test_any_input_bytes_give_an_exit_code_and_readable_output(tmp_path_factory, argv, data):
+    """Arbitrary bytes in one input file: an exit code, never a traceback."""
+    contents = _input_files(argv)
+    victim = data.draw(st.sampled_from(sorted(contents)), label="file")
+    pieces = st.lists(st.sampled_from(_PIECES), max_size=60).map(b"".join)
+    payload = data.draw(st.one_of(st.binary(max_size=120), pieces), label="payload")
+    # Replace the whole file, or splice the payload into the valid one.
+    original = contents[victim]
+    start = data.draw(st.integers(0, len(original)), label="start")
+    end = data.draw(st.integers(start, len(original)), label="end")
+    whole = data.draw(st.booleans(), label="whole file")
+    contents[victim] = payload if whole else original[:start] + payload + original[end:]
+
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    root.mkdir(exist_ok=True)
+    (root / "out.conll").unlink(missing_ok=True)
+    code, _, _ = _run_in(root, argv, contents)
+    assert code in (0, 1, 2, 3)
+    if argv[0] == "project":
+        # a failing run leaves no file; a written one parses back
+        assert (root / "out.conll").exists() == (code == 0)
+        if code == 0:
+            parse_conll((root / "out.conll").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("solver", ["greedy", "mwis"])
+def test_solvers_without_coverage_refuse_require_all_mode(tmp_path, capsys, solver):
+    refused = (1, "", f"usage error: {solver} solving cannot guarantee REQUIRE_ALL coverage\n")
+    out = tmp_path / "p.conll"
+    assert project_noisy(capsys, out, "--solver", solver, "--mode", "all") == refused
+    assert not out.exists()
+    assert run(
+        capsys,
+        "solve",
+        "--labeled", fixture("noisy_source.conll"),
+        "--target", fixture("noisy_target.conll"),
+        "--align", fixture("noisy.align"),
+        "--sentence", "2", "--solver", solver, "--mode", "all",
+    ) == refused
 
 
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
