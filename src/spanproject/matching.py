@@ -15,8 +15,14 @@ and (b) each source entity used at most once (AT_MOST_ONE) or exactly once
   independent set over intervals, solvable by a sort-by-end DP.
 
 A pair with zero cost (no alignment evidence) is never assigned, by any
-solver. All arithmetic is over ``fractions.Fraction``; nothing here ever
-rounds, so identical inputs give identical solutions on any platform.
+solver. All arithmetic is exact: costs are ``fractions.Fraction`` and greedy
+orders them by an integer key; nothing here ever rounds, so identical inputs
+give identical solutions on any platform.
+
+``build_problem`` is the cost kernel. It counts alignment pairs per cell from
+one prefix-count array per source entity, so each cell is an O(1) lookup;
+``matching_cost`` and ``AlignmentSet.count_within`` remain the per-cell
+reference definition that tests compare it against.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .candidates import CandidateSet
 from .core import AlignmentSet, EntitySpan, LabeledSentence, spans_overlap
@@ -63,7 +71,9 @@ class MatchingProblem:
                     f"{len(self.candidates.spans)} candidates"
                 )
             for cell in row:
-                if cell < 0:
+                # the sign of the numerator is exact for Fraction and int
+                # cells, and skips Fraction's generic comparison
+                if cell.numerator < 0:
                     raise DataError(f"negative matching cost {cell}")
 
     @property
@@ -103,6 +113,12 @@ def build_problem(
 
     Alignment indices are checked against the labeled sentence only; the
     target side is checked by callers such as ``matching_problem``.
+
+    Each cell equals ``matching_cost(src, tgt, align)``. For each source
+    entity, ``prefix[j]`` counts its alignment pairs with target index below
+    ``j``, so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``. The
+    array runs to the largest candidate end: target indices past it fall in
+    no candidate. Zero cells all share one ``Fraction(0)`` object.
     """
     for i, _ in align.pairs:
         if i >= len(labeled.sentence):
@@ -110,10 +126,21 @@ def build_problem(
                 f"alignment index {i} out of bounds for labeled sentence "
                 f"{labeled.sentence.id} of length {len(labeled.sentence)}"
             )
-    costs = tuple(
-        tuple(matching_cost(src, tgt, align) for tgt in cands.spans)
-        for src in labeled.entities
-    )
+    spans = cands.spans
+    width = max((tgt.end for tgt in spans), default=0)
+    zero = Fraction(0)
+    costs = []
+    for src in labeled.entities:
+        hits = [0] * (width + 1)
+        for i, j in align.pairs:
+            if src.start <= i < src.end and j < width:
+                hits[j + 1] += 1
+        prefix = list(accumulate(hits))
+        row = []
+        for tgt in spans:
+            count = prefix[tgt.end] - prefix[tgt.start]
+            row.append(Fraction(count, len(src) + len(tgt)) if count else zero)
+        costs.append(row)
     return MatchingProblem(labeled.entities, cands, costs, mode)
 
 
@@ -124,29 +151,35 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
     chosen candidate. Ties break toward the lower source start, then the
     lower candidate start, then the shorter candidate. Only AT_MOST_ONE is
     supported; greedy cannot promise full source coverage.
+
+    Cells are ordered by an exact integer key: with ``scale`` the least
+    common multiple of the positive cells' denominators, ``cost * scale`` is
+    an integer for every cell, so the order is the same as sorting on the
+    Fraction costs. The scan stops once every source is used.
     """
     if p.mode is MatchMode.REQUIRE_ALL:
         raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
-    spans = p.candidates.spans
-    order = sorted(
-        (
-            (s, t)
-            for s in range(len(p.sources))
-            for t in range(len(spans))
-            if p.costs[s][t] > 0
-        ),
-        key=lambda st: (
-            -p.costs[st[0]][st[1]],
-            p.sources[st[0]].start,
-            spans[st[1]].start,
-            spans[st[1]].end,
-        ),
+    sources, spans = p.sources, p.candidates.spans
+    # `if cost` keeps exactly the positive cells: MatchingProblem rejects negatives
+    cells = [
+        (cost, s, t) for s, row in enumerate(p.costs) for t, cost in enumerate(row) if cost
+    ]
+    scale = lcm(*{cost.denominator for cost, _, _ in cells})
+    cells.sort(
+        key=lambda cell: (
+            -cell[0].numerator * (scale // cell[0].denominator),
+            sources[cell[1]].start,
+            spans[cell[2]].start,
+            spans[cell[2]].end,
+        )
     )
     used_sources: set[int] = set()
     chosen_spans: list[EntitySpan] = []
     assignments: list[tuple[int, int]] = []
     objective = Fraction(0)
-    for s, t in order:
+    for cost, s, t in cells:
+        if len(used_sources) == len(sources):
+            break
         if s in used_sources:
             continue
         span = spans[t]
@@ -155,7 +188,7 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
         assignments.append((s, t))
         used_sources.add(s)
         chosen_spans.append(span)
-        objective += p.costs[s][t]
+        objective += cost
     return MatchingSolution(tuple(assignments), objective, exact=False)
 
 

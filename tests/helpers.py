@@ -14,13 +14,16 @@ from random import Random
 from spanproject import (
     AlignmentSet,
     CandidateSet,
+    DataError,
     EntitySpan,
     LabeledSentence,
     MatchingProblem,
+    MatchingSolution,
     MatchMode,
     Sentence,
     SourceKind,
     build_problem,
+    spans_overlap,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -144,6 +147,45 @@ def matching_oracle(
         return min(options, key=lambda opt: (-opt[0], opt[1]))
 
     return recurse(0, ())
+
+
+def greedy_oracle(p: MatchingProblem) -> MatchingSolution:
+    """The Fraction-keyed greedy solver, kept as written before the integer key.
+
+    ``solve_greedy`` must return the same assignments and objective.
+    """
+    if p.mode is MatchMode.REQUIRE_ALL:
+        raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
+    spans = p.candidates.spans
+    order = sorted(
+        (
+            (s, t)
+            for s in range(len(p.sources))
+            for t in range(len(spans))
+            if p.costs[s][t] > 0
+        ),
+        key=lambda st: (
+            -p.costs[st[0]][st[1]],
+            p.sources[st[0]].start,
+            spans[st[1]].start,
+            spans[st[1]].end,
+        ),
+    )
+    used_sources: set[int] = set()
+    chosen_spans: list[EntitySpan] = []
+    assignments: list[tuple[int, int]] = []
+    objective = Fraction(0)
+    for s, t in order:
+        if s in used_sources:
+            continue
+        span = spans[t]
+        if any(spans_overlap(span, prior) for prior in chosen_spans):
+            continue
+        assignments.append((s, t))
+        used_sources.add(s)
+        chosen_spans.append(span)
+        objective += p.costs[s][t]
+    return MatchingSolution(tuple(assignments), objective, exact=False)
 
 
 def mwis_oracle(spans: list[EntitySpan], weights: list[Fraction]) -> Fraction:

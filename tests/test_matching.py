@@ -19,6 +19,7 @@ from spanproject import (
     build_problem,
     external_candidates,
     matching_cost,
+    ngram_candidates,
     render_problem,
     solve_assignment_exact,
     solve_bruteforce,
@@ -27,8 +28,13 @@ from spanproject import (
     validate_solution,
 )
 from helpers import (
+    greedy_oracle,
     matching_oracle,
     mwis_oracle,
+    random_alignment,
+    random_intervals,
+    random_nonoverlapping_spans,
+    random_one_to_one_alignment,
     random_problem,
     words,
 )
@@ -113,8 +119,78 @@ def test_matching_problem_validates_dimensions():
         MatchingProblem((EntitySpan(0, 1, "A"),), cands, ())
     with pytest.raises(DataError):
         MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(1), Fraction(1)),))
-    with pytest.raises(DataError):
-        MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(-1),),))
+    negative_rows = [
+        (cands, (Fraction(-1),)),
+        (CandidateSet(0, (EntitySpan(0, 1), EntitySpan(1, 2)), SourceKind.NGRAM),
+         (Fraction(1, 2), Fraction(-1, 3))),
+        (cands, (-1,)),
+    ]
+    for row_cands, row in negative_rows:
+        with pytest.raises(DataError, match=f"negative matching cost {row[-1]}$"):
+            MatchingProblem((EntitySpan(0, 1, "A"),), row_cands, (row,))
+
+
+def test_build_problem_equals_matching_cost_on_every_cell():
+    rng = Random(17)
+    for trial in range(1200):
+        n_src, n_tgt = rng.randint(1, 12), rng.randint(1, 14)
+        entities = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
+        labeled = LabeledSentence(Sentence(words(n_src)), entities)
+        target = Sentence(words(n_tgt))
+        kind = trial % 3
+        if kind == 0:
+            cands = ngram_candidates(target, rng.randint(1, 5))
+        elif kind == 1:
+            # gapped disjoint spans, as an external NER model gives them; may be empty
+            ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False)
+            cands = external_candidates(target, list(ner))
+        else:
+            cands = CandidateSet(0, (), SourceKind.NGRAM)
+        # build_problem leaves the target side unchecked: some pairs point
+        # past every candidate's end, even past the target sentence
+        reach = n_tgt + rng.randint(0, 3)
+        if rng.random() < 0.5:
+            align = random_one_to_one_alignment(rng, n_src, reach)
+        else:
+            align = random_alignment(rng, n_src, reach, density=rng.choice((0.1, 0.3, 0.6)))
+        p = build_problem(labeled, cands, align)
+        assert p.shape == (len(entities), len(cands.spans))
+        for s, src in enumerate(entities):
+            for t, tgt in enumerate(cands.spans):
+                assert p.costs[s][t] == matching_cost(src, tgt, align), (trial, s, t)
+
+
+# every positive value ties with others; some differ only far past the decimal point
+COST_POOL = (
+    0, 0, 0, Fraction(0), 1, Fraction(1), Fraction(1, 2), Fraction(2, 4), Fraction(1, 3),
+    Fraction(2, 3), Fraction(3, 4), Fraction(2, 5), Fraction(3, 7), Fraction(5, 12),
+    Fraction(10**12, 10**12 + 1), Fraction(10**12 - 1, 10**12),
+)
+
+
+def test_greedy_matches_the_fraction_keyed_reference():
+    rng = Random(23)
+    for trial in range(1500):
+        n_tgt = rng.randint(1, 12)
+        # overlapping sources can share a start, so ties reach the stable order
+        sources = tuple(
+            EntitySpan(span.start, span.end, "A")
+            for span in random_intervals(rng, rng.randint(1, 10), rng.randint(0, 5))
+        )
+        cands = CandidateSet(0, random_intervals(rng, n_tgt, rng.randint(0, 8)), SourceKind.NGRAM)
+        pool = rng.sample(COST_POOL, rng.randint(3, len(COST_POOL)))
+        costs = tuple(
+            tuple(rng.choice(pool) for _ in cands.spans) for _ in sources
+        )
+        mode = MatchMode.REQUIRE_ALL if trial % 10 == 0 else MatchMode.AT_MOST_ONE
+        p = MatchingProblem(sources, cands, costs, mode)
+        if mode is MatchMode.REQUIRE_ALL:
+            with pytest.raises(DataError, match="REQUIRE_ALL"):
+                solve_greedy(p)
+            continue
+        want, got = greedy_oracle(p), solve_greedy(p)
+        assert (got.assignments, got.objective) == (want.assignments, want.objective), trial
+        assert type(got.objective) is Fraction and got.exact is False
 
 
 def test_greedy_solves_worked_pair():
