@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .core import EntitySpan, Sentence, spans_overlap
 from .errors import DataError
@@ -47,6 +48,21 @@ class CandidateSet:
                 "NER-predicted spans are expected to be disjoint"
             )
 
+    @classmethod
+    def _trusted(
+        cls, sentence_id: int, spans: tuple[EntitySpan, ...], source_kind: SourceKind
+    ) -> "CandidateSet":
+        """Wrap spans already distinct, unlabeled and in (start, end) order.
+
+        Skips ``__post_init__``; only callers that produce such spans
+        themselves, with a sentence id a ``Sentence`` has checked, use it.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "sentence_id", sentence_id)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "source_kind", source_kind)
+        return self
+
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -65,18 +81,28 @@ def ngram_candidates(sentence: Sentence, max_len: int | None = 8) -> CandidateSe
     """Enumerate every contiguous word span of length 1..max_len.
 
     ``max_len=None`` means unbounded, which yields all n(n+1)/2 spans of an
-    n-word sentence.
+    n-word sentence. Sentences of one length share one cached, immutable
+    span tuple, wrapped without re-checking.
     """
     if max_len is not None and max_len < 1:
         raise DataError(f"max_len must be at least 1, got {max_len}")
     n = len(sentence)
     cap = n if max_len is None else min(max_len, n)
-    spans = tuple(
-        EntitySpan(i, i + length)
-        for length in range(1, cap + 1)
-        for i in range(n - length + 1)
+    return CandidateSet._trusted(sentence.id, _ngram_spans(n, cap), SourceKind.NGRAM)
+
+
+@lru_cache(maxsize=128)
+def _ngram_spans(n: int, cap: int) -> tuple[EntitySpan, ...]:
+    """Every span of 1..cap words over n words, distinct and in (start, end) order.
+
+    The spans depend only on (n, cap), so sentences of one length share one
+    immutable tuple; the cache keeps the 128 most recent shapes.
+    """
+    return tuple(
+        EntitySpan(start, end)
+        for start in range(n)
+        for end in range(start + 1, min(start + cap, n) + 1)
     )
-    return CandidateSet(sentence.id, spans, SourceKind.NGRAM)
 
 
 def external_candidates(sentence: Sentence, spans: list[EntitySpan]) -> CandidateSet:

@@ -25,7 +25,9 @@ class Sentence:
         if not self.tokens:
             raise DataError("sentence must contain at least one token")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            # one C-level split per token: it differs from [tok] exactly when
+            # tok is empty or holds a character for which str.isspace() holds
+            if tok.split() != [tok]:
                 raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
         if self.id < 0:
             raise DataError(f"sentence id must be non-negative, got {self.id}")

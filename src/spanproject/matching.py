@@ -19,20 +19,29 @@ solver. All arithmetic is exact: costs are ``fractions.Fraction`` and greedy
 orders them by an integer key; nothing here ever rounds, so identical inputs
 give identical solutions on any platform.
 
-``build_problem`` is the cost kernel. It counts alignment pairs per cell from
-one prefix-count array per source entity, so each cell is an O(1) lookup;
-``matching_cost`` and ``AlignmentSet.count_within`` remain the per-cell
-reference definition that tests compare it against.
+``build_problem`` is the cost kernel. It counts alignment pairs from one
+prefix-count array per source entity and visits only the positive cells:
+zero cells all share one ``Fraction(0)``, positive ones come from a bounded
+memo, and the problem is built without re-checking the cells it just
+priced. ``matching_cost`` and ``AlignmentSet.count_within`` remain the
+per-cell reference definition that tests compare it against.
+
+``MatchingProblem.positive`` lists the positive cells as integer
+``(numerator, denominator, s, t)`` tuples in row-major order; greedy reads
+only that list, so its work grows with the positive cells, not the matrix.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
+from numbers import Rational
+from operator import attrgetter
 
 from .candidates import CandidateSet
 from .core import AlignmentSet, EntitySpan, LabeledSentence, spans_overlap
@@ -42,6 +51,8 @@ from .formats import render_table
 BRUTE_FORCE_MAX_SOURCES = 6
 BRUTE_FORCE_MAX_CANDIDATES = 12
 
+_ZERO = Fraction(0)
+
 
 class MatchMode(Enum):
     AT_MOST_ONE = "atmost"
@@ -50,12 +61,20 @@ class MatchMode(Enum):
 
 @dataclass(frozen=True, slots=True)
 class MatchingProblem:
-    """A cost matrix between labeled source entities and unlabeled candidates."""
+    """A cost matrix between labeled source entities and unlabeled candidates.
+
+    ``positive`` is derived from ``costs``: one ``(numerator, denominator, s,
+    t)`` entry per positive cell, in row-major order. Cells must be rational
+    (``Fraction`` or ``int``) and non-negative.
+    """
 
     sources: tuple[EntitySpan, ...]
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
     mode: MatchMode = MatchMode.AT_MOST_ONE
+    positive: tuple[tuple[int, int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -64,17 +83,48 @@ class MatchingProblem:
             raise DataError(
                 f"cost matrix has {len(self.costs)} rows for {len(self.sources)} sources"
             )
-        for row in self.costs:
+        positive = []
+        for s, row in enumerate(self.costs):
             if len(row) != len(self.candidates.spans):
                 raise DataError(
                     f"cost row has {len(row)} entries for "
                     f"{len(self.candidates.spans)} candidates"
                 )
-            for cell in row:
-                # the sign of the numerator is exact for Fraction and int
-                # cells, and skips Fraction's generic comparison
-                if cell.numerator < 0:
+            for t, cell in enumerate(row):
+                if not isinstance(cell, Rational):
+                    raise DataError(
+                        f"matching cost {cell!r} at ({s}, {t}) is not a rational number"
+                    )
+                # the sign of the numerator is exact, and skips Fraction's
+                # generic comparison
+                num = cell.numerator
+                if num < 0:
                     raise DataError(f"negative matching cost {cell}")
+                if num:
+                    positive.append((num, cell.denominator, s, t))
+        object.__setattr__(self, "positive", tuple(positive))
+
+    @classmethod
+    def _trusted(
+        cls,
+        sources: tuple[EntitySpan, ...],
+        candidates: CandidateSet,
+        costs: tuple[tuple[Fraction, ...], ...],
+        mode: MatchMode,
+        positive: tuple[tuple[int, int, int, int], ...],
+    ) -> "MatchingProblem":
+        """Wrap cells a caller has just priced, with their positive list.
+
+        Skips ``__post_init__``, which would scan every cell again; only
+        ``build_problem`` uses it.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "positive", positive)
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -103,6 +153,17 @@ def matching_cost(src: EntitySpan, tgt: EntitySpan, align: AlignmentSet) -> Frac
     return Fraction(align.count_within(src, tgt), len(src) + len(tgt))
 
 
+@lru_cache(maxsize=4096)
+def _priced(count: int, total: int) -> tuple[Fraction, int, int]:
+    """``Fraction(count, total)`` with its numerator and denominator, memoized.
+
+    Fractions are immutable, so every cell with the same count and length
+    sum can share one.
+    """
+    cost = Fraction(count, total)
+    return cost, cost.numerator, cost.denominator
+
+
 def build_problem(
     labeled: LabeledSentence,
     cands: CandidateSet,
@@ -118,7 +179,15 @@ def build_problem(
     entity, ``prefix[j]`` counts its alignment pairs with target index below
     ``j``, so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``. The
     array runs to the largest candidate end: target indices past it fall in
-    no candidate. Zero cells all share one ``Fraction(0)`` object.
+    no candidate.
+
+    Only positive cells are visited. Candidates come sorted by (start, end),
+    so those sharing a start form a run with rising ends, and the positive
+    ones are the run's tail whose end passes the first aligned index at or
+    after the start; one bisection per run finds it. Each row starts as
+    shared zeros, positive cells take their ``Fraction`` from a bounded memo
+    on (count, length sum), and the problem is built without a second scan
+    of the cells: a count is never negative and the lengths are positive.
     """
     for i, _ in align.pairs:
         if i >= len(labeled.sentence):
@@ -127,21 +196,41 @@ def build_problem(
                 f"{labeled.sentence.id} of length {len(labeled.sentence)}"
             )
     spans = cands.spans
-    width = max((tgt.end for tgt in spans), default=0)
-    zero = Fraction(0)
+    starts = list(map(attrgetter("start"), spans))
+    ends = list(map(attrgetter("end"), spans))
+    # runs of candidates sharing a start: (start, first index, index past the run)
+    runs = [
+        (start, bisect_left(starts, start), bisect_right(starts, start))
+        for start in dict.fromkeys(starts)
+    ]
+    width = max(ends, default=0)
     costs = []
-    for src in labeled.entities:
+    positive = []
+    for s, src in enumerate(labeled.entities):
         hits = [0] * (width + 1)
         for i, j in align.pairs:
             if src.start <= i < src.end and j < width:
                 hits[j + 1] += 1
         prefix = list(accumulate(hits))
-        row = []
-        for tgt in spans:
-            count = prefix[tgt.end] - prefix[tgt.start]
-            row.append(Fraction(count, len(src) + len(tgt)) if count else zero)
-        costs.append(row)
-    return MatchingProblem(labeled.entities, cands, costs, mode)
+        total = prefix[-1]
+        row = [_ZERO] * len(spans)
+        src_len = len(src)
+        for start, first, past in runs:
+            before = prefix[start]
+            if before == total:
+                break  # no aligned index at or after this start, nor any later one
+            # a candidate is positive once its end passes the first target
+            # index whose prefix count exceeds `before`
+            reach = bisect_right(prefix, before)
+            for t in range(bisect_left(ends, reach, first, past), past):
+                end = ends[t]
+                cost, num, den = _priced(prefix[end] - before, src_len + end - start)
+                row[t] = cost
+                positive.append((num, den, s, t))
+        costs.append(tuple(row))
+    return MatchingProblem._trusted(
+        labeled.entities, cands, tuple(costs), mode, tuple(positive)
+    )
 
 
 def solve_greedy(p: MatchingProblem) -> MatchingSolution:
@@ -152,33 +241,29 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
     lower candidate start, then the shorter candidate. Only AT_MOST_ONE is
     supported; greedy cannot promise full source coverage.
 
-    Cells are ordered by an exact integer key: with ``scale`` the least
-    common multiple of the positive cells' denominators, ``cost * scale`` is
-    an integer for every cell, so the order is the same as sorting on the
-    Fraction costs. The scan stops once every source is used.
+    Only the problem's positive-cell list is read, and it is sorted on an
+    exact integer key: with ``scale`` the least common multiple of the
+    positive cells' denominators, ``cost * scale`` is an integer for every
+    cell, so the order is the same as sorting on the Fraction costs.
+    Candidates are distinct and sorted by (start, end), so the candidate
+    index orders them as (start, end) does, and a source index breaks the
+    remaining ties (overlapping sources sharing a start) in row-major
+    order. The scan stops once every source is used, and the objective sums
+    the chosen cells' ``Fraction`` costs.
     """
     if p.mode is MatchMode.REQUIRE_ALL:
         raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
-    sources, spans = p.sources, p.candidates.spans
-    # `if cost` keeps exactly the positive cells: MatchingProblem rejects negatives
-    cells = [
-        (cost, s, t) for s, row in enumerate(p.costs) for t, cost in enumerate(row) if cost
-    ]
-    scale = lcm(*{cost.denominator for cost, _, _ in cells})
-    cells.sort(
-        key=lambda cell: (
-            -cell[0].numerator * (scale // cell[0].denominator),
-            sources[cell[1]].start,
-            spans[cell[2]].start,
-            spans[cell[2]].end,
-        )
+    spans = p.candidates.spans
+    starts = [src.start for src in p.sources]
+    scale = lcm(*{den for _, den, _, _ in p.positive})
+    order = sorted(
+        (-num * (scale // den), starts[s], t, s) for num, den, s, t in p.positive
     )
     used_sources: set[int] = set()
     chosen_spans: list[EntitySpan] = []
     assignments: list[tuple[int, int]] = []
-    objective = Fraction(0)
-    for cost, s, t in cells:
-        if len(used_sources) == len(sources):
+    for _, _, t, s in order:
+        if len(used_sources) == len(starts):
             break
         if s in used_sources:
             continue
@@ -188,15 +273,14 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
         assignments.append((s, t))
         used_sources.add(s)
         chosen_spans.append(span)
-        objective += cost
+    objective = sum((p.costs[s][t] for s, t in assignments), Fraction(0))
     return MatchingSolution(tuple(assignments), objective, exact=False)
 
 
 def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
     """Sources with no positive cost against any candidate."""
-    return tuple(
-        s for s in range(len(p.sources)) if not any(c > 0 for c in p.costs[s])
-    )
+    covered = {s for _, _, s, _ in p.positive}
+    return tuple(s for s in range(len(p.sources)) if s not in covered)
 
 
 def solve_bruteforce(p: MatchingProblem, unsafe: bool = False) -> MatchingSolution:

@@ -23,6 +23,14 @@ def test_ngram_candidates_small_enumeration():
     }
     assert len(cands) == 5
     assert cands.source_kind is SourceKind.NGRAM
+    # the cached enumeration gives what the checked constructor makes of it
+    for n in range(1, 41):
+        sentence = Sentence(words(n), id=n)
+        for max_len in (*range(1, 10), None):
+            cands = ngram_candidates(sentence, max_len)
+            checked = CandidateSet(sentence.id, cands.spans, SourceKind.NGRAM)
+            assert cands.spans == checked.spans, (n, max_len)
+            assert cands.sentence_id == n and cands.source_kind is SourceKind.NGRAM
 
 
 def test_ngram_candidates_single_word():

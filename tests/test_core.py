@@ -33,6 +33,14 @@ def test_sentence_rejects_empty_and_whitespace_tokens():
         Sentence(("ok", "two words"))
     with pytest.raises(DataError):
         Sentence(("a",), id=-1)
+    # every code point: a token holding it is rejected exactly when str.isspace() says so
+    chars = [chr(code) for code in range(0x110000)]
+    spaces = [ch for ch in chars if ch.isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        with pytest.raises(DataError, match="whitespace"):
+            Sentence(("a" + ch + "b",))
+    Sentence(tuple("a" + ch + "b" for ch in chars if not ch.isspace()))
 
 
 def test_entity_span_validation():

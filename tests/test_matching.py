@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -128,6 +130,12 @@ def test_matching_problem_validates_dimensions():
     for row_cands, row in negative_rows:
         with pytest.raises(DataError, match=f"negative matching cost {row[-1]}$"):
             MatchingProblem((EntitySpan(0, 1, "A"),), row_cands, (row,))
+    two = CandidateSet(0, (EntitySpan(0, 1), EntitySpan(1, 2)), SourceKind.NGRAM)
+    sources = (EntitySpan(0, 1, "A"), EntitySpan(1, 2, "B"))
+    for cell, shown in ((0.5, "0.5"), (Decimal("0.25"), "Decimal('0.25')"), ("1/2", "'1/2'")):
+        costs = ((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), cell))
+        with pytest.raises(DataError, match=re.escape(f"matching cost {shown} at (1, 1) ")):
+            MatchingProblem(sources, two, costs)
 
 
 def test_build_problem_equals_matching_cost_on_every_cell():
@@ -158,6 +166,15 @@ def test_build_problem_equals_matching_cost_on_every_cell():
         for s, src in enumerate(entities):
             for t, tgt in enumerate(cands.spans):
                 assert p.costs[s][t] == matching_cost(src, tgt, align), (trial, s, t)
+        # the positive list is the row-major positive cells, whichever constructor ran
+        want = [
+            (c.numerator, c.denominator, s, t)
+            for s, row in enumerate(p.costs) for t, c in enumerate(row) if c > 0
+        ]
+        rebuilt = MatchingProblem(p.sources, p.candidates, p.costs, p.mode)
+        assert list(p.positive) == list(rebuilt.positive) == want, trial
+        assert rebuilt == p
+        assert solve_greedy(p) == solve_greedy(rebuilt), trial
 
 
 # every positive value ties with others; some differ only far past the decimal point
