@@ -42,13 +42,7 @@ from .formats import (
     serialize_conll,
     serialize_span_records,
 )
-from .matching import (
-    BRUTE_FORCE_MAX_CANDIDATES,
-    BRUTE_FORCE_MAX_SOURCES,
-    MatchMode,
-    render_problem,
-    solve_bruteforce,
-)
+from .matching import EXACT_MAX_SOURCES, MatchMode, render_problem
 from .projection import (
     Method,
     ProjectionConfig,
@@ -361,23 +355,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if n_src == 0 or n_cand == 0:
             out.write("empty problem: nothing to solve\n")
             return 0
-        solution = solve(problem, cfg.solver)
-        out.write(
-            f"{cfg.solver.value}: objective={solution.objective} "
-            f"assignments={list(solution.assignments)}\n"
-        )
-        if cfg.solver is Solver.BRUTE_FORCE:
-            return 0
-        if n_src <= BRUTE_FORCE_MAX_SOURCES and n_cand <= BRUTE_FORCE_MAX_CANDIDATES:
-            oracle = solve_bruteforce(problem)
+        # the chosen solver, then the exact optimum as a cross-check
+        for solver in dict.fromkeys((cfg.solver, Solver.EXACT)):
+            if solver is not cfg.solver and n_src > EXACT_MAX_SOURCES:
+                out.write(f"exact check skipped: {n_src} sources exceed {EXACT_MAX_SOURCES}\n")
+                break
+            solution = solve(problem, solver)
             out.write(
-                f"brute-force oracle: objective={oracle.objective} "
-                f"assignments={list(oracle.assignments)}\n"
-            )
-        else:
-            out.write(
-                f"brute-force oracle skipped: instance exceeds "
-                f"{BRUTE_FORCE_MAX_SOURCES}x{BRUTE_FORCE_MAX_CANDIDATES} guard\n"
+                f"{solver.value}: objective={solution.objective} "
+                f"assignments={list(solution.assignments)}\n"
             )
     except _SENTENCE_ERRORS as exc:
         raise _at_sentence(i, exc) from exc

@@ -159,6 +159,11 @@ def bio_decode(tags: list[str] | tuple[str, ...]) -> list[EntitySpan]:
     Decoding is lenient: an I- tag without a matching open span starts a new
     one, which is the common CoNLL evaluator behaviour.
     """
+    return bio_decode_parsed([parse_bio_tag(tag) for tag in tags])
+
+
+def bio_decode_parsed(parsed: list[tuple[str, str | None]]) -> list[EntitySpan]:
+    """``bio_decode`` on tags already split by ``parse_bio_tag``."""
     spans: list[EntitySpan] = []
     open_start: int | None = None
     open_label: str | None = None
@@ -169,8 +174,7 @@ def bio_decode(tags: list[str] | tuple[str, ...]) -> list[EntitySpan]:
             spans.append(EntitySpan(open_start, upto, open_label))
             open_start, open_label = None, None
 
-    for i, tag in enumerate(tags):
-        prefix, label = parse_bio_tag(tag)
+    for i, (prefix, label) in enumerate(parsed):
         if prefix == "O":
             close(i)
         elif prefix == "B":
@@ -180,5 +184,5 @@ def bio_decode(tags: list[str] | tuple[str, ...]) -> list[EntitySpan]:
             if open_start is None or open_label != label:
                 close(i)
                 open_start, open_label = i, label
-    close(len(tags))
+    close(len(parsed))
     return spans

@@ -23,7 +23,7 @@ from .core import (
     EntitySpan,
     LabeledSentence,
     Sentence,
-    bio_decode,
+    bio_decode_parsed,
     bio_encode,
     parse_bio_tag,
     spans_overlap,
@@ -85,13 +85,13 @@ def parse_conll(text: str) -> CorpusDocument:
     """Parse a CoNLL file: ``token [tag]`` lines with blank-line sentence breaks."""
     sentences: list[LabeledSentence] = []
     tokens: list[str] = []
-    tags: list[str] = []
+    tags: list[tuple[str, str | None]] = []
 
     def flush() -> None:
         if not tokens:
             return
         sentence = Sentence(tuple(tokens), id=len(sentences))
-        entities = tuple(bio_decode(tags))
+        entities = tuple(bio_decode_parsed(tags))
         sentences.append(LabeledSentence(sentence, entities))
         tokens.clear()
         tags.clear()
@@ -107,9 +107,8 @@ def parse_conll(text: str) -> CorpusDocument:
             )
         token = fields[0]
         tag = fields[1] if len(fields) == 2 else "O"
-        parse_bio_tag(tag, line=lineno)
+        tags.append(parse_bio_tag(tag, line=lineno))
         tokens.append(token)
-        tags.append(tag)
     flush()
     return CorpusDocument(tuple(sentences))
 

@@ -11,13 +11,15 @@ and (b) each source entity used at most once (AT_MOST_ONE) or exactly once
   the others are tested against.
 * ``solve_assignment_exact``: polynomial optimum when candidates are
   pairwise disjoint, where the problem is a plain assignment problem.
-* ``solve_relaxed_mwis``: drops the per-source cap, leaving a maximum-weight
-  independent set over intervals, solvable by a sort-by-end DP.
+* ``solve_exact``: the optimum by one DP over target positions that also
+  tracks the set of sources used. ``solve_relaxed_mwis`` is the same DP
+  without that set: the maximum-weight independent set over intervals that
+  drops the per-source cap.
 
 A pair with zero cost (no alignment evidence) is never assigned, by any
-solver. All arithmetic is exact: costs are ``fractions.Fraction`` and greedy
-orders them by an integer key; nothing here ever rounds, so identical inputs
-give identical solutions on any platform.
+solver. All arithmetic is exact: costs are ``fractions.Fraction``, and greedy
+and the DP compare them as integers scaled by a common multiple; nothing here
+ever rounds, so identical inputs give identical solutions on any platform.
 
 ``build_problem`` is the cost kernel. It counts alignment pairs from one
 prefix-count array per source entity and visits only the positive cells:
@@ -50,6 +52,7 @@ from .formats import render_table
 
 BRUTE_FORCE_MAX_SOURCES = 6
 BRUTE_FORCE_MAX_CANDIDATES = 12
+EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
 
@@ -407,7 +410,7 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     if not p.candidates.is_disjoint():
         raise DataError(
             "candidates overlap; the assignment reduction needs disjoint candidates, "
-            "use greedy or brute force instead"
+            "use greedy or exact instead"
         )
     n_src, n_cand = p.shape
     require_all = p.mode is MatchMode.REQUIRE_ALL
@@ -449,48 +452,73 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     return MatchingSolution(tuple(assignments), objective, exact=True)
 
 
+def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
+    """Best set of non-overlapping positive cells, by one pass over target positions.
+
+    A state is a target position plus, when ``capped``, the mask of sources
+    used so far. It moves on one position, or takes a positive cell whose
+    candidate starts there: that jumps to the candidate's end and sets the
+    source's bit, so candidates never overlap and the mask caps each source.
+    ``capped=False`` drops the mask, which is the MWIS relaxation. Each state
+    keeps the largest value (an integer under greedy's lcm scale), then the
+    smallest sorted assignment tuple as in ``solve_bruteforce``: all cells
+    are positive, so a common extension never reverses that choice. Under
+    REQUIRE_ALL only the full mask counts.
+    """
+    spans = p.candidates.spans
+    scale = lcm(*{den for _, den, _, _ in p.positive})
+    width = max((span.end for span in spans), default=0)
+    moves = [[] for _ in range(width)]
+    for num, den, s, t in p.positive:
+        bit = 1 << s if capped else 0
+        moves[spans[t].start].append((spans[t].end, bit, num * (scale // den), (s, t)))
+    # layers[j][mask] = (-value, assignments in target order); sorted only on ties
+    layers = [{} for _ in range(width + 1)]
+    layers[0][0] = (0, ())
+
+    def offer(layer, mask, neg, chosen):
+        held = layer.get(mask)
+        if held is None or neg < held[0] or neg == held[0] and sorted(chosen) < sorted(held[1]):
+            layer[mask] = (neg, chosen)
+
+    for j in range(width):
+        for mask, (neg, chosen) in layers[j].items():
+            offer(layers[j + 1], mask, neg, chosen)
+            for end, bit, gain, cell in moves[j]:
+                if not mask & bit:
+                    offer(layers[end], mask | bit, neg - gain, chosen + (cell,))
+    final = layers[width]
+    if capped and p.mode is MatchMode.REQUIRE_ALL:
+        full = (1 << len(p.sources)) - 1
+        final = {full: final[full]} if full in final else {}
+    if not final:
+        raise InfeasibleError(
+            "no assignment covers every source", uncoverable=_statically_uncoverable(p)
+        )
+    neg, chosen = min(final.values(), key=lambda entry: (entry[0], sorted(entry[1])))
+    return MatchingSolution(chosen, Fraction(-neg, scale), exact=True)
+
+
+def solve_exact(p: MatchingProblem) -> MatchingSolution:
+    """Exact optimum of the capped problem by the interval DP; guarded by source count."""
+    if len(p.sources) > EXACT_MAX_SOURCES:
+        raise GuardError(
+            f"instance with {len(p.sources)} sources exceeds the exact solver's guard "
+            f"({EXACT_MAX_SOURCES} sources)"
+        )
+    return _interval_dp(p, capped=True)
+
+
 def solve_relaxed_mwis(p: MatchingProblem) -> MatchingSolution:
     """Optimum of the relaxation that drops the per-source cap.
 
     Without that cap each candidate independently earns its best source's
     cost, so the problem is maximum-weight independent set over interval
-    spans: classic sort-by-end dynamic programming. A source may back
-    several chosen candidates; the result is exact for the relaxed
-    objective and an upper bound for the capped one.
+    spans: the interval DP without its source mask. A source may back several
+    chosen candidates; the result is exact for the relaxed objective and an
+    upper bound for the capped one.
     """
-    spans = p.candidates.spans
-    weighted: list[tuple[EntitySpan, int, Fraction, int]] = []
-    for t, span in enumerate(spans):
-        weight = Fraction(0)
-        source = -1
-        for s in range(len(p.sources)):
-            if p.costs[s][t] > weight:
-                weight = p.costs[s][t]
-                source = s
-        if weight > 0:
-            weighted.append((span, t, weight, source))
-    weighted.sort(key=lambda item: (item[0].end, item[0].start, item[1]))
-
-    ends = [item[0].end for item in weighted]
-    n = len(weighted)
-    dp = [Fraction(0)] * (n + 1)
-    pred = [0] * n
-    for i in range(n):
-        span, _, weight, _ = weighted[i]
-        pred[i] = bisect_right(ends, span.start)
-        take = weight + dp[pred[i]]
-        dp[i + 1] = take if take >= dp[i] else dp[i]
-
-    assignments = []
-    i = n
-    while i > 0:
-        span, t, weight, source = weighted[i - 1]
-        if weight + dp[pred[i - 1]] >= dp[i - 1]:  # include on tie, for determinism
-            assignments.append((source, t))
-            i = pred[i - 1]
-        else:
-            i -= 1
-    return MatchingSolution(tuple(assignments), dp[n], exact=True)
+    return _interval_dp(p, capped=False)
 
 
 def validate_solution(

@@ -28,9 +28,8 @@ from .matching import (
     MatchMode,
     build_problem,
     solve_assignment_exact,
-    solve_bruteforce,
+    solve_exact,
     solve_greedy,
-    solve_relaxed_mwis,
     validate_solution,
 )
 
@@ -45,17 +44,17 @@ class Method(Enum):
 
 
 class Solver(Enum):
+    """Greedy approximation, exact interval DP, or the assignment reduction."""
+
     GREEDY = "greedy"
-    BRUTE_FORCE = "brute"
+    EXACT = "exact"
     ASSIGNMENT = "assignment"
-    RELAXED_MWIS = "mwis"
 
 
 _SOLVER_FUNCS = {
     Solver.GREEDY: solve_greedy,
-    Solver.BRUTE_FORCE: solve_bruteforce,
+    Solver.EXACT: solve_exact,
     Solver.ASSIGNMENT: solve_assignment_exact,
-    Solver.RELAXED_MWIS: solve_relaxed_mwis,
 }
 
 
@@ -65,8 +64,9 @@ class ProjectionConfig:
 
     candidate_source and solver only matter for CANDIDATE_MATCHING;
     ratio_threshold only for HEURISTIC. The ASSIGNMENT solver insists on
-    external candidates because n-gram candidates always overlap. GREEDY and
-    RELAXED_MWIS refuse REQUIRE_ALL: neither guarantees to cover every source.
+    external candidates because n-gram candidates always overlap. GREEDY
+    refuses REQUIRE_ALL: it cannot guarantee to cover every source. EXACT
+    works on any candidates but is guarded by its source count.
     """
 
     method: Method = Method.CANDIDATE_MATCHING
@@ -91,10 +91,10 @@ class ProjectionConfig:
             raise DataError("the assignment solver requires external (disjoint) candidates")
         if (
             self.method is Method.CANDIDATE_MATCHING
-            and self.solver in (Solver.GREEDY, Solver.RELAXED_MWIS)
+            and self.solver is Solver.GREEDY
             and self.mode is MatchMode.REQUIRE_ALL
         ):
-            raise DataError(f"{self.solver.value} solving cannot guarantee REQUIRE_ALL coverage")
+            raise DataError("greedy solving cannot guarantee REQUIRE_ALL coverage")
 
 
 def _longest_run(indices: list[int]) -> tuple[int, int]:
@@ -166,7 +166,7 @@ def matching_problem(
 def solve(problem: MatchingProblem, solver: Solver) -> MatchingSolution:
     """Run the chosen solver and check its result; an invalid one raises DataError."""
     solution = _SOLVER_FUNCS[solver](problem)
-    validate_solution(problem, solution, relaxed=solver is Solver.RELAXED_MWIS)
+    validate_solution(problem, solution)
     return solution
 
 

@@ -88,10 +88,16 @@ def test_criterion_01_worked_pair_reproduction():
     external = [EntitySpan(0, 2), EntitySpan(4, 5)]
     expected = (EntitySpan(0, 2, "PER"), EntitySpan(4, 5, "LOC"))
     started = time.perf_counter()
-    for solver in (Solver.GREEDY, Solver.ASSIGNMENT, Solver.BRUTE_FORCE):
+    for solver in (Solver.GREEDY, Solver.ASSIGNMENT, Solver.EXACT):
         cfg = ProjectionConfig(candidate_source=SourceKind.EXTERNAL_NER, solver=solver)
         out = project_matching(labeled, target, align, cfg, external)
         assert out.entities == expected, solver
+    problem = build_problem(labeled, external_candidates(target, external), align)
+    oracle = solve_bruteforce(problem)
+    assert tuple(
+        problem.candidates.spans[t].with_label(problem.sources[s].label)
+        for s, t in oracle.assignments
+    ) == expected
     assert time.perf_counter() - started < 1.0
 
 

@@ -174,7 +174,7 @@ def test_count_mismatch_fails_before_any_output(tmp_path, capsys):
 
 def test_infeasible_require_all_is_exit_3(tmp_path, capsys):
     out = tmp_path / "pred.conll"
-    code, _, err = project_noisy(capsys, out, "--solver", "brute", "--mode", "all")
+    code, _, err = project_noisy(capsys, out, "--solver", "exact", "--mode", "all")
     assert code == 3
     assert "solver error" in err
     assert not out.exists()
@@ -184,7 +184,7 @@ def test_infeasible_require_all_is_exit_3(tmp_path, capsys):
 def test_skip_bad_sentences_downgrades_to_warning(tmp_path, capsys):
     out = tmp_path / "pred.conll"
     code, _, err = project_noisy(
-        capsys, out, "--solver", "brute", "--mode", "all", "--skip-bad-sentences"
+        capsys, out, "--solver", "exact", "--mode", "all", "--skip-bad-sentences"
     )
     assert code == 0
     assert "warning: sentence 2" in err
@@ -272,23 +272,30 @@ def test_project_rejects_invalid_solver_output(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_brute_force_guard_is_exit_3(tmp_path, capsys):
-    n = 13
+def single_token_entities(tmp_path, n_sources: int, n_target: int) -> tuple[str, ...]:
+    """Inputs with n_sources one-token PER entities and one alignment link."""
     labeled = tmp_path / "src.conll"
     target = tmp_path / "tgt.conll"
     align = tmp_path / "a.align"
-    labeled.write_text("aaa B-PER\n", encoding="utf-8")
-    target.write_text("".join(f"t{i}\n" for i in range(n)), encoding="utf-8")
+    labeled.write_text("".join(f"s{i} B-PER\n" for i in range(n_sources)), encoding="utf-8")
+    target.write_text("".join(f"t{i}\n" for i in range(n_target)), encoding="utf-8")
     align.write_text("0-0\n", encoding="utf-8")
+    return "--labeled", str(labeled), "--target", str(target), "--align", str(align)
+
+
+def test_exact_guard_is_exit_3(tmp_path, capsys):
     out = tmp_path / "pred.conll"
     code, _, err = run(
         capsys,
         "project",
-        "--labeled", str(labeled), "--target", str(target), "--align", str(align),
-        "--out", str(out), "--solver", "brute", "--max-ngram", "1",
+        *single_token_entities(tmp_path, 13, 13),
+        "--out", str(out), "--solver", "exact", "--max-ngram", "1",
     )
     assert code == 3
-    assert "solver error" in err
+    assert err == (
+        "solver error: sentence 0: instance with 13 sources exceeds the exact "
+        "solver's guard (10 sources)\n"
+    )
     assert not out.exists()
 
 
@@ -305,7 +312,21 @@ def test_solve_prints_matrix_and_oracle(capsys):
     assert out.startswith("mode=atmost shape=2x10\n")
     assert "s0=[0,2):PER" in out
     assert "greedy: objective=1 assignments=[(0, 1), (1, 9)]" in out
-    assert "brute-force oracle: objective=1" in out
+    assert out.endswith("exact: objective=1 assignments=[(0, 1), (1, 9)]\n")
+
+
+def test_solve_with_exact_prints_its_result_once(capsys):
+    code, out, err = run(
+        capsys,
+        "solve",
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", fixture("clean.align"),
+        "--sentence", "0", "--solver", "exact",
+    )
+    assert (code, err) == (0, "")
+    assert out.count("objective=") == 1
+    assert out.endswith("\nexact: objective=1 assignments=[(0, 1), (1, 9)]\n")
 
 
 def test_solve_empty_problem_prints_notice(capsys):
@@ -321,23 +342,33 @@ def test_solve_empty_problem_prints_notice(capsys):
     assert "empty problem: nothing to solve" in out
 
 
-def test_solve_skips_oracle_beyond_guard(tmp_path, capsys):
-    n = 13
-    labeled = tmp_path / "src.conll"
-    target = tmp_path / "tgt.conll"
-    align = tmp_path / "a.align"
-    labeled.write_text("aaa B-PER\n", encoding="utf-8")
-    target.write_text("".join(f"t{i}\n" for i in range(n)), encoding="utf-8")
-    align.write_text("0-0\n", encoding="utf-8")
+def test_solve_checks_many_candidates_with_exact(tmp_path, capsys):
     code, out, _ = run(
         capsys,
         "solve",
-        "--labeled", str(labeled), "--target", str(target), "--align", str(align),
+        *single_token_entities(tmp_path, 1, 13),
         "--sentence", "0", "--max-ngram", "1",
     )
     assert code == 0
-    assert "greedy: objective=1/2" in out
-    assert "brute-force oracle skipped" in out
+    assert "mode=atmost shape=1x13\n" in out
+    assert out.endswith(
+        "greedy: objective=1/2 assignments=[(0, 0)]\n"
+        "exact: objective=1/2 assignments=[(0, 0)]\n"
+    )
+
+
+def test_solve_skips_oracle_beyond_guard(tmp_path, capsys):
+    code, out, err = run(
+        capsys,
+        "solve",
+        *single_token_entities(tmp_path, 11, 13),
+        "--sentence", "0", "--max-ngram", "1",
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "greedy: objective=1/2 assignments=[(0, 0)]\n"
+        "exact check skipped: 11 sources exceed 10\n"
+    )
 
 
 def test_solve_sentence_out_of_range(capsys):
@@ -489,8 +520,8 @@ def test_config_file_supplies_defaults_and_cli_overrides(tmp_path, capsys):
     [
         ("method", "--method", "heuristic", (), "nope"),
         ("candidates", "--candidates", "ner", ("--spans", "SPANS"), "nope"),
-        ("solver", "--solver", "mwis", (), "nope"),
-        ("mode", "--mode", "all", ("--solver", "brute"), "nope"),
+        ("solver", "--solver", "exact", ("--mode", "all"), "nope"),
+        ("mode", "--mode", "all", ("--solver", "exact"), "nope"),
         ("threshold", "--threshold", "1/2", ("--method", "heuristic"), "x"),
         ("max_ngram", "--max-ngram", "1", (), "0"),
     ],
@@ -715,7 +746,7 @@ def test_any_input_bytes_give_an_exit_code_and_readable_output(tmp_path_factory,
             parse_conll((root / "out.conll").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("solver", ["greedy", "mwis"])
+@pytest.mark.parametrize("solver", ["greedy"])
 def test_solvers_without_coverage_refuse_require_all_mode(tmp_path, capsys, solver):
     refused = (1, "", f"usage error: {solver} solving cannot guarantee REQUIRE_ALL coverage\n")
     out = tmp_path / "p.conll"

@@ -2,9 +2,10 @@
 
 The benchmark checks the CLI against an in-process pipeline that calls the
 same cost kernel and solver, so a change that silently alters the cost
-matrix or greedy's order would pass there. These digests were recorded from
-the Fraction reference implementation (``matching_cost`` per cell, a
-Fraction sort key in greedy); any change to the output bytes fails here.
+matrix or greedy's order would pass there. The greedy and heuristic digests
+were recorded from the Fraction reference implementation (``matching_cost``
+per cell, a Fraction sort key in greedy); any change to the output bytes
+fails here.
 """
 
 import hashlib
@@ -16,11 +17,17 @@ from spanproject import (
     AlignmentSet,
     CorpusDocument,
     LabeledSentence,
+    ProjectionConfig,
     Sentence,
+    parse_conll,
+    parse_pharaoh,
     serialize_conll,
     serialize_pharaoh,
+    solve_exact,
+    solve_greedy,
 )
 from spanproject.cli import main
+from spanproject.projection import matching_problem
 from helpers import (
     random_alignment,
     random_nonoverlapping_spans,
@@ -78,8 +85,12 @@ def sha256(data: bytes) -> str:
             ["--method", "heuristic"],
             "c12b0d1b7fe0eb48b83863d336b6526d37cbe09a175c2e43cad0ff37566ccbd4",
         ),
+        (
+            ["--method", "matching", "--candidates", "ngram", "--solver", "exact"],
+            "ac58b3707fece172b949f6597ec4b95152afcfe15c024a08adc403e0ed1b3517",
+        ),
     ],
-    ids=["matching-ngram-greedy", "heuristic"],
+    ids=["matching-ngram-greedy", "heuristic", "matching-ngram-exact"],
 )
 def test_project_output_bytes_are_pinned(corpus, tmp_path, capsys, extra, digest):
     out = tmp_path / "pred.conll"
@@ -91,9 +102,9 @@ def test_project_output_bytes_are_pinned(corpus, tmp_path, capsys, extra, digest
 @pytest.mark.parametrize(
     "k, digest",
     [
-        (3, "5bc0f460336aa1cd517d9dd5986e1c4f9ca49e5b0d0aff1e9bb70d28866307b1"),
-        (84, "5956222e3b98010853b3e15acc9b916df5e2958f2631169f4b399c7b8a6abc93"),
-        (121, "924e5f77d97409df865914bbe88cccdded42f8d25d5acb35c47f64996ef37650"),
+        (3, "408686e07e18bdcd722d2b0fc12b2b6a8629d9c32fbfde7199ecf88069994680"),
+        (84, "f91204f3a5fe25fd9ead5b267bcb3fd2be9823cb3eb5889020b6c3e3c1c017e2"),
+        (121, "6006b86bd5217da22901610a456d7608413d9b0ed765d44fb2d02243690b0588"),
     ],
 )
 def test_solve_stdout_is_pinned(corpus, capsys, k, digest):
@@ -101,3 +112,18 @@ def test_solve_stdout_is_pinned(corpus, capsys, k, digest):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert sha256(captured.out.encode()) == digest
+
+
+def test_exact_never_trails_greedy_and_beats_it_on_nine_sentences(corpus):
+    # objectives are exact rationals, so the count of strict gaps is deterministic
+    labeled = parse_conll((corpus / "src.conll").read_text(encoding="utf-8"))
+    targets = parse_conll((corpus / "tgt.conll").read_text(encoding="utf-8"))
+    align_lines = (corpus / "align.txt").read_text(encoding="utf-8").splitlines()
+    cfg = ProjectionConfig()
+    gaps = 0
+    for source, target, line in zip(labeled, targets, align_lines, strict=True):
+        problem = matching_problem(source, target.sentence, parse_pharaoh(line), cfg)
+        greedy, exact = solve_greedy(problem), solve_exact(problem)
+        assert exact.objective >= greedy.objective
+        gaps += exact.objective > greedy.objective
+    assert gaps == 9

@@ -25,6 +25,7 @@ from spanproject import (
     render_problem,
     solve_assignment_exact,
     solve_bruteforce,
+    solve_exact,
     solve_greedy,
     solve_relaxed_mwis,
     validate_solution,
@@ -232,9 +233,10 @@ def test_greedy_suboptimal_on_crossed_instance():
     g = solve_greedy(crossed_problem())
     assert g.assignments == ((0, 0), (1, 1))
     assert g.objective == Fraction(7, 10)
-    b = solve_bruteforce(crossed_problem())
-    assert b.assignments == ((0, 1), (1, 0))
-    assert b.objective == 1
+    for exact in (solve_bruteforce, solve_exact):
+        b = exact(crossed_problem())
+        assert b.assignments == ((0, 1), (1, 0))
+        assert b.objective == 1
 
 
 def test_greedy_tie_break_order():
@@ -322,9 +324,10 @@ def test_bruteforce_matches_plain_recursion_oracle():
     for _ in range(150):
         p = random_problem(rng, max_sources=3, max_candidates=6, one_to_one=False)
         expected = matching_oracle(p)
-        got = solve_bruteforce(p)
-        assert got.objective == expected[0]
-        assert got.assignments == expected[1]
+        for solver in (solve_bruteforce, solve_exact):
+            got = solver(p)
+            assert got.objective == expected[0]
+            assert got.assignments == expected[1]
 
 
 def test_bruteforce_require_all_matches_oracle():
@@ -333,14 +336,66 @@ def test_bruteforce_require_all_matches_oracle():
     for _ in range(200):
         p = random_problem(rng, max_sources=3, max_candidates=6, mode=MatchMode.REQUIRE_ALL)
         expected = matching_oracle(p, require_all=True)
-        if expected is None:
-            with pytest.raises(InfeasibleError):
-                solve_bruteforce(p)
-        else:
-            got = solve_bruteforce(p)
-            assert (got.objective, got.assignments) == expected
-            checked_feasible += 1
+        for solver in (solve_bruteforce, solve_exact):
+            if expected is None:
+                with pytest.raises(InfeasibleError):
+                    solver(p)
+            else:
+                got = solver(p)
+                assert (got.objective, got.assignments) == expected
+        checked_feasible += expected is not None
     assert checked_feasible > 10
+
+
+def tied_problem(rng: Random, mode: MatchMode) -> MatchingProblem:
+    """Overlapping candidates whose costs come from three values, so optima often tie."""
+    n_src = rng.randint(0, 4)
+    sources = tuple(EntitySpan(i, i + 1, "A") for i in range(n_src))
+    cands = CandidateSet(0, random_intervals(rng, 8, rng.randint(1, 8)), SourceKind.NGRAM)
+    values = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
+    costs = tuple(tuple(rng.choice(values) for _ in cands.spans) for _ in sources)
+    return MatchingProblem(sources, cands, costs, mode)
+
+
+@pytest.mark.parametrize("mode", list(MatchMode), ids=lambda mode: mode.value)
+def test_exact_equals_bruteforce_on_random_instances(mode):
+    rng = Random(59)
+    outcomes = {"feasible": 0, "infeasible": 0}
+    for i in range(1200):
+        if i % 4 == 3:
+            p = tied_problem(rng, mode)
+        else:
+            p = random_problem(
+                rng, max_sources=4, max_candidates=8, disjoint=i % 4 == 2,
+                one_to_one=i % 4 == 0, mode=mode,
+            )
+        try:
+            want = solve_bruteforce(p)
+        except InfeasibleError as err:
+            with pytest.raises(InfeasibleError) as got:
+                solve_exact(p)
+            assert got.value.uncoverable == err.uncoverable
+            outcomes["infeasible"] += 1
+            continue
+        got = solve_exact(p)
+        assert (got.objective, got.assignments, got.exact) == (want.objective, want.assignments, True)
+        validate_solution(p, got)
+        outcomes["feasible"] += 1
+    assert outcomes["feasible"] > 100
+    assert (outcomes["infeasible"] > 100) == (mode is MatchMode.REQUIRE_ALL)
+
+
+def test_exact_guard_counts_sources():
+    def problem(n_src: int) -> MatchingProblem:
+        labeled = LabeledSentence(
+            Sentence(words(n_src)), tuple(EntitySpan(i, i + 1, "A") for i in range(n_src))
+        )
+        cands = CandidateSet(0, tuple(EntitySpan(i, i + 1) for i in range(20)), SourceKind.NGRAM)
+        return build_problem(labeled, cands, AlignmentSet(frozenset((i, i) for i in range(n_src))))
+
+    assert solve_exact(problem(10)).objective == 5
+    with pytest.raises(GuardError, match="11 sources"):
+        solve_exact(problem(11))
 
 
 def test_assignment_rejects_overlapping_candidates():
@@ -491,6 +546,7 @@ def test_validate_solution_accepts_solver_output():
     p = worked_pair_problem()
     validate_solution(p, solve_greedy(p))
     validate_solution(p, solve_bruteforce(p))
+    validate_solution(p, solve_exact(p))
     validate_solution(p, solve_assignment_exact(p))
     validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
 
@@ -527,6 +583,7 @@ def test_every_solver_output_validates_on_random_instances():
         p = random_problem(rng, max_sources=4, max_candidates=7, one_to_one=False)
         validate_solution(p, solve_greedy(p))
         validate_solution(p, solve_bruteforce(p))
+        validate_solution(p, solve_exact(p))
         validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
         if p.candidates.is_disjoint():
             validate_solution(p, solve_assignment_exact(p))
