@@ -13,6 +13,7 @@ leaves a partial file behind.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 from .candidates import SourceKind, ngram_candidates
 from .core import AlignmentSet, EntitySpan, LabeledSentence, Sentence
@@ -34,12 +36,12 @@ from .errors import (
 from .evaluation import evaluate, render_report, report_record
 from .formats import (
     CorpusDocument,
+    conll_block,
     parse_conll,
     parse_marked_sentence,
     parse_pharaoh,
     parse_span_records,
     parse_translations_line,
-    serialize_conll,
     serialize_span_records,
 )
 from .matching import EXACT_MAX_SOURCES, MatchMode, render_problem
@@ -56,19 +58,37 @@ from .projection import (
 
 
 @dataclass(frozen=True, slots=True)
+class LineFile:
+    """A line-per-sentence input file: line i holds sentence i."""
+
+    path: Path
+    lines: tuple[str, ...]
+
+    @classmethod
+    def read(cls, path: Path) -> LineFile:
+        return cls(path, tuple(_file_lines(_read_text(path))))
+
+    def parse(self, i: int, parse_line):
+        """Sentence i's line through parse_line; a FormatError names the file and the line."""
+        try:
+            return parse_line(self.lines[i])
+        except FormatError as exc:
+            raise FormatError(f"{self.path}: line {i + 1}: {exc}") from exc
+
+
+@dataclass(frozen=True, slots=True)
 class LoadedInputs:
     """Parsed run inputs, cross-checked for consistent sentence counts.
 
-    The labeled side stays per-sentence raw material for the tgt2tgt
-    direction (markers are parsed one sentence at a time, so
-    --skip-bad-sentences can catch per-sentence marker damage).
+    Line-per-sentence files stay raw lines, parsed one sentence at a time,
+    so --skip-bad-sentences can catch per-sentence damage.
     """
 
     target: CorpusDocument
-    align_lines: tuple[str, ...]
+    align: LineFile
     labeled_doc: CorpusDocument | None = None
-    marked_lines: tuple[str, ...] | None = None
-    translations_lines: tuple[str, ...] | None = None
+    marked: LineFile | None = None
+    translations: LineFile | None = None
     spans_by_id: dict[int, list[EntitySpan]] | None = None
 
 
@@ -234,14 +254,13 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
     """Read and parse every input file the run names, then check counts line up."""
     target = parse_conll(_read_text(Path(args.target)))
     n = len(target)
-    align_lines = _file_lines(_read_text(Path(args.align)))
-    if len(align_lines) != n:
+    align = LineFile.read(Path(args.align))
+    if len(align.lines) != n:
         raise DataError(
-            f"alignment file has {len(align_lines)} lines for {n} target sentences"
+            f"alignment file has {len(align.lines)} lines for {n} target sentences"
         )
 
-    labeled_doc = None
-    marked_lines = translations_lines = None
+    labeled_doc = marked = translations = None
     if args.labeled is not None:
         labeled_doc = parse_conll(_read_text(Path(args.labeled)))
         if len(labeled_doc) != n:
@@ -249,13 +268,13 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
                 f"labeled corpus has {len(labeled_doc)} sentences for {n} target sentences"
             )
     else:
-        marked_lines = tuple(_file_lines(_read_text(Path(args.marked))))
-        translations_lines = tuple(_file_lines(_read_text(Path(args.translations))))
-        if len(marked_lines) != n:
-            raise DataError(f"marked file has {len(marked_lines)} lines for {n} target sentences")
-        if len(translations_lines) != n:
+        marked = LineFile.read(Path(args.marked))
+        translations = LineFile.read(Path(args.translations))
+        if len(marked.lines) != n:
+            raise DataError(f"marked file has {len(marked.lines)} lines for {n} target sentences")
+        if len(translations.lines) != n:
             raise DataError(
-                f"translations file has {len(translations_lines)} lines for {n} target sentences"
+                f"translations file has {len(translations.lines)} lines for {n} target sentences"
             )
 
     spans_by_id = None
@@ -267,26 +286,20 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
                     f"span record for sentence {sentence_id} but corpus has {n} sentences"
                 )
 
-    return LoadedInputs(
-        target=target,
-        align_lines=tuple(align_lines),
-        labeled_doc=labeled_doc,
-        marked_lines=marked_lines,
-        translations_lines=translations_lines,
-        spans_by_id=spans_by_id,
-    )
+    return LoadedInputs(target, align, labeled_doc, marked, translations, spans_by_id)
 
 
 def _sentence_inputs(
     inputs: LoadedInputs, i: int
 ) -> tuple[LabeledSentence, Sentence, AlignmentSet, list[EntitySpan] | None]:
     """Sentence i's (labeled, target, alignment, external spans); alignment errors come first."""
-    align = parse_pharaoh(inputs.align_lines[i])
+    align = inputs.align.parse(i, parse_pharaoh)
     if inputs.labeled_doc is not None:
         labeled = inputs.labeled_doc.sentences[i]
     else:
-        marked = parse_marked_sentence(
-            inputs.marked_lines[i], parse_translations_line(inputs.translations_lines[i])
+        translations = inputs.translations.parse(i, parse_translations_line)
+        marked = inputs.marked.parse(
+            i, partial(parse_marked_sentence, entity_translations=translations)
         )
         labeled = assign_marker_labels(marked, sentence_id=i)
     external = None if inputs.spans_by_id is None else inputs.spans_by_id.get(i, [])
@@ -298,30 +311,123 @@ def _at_sentence(i: int, exc: Exception) -> Exception:
     return type(exc)(f"sentence {i}: {exc}")
 
 
-def _run_projection(
-    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool
-) -> list[LabeledSentence]:
-    results = []
-    for i in range(len(inputs.target)):
+def _project_range(
+    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, a: int, b: int
+) -> tuple[str, list[str]]:
+    """Sentences a..b-1 as CoNLL text, and a warning line per sentence skipped.
+
+    The blocks are joined as serialize_conll joins them, so chunk texts
+    joined with a newline are the whole output.
+    """
+    blocks, warnings = [], []
+    for i in range(a, b):
         try:
             labeled, target, align, external = _sentence_inputs(inputs, i)
             if cfg.method is Method.HEURISTIC:
-                results.append(project_heuristic(labeled, target, align, cfg.ratio_threshold))
+                result = project_heuristic(labeled, target, align, cfg.ratio_threshold)
             else:
-                results.append(project_matching(labeled, target, align, cfg, external))
+                result = project_matching(labeled, target, align, cfg, external)
         except _SENTENCE_ERRORS as exc:
             if not skip_bad:
                 raise _at_sentence(i, exc) from exc
-            print(f"warning: sentence {i} skipped: {exc}", file=sys.stderr)
-            results.append(LabeledSentence(inputs.target.sentences[i].sentence, ()))
-    return results
+            warnings.append(f"warning: sentence {i} skipped: {exc}")
+            result = LabeledSentence(inputs.target.sentences[i].sentence, ())
+        blocks.append(conll_block(result))
+    return "\n".join(blocks), warnings
+
+
+def _worker_count(n_sentences: int, jobs: int) -> int:
+    """Processes for a run: at most one per job, sentence and usable CPU; 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, n_sentences, cpus or 1))
+
+
+def _fork_chunk(
+    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, a: int, b: int
+) -> tuple[int, BinaryIO] | None:
+    """Fork a child that projects sentences a..b-1 and sends the result through a pipe.
+
+    Returns the child's pid and the pipe's read end, or None when fork fails.
+    The child prints nothing and always leaves through os._exit, with status
+    0 only after its whole JSON payload is written.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "w", encoding="utf-8") as pipe:
+                pipe.write(json.dumps(_project_range(cfg, inputs, skip_bad, a, b)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _collect(pid: int, pipe: BinaryIO) -> tuple[str, list[str]] | None:
+    """A child's (text, warnings), read to the end and reaped; None when it failed."""
+    with pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return tuple(json.loads(payload)) if status == 0 else None
+
+
+def _run_projection(
+    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, jobs: int
+) -> str:
+    """Project every sentence, print the warnings in sentence order, return the CoNLL text.
+
+    The sentences split into contiguous chunks, one per worker. Chunk 0 runs
+    here; each other chunk runs in a forked child, which shares the parsed
+    inputs copy-on-write. A chunk whose child failed is recomputed here, so
+    the output, warnings and first error are the serial run's, whatever jobs is.
+    """
+    n = len(inputs.target)
+    workers = _worker_count(n, jobs)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    children: dict[int, tuple[int, BinaryIO] | None] = {}
+    if workers > 1:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        gc.freeze()  # the parent's objects stay out of the children's collections
+    try:
+        for k, chunk in enumerate(chunks[1:], start=1):
+            children[k] = _fork_chunk(cfg, inputs, skip_bad, *chunk)
+        results = [_project_range(cfg, inputs, skip_bad, *chunks[0])]
+        for k, chunk in enumerate(chunks[1:], start=1):
+            sent = children[k] and _collect(*children[k])
+            del children[k]
+            results.append(sent or _project_range(cfg, inputs, skip_bad, *chunk))
+    finally:
+        for pid, pipe in filter(None, children.values()):  # children not yet reaped
+            import signal  # imported here: the serial path never needs it
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if workers > 1:
+            gc.unfreeze()
+    for _, warnings in results:
+        for line in warnings:
+            print(line, file=sys.stderr)
+    return "\n".join(text for text, _ in results)
 
 
 def cmd_project(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
     inputs = load_inputs(args)
-    results = _run_projection(cfg, inputs, args.skip_bad_sentences)
-    atomic_write(Path(args.out), serialize_conll(CorpusDocument(tuple(results))))
+    text = _run_projection(cfg, inputs, args.skip_bad_sentences, args.jobs)
+    atomic_write(Path(args.out), text)
     return 0
 
 
@@ -410,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     project = commands.add_parser("project", help="label a target corpus")
     _add_common_flags(project)
     project.add_argument(
-        "--jobs", type=int, default=1, help="no effect; sentences run in one serial loop"
+        "--jobs", type=int, default=1, help="project sentence chunks in up to N forked "
+        "processes, at most one per usable CPU; output and stderr are those of --jobs 1",
     )
     project.add_argument("--skip-bad-sentences", action="store_true")
 

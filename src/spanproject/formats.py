@@ -113,19 +113,19 @@ def parse_conll(text: str) -> CorpusDocument:
     return CorpusDocument(tuple(sentences))
 
 
+def conll_block(labeled: LabeledSentence) -> str:
+    """One sentence's CoNLL block: a ``token tag`` line per token."""
+    tags = bio_encode(labeled.entities, len(labeled.sentence))
+    return "".join(f"{token} {tag}\n" for token, tag in zip(labeled.sentence.tokens, tags))
+
+
 def serialize_conll(doc: CorpusDocument) -> str:
     """Inverse of parse_conll: one block per sentence, blank lines between blocks.
 
     Untagged input comes back with explicit O tags; everything else round
     trips byte for byte.
     """
-    blocks = []
-    for labeled in doc.sentences:
-        tags = bio_encode(labeled.entities, len(labeled.sentence))
-        blocks.append(
-            "".join(f"{token} {tag}\n" for token, tag in zip(labeled.sentence.tokens, tags))
-        )
-    return "\n".join(blocks)
+    return "\n".join(conll_block(labeled) for labeled in doc.sentences)
 
 
 def parse_pharaoh(line: str) -> AlignmentSet:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanproject import MatchingSolution, Solver, parse_conll, projection, spans_overlap
-from spanproject.cli import atomic_write, main
+from spanproject import cli
+from spanproject.cli import _worker_count, atomic_write, main
 from helpers import FIXTURES
 
 
@@ -204,7 +207,7 @@ def test_sentence_errors_name_their_sentence(tmp_path, capsys):
         "--target", fixture("clean_target.conll"),
         "--align", str(align),
     )
-    message = "alignment token '1-²' is not of the form <digits>-<digits>"
+    message = f"{align}: line 3: alignment token '1-²' is not of the form <digits>-<digits>"
     out = tmp_path / "p.conll"
     assert run(capsys, "project", *inputs, "--out", str(out)) == (
         2, "", f"format error: sentence 2: {message}\n"
@@ -215,6 +218,26 @@ def test_sentence_errors_name_their_sentence(tmp_path, capsys):
     )
     code, _, err = run(capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences")
     assert (code, err) == (0, f"warning: sentence 2 skipped: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("bad", "line", "message"),
+    [
+        ("backtrans.marked", "der [Vereinigten Staaten] ist [Washington",
+         "unbalanced '[' in 'der [Vereinigten Staaten] ist [Washington'"),
+        ("backtrans.trans", "LOC\tVereinigte Staaten|||LOC Washington",
+         "translation entry 'LOC Washington' is not 'label<TAB>text'"),
+    ],
+    ids=["marked", "translations"],
+)
+def test_round_trip_line_errors_name_file_and_line(tmp_path, bad, line, message):
+    contents = _input_files(("project", *_ROUND_TRIP))
+    contents[bad] = f"{line}\n".encode()
+    code, out, err = _run_in(tmp_path, ("project", *_ROUND_TRIP), contents)
+    assert (code, out, err) == (
+        2, "", f"format error: sentence 0: {tmp_path / bad}: line 1: {message}\n"
+    )
+    assert not (tmp_path / "out.conll").exists()
 
 
 def test_jobs_print_warnings_in_sentence_order(tmp_path, capsys):
@@ -230,18 +253,13 @@ def test_jobs_print_warnings_in_sentence_order(tmp_path, capsys):
     )
     inputs = ("--labeled", str(labeled), "--target", str(target), "--align", str(align))
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for jobs in ("1", "4"):
-            out = tmp_path / f"jobs{jobs}.conll"
-            code, _, err = run(
-                capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences",
-                "--jobs", jobs,
-            )
-            runs.append((code, err, out.read_bytes()))
-    finally:
-        sys.setswitchinterval(interval)
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}.conll"
+        code, _, err = run(
+            capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences",
+            "--jobs", jobs,
+        )
+        runs.append((code, err, out.read_bytes()))
     assert runs[0][1].count("warning: sentence") == n // 2
     assert runs[1] == runs[0]
 
@@ -600,6 +618,115 @@ def test_jobs_output_matches_serial(tmp_path, capsys):
     assert project(capsys, serial)[0] == 0
     assert project(capsys, parallel, "--jobs", "4")[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    """Let --jobs fork up to eight workers, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+def eight_sentences(tmp_path, bad: int | None = None) -> tuple[str, ...]:
+    """Eight three-token sentences, four chunks of two under --jobs 4; sentence bad
+    has a malformed alignment token."""
+    labeled = tmp_path / "src.conll"
+    target = tmp_path / "tgt.conll"
+    align = tmp_path / "a.align"
+    labeled.write_text("\n".join("A B-PER\nb O\nc B-LOC\n" for _ in range(8)), encoding="utf-8")
+    target.write_text("\n".join("x\ny\nz\n" for _ in range(8)), encoding="utf-8")
+    align.write_text(
+        "".join("0-0 2-x\n" if i == bad else "0-0 2-2\n" for i in range(8)), encoding="utf-8"
+    )
+    return "--labeled", str(labeled), "--target", str(target), "--align", str(align)
+
+
+@pytest.mark.parametrize("bad", [0, 3, 5, 7], ids=["first", "second", "third", "last"])
+def test_jobs_fatal_error_in_any_chunk_matches_serial(tmp_path, capsys, eight_cpus, bad):
+    inputs = eight_sentences(tmp_path, bad)
+    out = tmp_path / "p.conll"
+    runs = [run(capsys, "project", *inputs, "--out", str(out), "--jobs", jobs)
+            for jobs in ("1", "4")]
+    assert runs[0] == (
+        2, "", f"format error: sentence {bad}: {tmp_path / 'a.align'}: line {bad + 1}: "
+        "alignment token '2-x' is not of the form <digits>-<digits>\n"
+    )
+    assert runs[1] == runs[0]
+    assert not out.exists()
+    assert_no_children()
+
+
+def test_jobs_succeed_and_reap_every_child(tmp_path, capsys, eight_cpus):
+    inputs = eight_sentences(tmp_path)
+    outputs = []
+    for jobs in ("1", "4", "8"):
+        out = tmp_path / f"jobs{jobs}.conll"
+        assert run(capsys, "project", *inputs, "--out", str(out), "--jobs", jobs) == (0, "", "")
+        assert_no_children()
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
+def test_jobs_raise_an_unexpected_error_from_a_child(tmp_path, capsys, monkeypatch, eight_cpus):
+    real = cli.project_matching
+
+    def failing(labeled, target, *rest):
+        if target.id == 5:
+            raise RuntimeError("boom in sentence 5")
+        return real(labeled, target, *rest)
+
+    monkeypatch.setattr(cli, "project_matching", failing)
+    out = tmp_path / "p.conll"
+    with pytest.raises(RuntimeError, match="boom in sentence 5"):
+        main(["project", *eight_sentences(tmp_path), "--out", str(out), "--jobs", "4",
+              "--skip-bad-sentences"])
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+    assert_no_children()
+
+
+def test_worker_count_caps_at_jobs_sentences_and_cpus(monkeypatch, eight_cpus):
+    assert _worker_count(10**6, 3) == 3
+    assert _worker_count(10**6, 16) == 8
+    assert _worker_count(5, 16) == 5
+    assert _worker_count(10**6, 1) == 1
+    assert _worker_count(0, 4) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert _worker_count(10**6, 16) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10**6, 16) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(os, "fork")
+    assert _worker_count(10**6, 16) == 1
+
+
+def test_jobs_match_serial_through_the_console_process(tmp_path):
+    """Real file descriptors: no line printed twice, the same bytes and stderr."""
+    inputs = (
+        "--labeled", fixture("noisy_source.conll"),
+        "--target", fixture("noisy_target.conll"),
+        "--align", fixture("noisy.align"),
+        "--solver", "exact", "--mode", "all", "--skip-bad-sentences",
+    )
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1] / "src"))
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.conll"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanproject.cli", "project", *inputs, "--out", str(out),
+             "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
+    assert runs[0][:3] == (0, "", "warning: sentence 2 skipped: no assignment covers every "
+                           "source (uncoverable sources: [0])\n")
+    assert runs[1] == runs[0]
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):
