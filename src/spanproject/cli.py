@@ -114,6 +114,15 @@ def _read_text(path: Path) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _parse_file(path: Path, parse):
+    """The whole file's text through parse; a FormatError names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _file_lines(text: str) -> list[str]:
     """Exact line split: a single final newline does not create a last empty line."""
     lines = text.split("\n")
@@ -197,7 +206,7 @@ _CONFIG = {
 
 def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
     """Merge flags over config-file values over defaults into a ProjectionConfig."""
-    file_values = load_config_file(Path(args.config)) if getattr(args, "config", None) else {}
+    file_values = load_config_file(Path(args.config)) if args.config is not None else {}
     fields = {}
     for key, (field, flag, convert) in _CONFIG.items():
         raw = getattr(args, key, None)
@@ -252,7 +261,7 @@ def checked_config(args: argparse.Namespace) -> ProjectionConfig:
 
 def load_inputs(args: argparse.Namespace) -> LoadedInputs:
     """Read and parse every input file the run names, then check counts line up."""
-    target = parse_conll(_read_text(Path(args.target)))
+    target = _parse_file(Path(args.target), parse_conll)
     n = len(target)
     align = LineFile.read(Path(args.align))
     if len(align.lines) != n:
@@ -262,7 +271,7 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
 
     labeled_doc = marked = translations = None
     if args.labeled is not None:
-        labeled_doc = parse_conll(_read_text(Path(args.labeled)))
+        labeled_doc = _parse_file(Path(args.labeled), parse_conll)
         if len(labeled_doc) != n:
             raise DataError(
                 f"labeled corpus has {len(labeled_doc)} sentences for {n} target sentences"
@@ -279,7 +288,7 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
 
     spans_by_id = None
     if args.spans is not None:
-        spans_by_id = parse_span_records(_read_text(Path(args.spans)))
+        spans_by_id = _parse_file(Path(args.spans), parse_span_records)
         for sentence_id in spans_by_id:
             if sentence_id >= n:
                 raise DataError(
@@ -436,7 +445,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
     if config.candidate_source is not SourceKind.NGRAM:
         raise UsageError("the candidates subcommand only generates n-gram candidates")
     _require(args, "target", "out")
-    doc = parse_conll(_read_text(Path(args.target)))
+    doc = _parse_file(Path(args.target), parse_conll)
     records = {
         labeled.sentence.id: list(ngram_candidates(labeled.sentence, config.max_ngram_len).spans)
         for labeled in doc
@@ -477,8 +486,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pred = parse_conll(_read_text(Path(args.pred)))
-    gold = parse_conll(_read_text(Path(args.gold)))
+    pred = _parse_file(Path(args.pred), parse_conll)
+    gold = _parse_file(Path(args.gold), parse_conll)
     report = evaluate(pred, gold)
     sys.stdout.write(render_report(report))
     sys.stdout.write(json.dumps(report_record(report)) + "\n")

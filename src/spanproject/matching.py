@@ -68,7 +68,8 @@ class MatchingProblem:
 
     ``positive`` is derived from ``costs``: one ``(numerator, denominator, s,
     t)`` entry per positive cell, in row-major order. Cells must be rational
-    (``Fraction`` or ``int``) and non-negative.
+    (``Fraction`` or ``int``) and non-negative. ``candidates`` holds spans
+    only, so the problems of every n-gram target of one length share one set.
     """
 
     sources: tuple[EntitySpan, ...]
@@ -138,14 +139,12 @@ class MatchingProblem:
 class MatchingSolution:
     """Chosen (source index, candidate index) pairs and their summed cost.
 
-    ``exact`` is True when an exact solver produced it. The constructor
-    normalizes assignment order; feasibility is deliberately not checked
-    here, see validate_solution.
+    The constructor normalizes assignment order; feasibility is deliberately
+    not checked here, see validate_solution.
     """
 
     assignments: tuple[tuple[int, int], ...]
     objective: Fraction
-    exact: bool
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
@@ -277,7 +276,7 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
         used_sources.add(s)
         chosen_spans.append(span)
     objective = sum((p.costs[s][t] for s, t in assignments), Fraction(0))
-    return MatchingSolution(tuple(assignments), objective, exact=False)
+    return MatchingSolution(tuple(assignments), objective)
 
 
 def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
@@ -343,7 +342,7 @@ def solve_bruteforce(p: MatchingProblem, unsafe: bool = False) -> MatchingSoluti
             "no assignment covers every source", uncoverable=_statically_uncoverable(p)
         )
     objective, assignments = result
-    return MatchingSolution(assignments, objective, exact=True)
+    return MatchingSolution(assignments, objective)
 
 
 def _hungarian_min(cost: list[list[Fraction]]) -> list[int]:
@@ -415,13 +414,13 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     n_src, n_cand = p.shape
     require_all = p.mode is MatchMode.REQUIRE_ALL
     if n_src == 0:
-        return MatchingSolution((), Fraction(0), exact=True)
+        return MatchingSolution((), Fraction(0))
     if n_cand == 0:
         if require_all:
             raise InfeasibleError(
                 "no candidates to cover sources", uncoverable=tuple(range(n_src))
             )
-        return MatchingSolution((), Fraction(0), exact=True)
+        return MatchingSolution((), Fraction(0))
 
     max_cost = max((c for row in p.costs for c in row), default=Fraction(0))
     big = n_src * max_cost + 1
@@ -449,7 +448,7 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
                 "no full positive-cost assignment exists",
                 uncoverable=_statically_uncoverable(p),
             )
-    return MatchingSolution(tuple(assignments), objective, exact=True)
+    return MatchingSolution(tuple(assignments), objective)
 
 
 def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
@@ -496,7 +495,7 @@ def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
             "no assignment covers every source", uncoverable=_statically_uncoverable(p)
         )
     neg, chosen = min(final.values(), key=lambda entry: (entry[0], sorted(entry[1])))
-    return MatchingSolution(chosen, Fraction(-neg, scale), exact=True)
+    return MatchingSolution(chosen, Fraction(-neg, scale))
 
 
 def solve_exact(p: MatchingProblem) -> MatchingSolution:

@@ -7,6 +7,7 @@ the library is meaningful rather than circular.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -14,6 +15,7 @@ from random import Random
 from spanproject import (
     AlignmentSet,
     CandidateSet,
+    CorpusDocument,
     DataError,
     EntitySpan,
     LabeledSentence,
@@ -21,8 +23,9 @@ from spanproject import (
     MatchingSolution,
     MatchMode,
     Sentence,
-    SourceKind,
     build_problem,
+    serialize_conll,
+    serialize_pharaoh,
     spans_overlap,
 )
 
@@ -98,16 +101,68 @@ def random_problem(
     labeled = LabeledSentence(Sentence(words(n_src_words), id=0), sources)
     if disjoint:
         cand_spans = random_nonoverlapping_spans(rng, n_tgt_words, max_candidates, labeled=False)
-        kind = SourceKind.EXTERNAL_NER
     else:
         cand_spans = random_intervals(rng, n_tgt_words, rng.randint(1, max_candidates))
-        kind = SourceKind.NGRAM
-    cands = CandidateSet(0, cand_spans, kind)
+    cands = CandidateSet(cand_spans)
     if one_to_one:
         align = random_one_to_one_alignment(rng, n_src_words, n_tgt_words)
     else:
         align = random_alignment(rng, n_src_words, n_tgt_words)
     return build_problem(labeled, cands, align, mode)
+
+
+def _marker_word(rng: Random) -> str:
+    return "".join(rng.choice("abcdefghij") for _ in range(rng.randint(2, 6)))
+
+
+def write_round_trip_corpus(root: Path, seed: int, n_sentences: int) -> dict[str, Path]:
+    """A seeded tgt2tgt corpus under root; returns its paths by role.
+
+    Each sentence has a marked line with disjoint bracket spans, a
+    translations line with one entry per bracket (its text kept, lightly
+    edited or replaced, so some labels are lost to the similarity cut), a
+    target sentence, disjoint labeled NER spans on the target, and a partial
+    one-to-one alignment plus noise pairs from marked words to target words.
+    """
+    rng = Random(seed)
+    marked, translations, target, records, align = [], [], [], [], []
+    for i in range(n_sentences):
+        n_src, n_tgt = rng.randint(8, 20), rng.randint(8, 20)
+        tokens = [_marker_word(rng) for _ in range(n_src)]
+        brackets = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
+        entries = []
+        for span in brackets:
+            text = tokens[span.start : span.end]
+            roll = rng.random()
+            if roll < 0.2:
+                text = [_marker_word(rng)]
+            elif roll < 0.5:
+                text[-1] = text[-1][:-1] + "z"
+            entries.append(f"{span.label}\t{' '.join(text)}")
+            tokens[span.start] = "[" + tokens[span.start]
+            tokens[span.end - 1] += "]"
+        rng.shuffle(entries)
+        marked.append(" ".join(tokens))
+        translations.append("|||".join(entries))
+        target.append(LabeledSentence(Sentence(words(n_tgt), id=i)))
+        ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 5))
+        spans = [{"start": s.start, "end": s.end, "label": s.label} for s in ner]
+        records.append(json.dumps({"sentence_id": i, "spans": spans}))
+        pairs = random_one_to_one_alignment(rng, n_src, n_tgt).pairs
+        noise = random_alignment(rng, n_src, n_tgt, density=0.03).pairs
+        align.append(serialize_pharaoh(AlignmentSet(pairs | noise)))
+    files = {
+        "marked": "".join(line + "\n" for line in marked),
+        "translations": "".join(line + "\n" for line in translations),
+        "target": serialize_conll(CorpusDocument(tuple(target))),
+        "spans": "".join(line + "\n" for line in records),
+        "align": "".join(line + "\n" for line in align),
+    }
+    paths = {}
+    for role, text in files.items():
+        paths[role] = root / f"{role}.txt"
+        paths[role].write_text(text, encoding="utf-8")
+    return paths
 
 
 def overlap(a: EntitySpan, b: EntitySpan) -> bool:
@@ -185,7 +240,7 @@ def greedy_oracle(p: MatchingProblem) -> MatchingSolution:
         used_sources.add(s)
         chosen_spans.append(span)
         objective += p.costs[s][t]
-    return MatchingSolution(tuple(assignments), objective, exact=False)
+    return MatchingSolution(tuple(assignments), objective)
 
 
 def mwis_oracle(spans: list[EntitySpan], weights: list[Fraction]) -> Fraction:

@@ -113,7 +113,7 @@ def test_criterion_02_greedy_dominated_by_exhaustive_search():
 
     # documented instance where the inequality is strict: greedy grabs the
     # 6/10 cell, blocking both 5/10 cells, and finishes at 7/10 against 1
-    cands = CandidateSet(0, (EntitySpan(0, 5), EntitySpan(5, 10)), SourceKind.EXTERNAL_NER)
+    cands = CandidateSet((EntitySpan(0, 5), EntitySpan(5, 10)))
     p = MatchingProblem(
         (EntitySpan(0, 5, "A"), EntitySpan(5, 10, "B")),
         cands,
@@ -155,7 +155,7 @@ def test_criterion_04_mwis_exact_and_upper_bound():
         sources = random_nonoverlapping_spans(rng, n_src_words, rng.randint(0, 4))
         labeled = LabeledSentence(Sentence(words(n_src_words), id=0), sources)
         cand_spans = random_intervals(rng, n_tgt_words, rng.randint(1, 15))
-        cands = CandidateSet(0, cand_spans, SourceKind.NGRAM)
+        cands = CandidateSet(cand_spans)
         align = random_alignment(rng, n_src_words, n_tgt_words)
         p = build_problem(labeled, cands, align)
         relaxed = solve_relaxed_mwis(p)

@@ -9,7 +9,6 @@ from spanproject import (
     DataError,
     EntitySpan,
     Sentence,
-    SourceKind,
     external_candidates,
     ngram_candidates,
 )
@@ -22,15 +21,16 @@ def test_ngram_candidates_small_enumeration():
         (0, 1), (1, 2), (2, 3), (0, 2), (1, 3),
     }
     assert len(cands) == 5
-    assert cands.source_kind is SourceKind.NGRAM
-    # the cached enumeration gives what the checked constructor makes of it
+    # one checked set per (length, cap), equal to a closed-form enumeration
     for n in range(1, 41):
-        sentence = Sentence(words(n), id=n)
+        first, second = Sentence(words(n), id=n), Sentence(tuple("x" * n), id=n + 1)
         for max_len in (*range(1, 10), None):
-            cands = ngram_candidates(sentence, max_len)
-            checked = CandidateSet(sentence.id, cands.spans, SourceKind.NGRAM)
-            assert cands.spans == checked.spans, (n, max_len)
-            assert cands.sentence_id == n and cands.source_kind is SourceKind.NGRAM
+            cap = n if max_len is None else max_len
+            want = [(s, e) for s in range(n) for e in range(n + 1) if 0 < e - s <= cap]
+            cands = ngram_candidates(first, max_len)
+            assert [(c.start, c.end) for c in cands.spans] == want, (n, max_len)
+            assert all(c.label is None for c in cands.spans)
+            assert ngram_candidates(second, max_len) is cands
 
 
 def test_ngram_candidates_single_word():
@@ -71,7 +71,6 @@ def test_external_candidates_strip_labels_and_dedupe():
         sent, [EntitySpan(4, 5, "LOC"), EntitySpan(0, 2, "PER"), EntitySpan(0, 2, "ORG")]
     )
     assert cands.spans == (EntitySpan(0, 2), EntitySpan(4, 5))
-    assert cands.source_kind is SourceKind.EXTERNAL_NER
     assert cands.is_disjoint()
 
 
@@ -85,21 +84,21 @@ def test_external_candidates_reject_out_of_bounds():
 
 
 def test_external_candidates_reject_overlap():
-    with pytest.raises(DataError, match="overlap"):
-        external_candidates(Sentence(words(5)), [EntitySpan(0, 2), EntitySpan(1, 3)])
+    with pytest.raises(
+        DataError,
+        match="^external candidates for sentence 7 overlap; "
+        "NER-predicted spans are expected to be disjoint$",
+    ):
+        external_candidates(Sentence(words(5), id=7), [EntitySpan(0, 2), EntitySpan(1, 3)])
 
 
 def test_candidate_set_rejects_labeled_spans():
-    with pytest.raises(DataError):
-        CandidateSet(0, (EntitySpan(0, 1, "PER"),), SourceKind.NGRAM)
+    with pytest.raises(DataError, match="must not carry a label"):
+        CandidateSet((EntitySpan(0, 1, "PER"),))
 
 
 def test_candidate_set_sorts_and_dedupes():
-    cs = CandidateSet(
-        0,
-        (EntitySpan(3, 4), EntitySpan(0, 2), EntitySpan(3, 4), EntitySpan(0, 3)),
-        SourceKind.NGRAM,
-    )
+    cs = CandidateSet((EntitySpan(3, 4), EntitySpan(0, 2), EntitySpan(3, 4), EntitySpan(0, 3)))
     assert cs.spans == (EntitySpan(0, 2), EntitySpan(0, 3), EntitySpan(3, 4))
     assert not cs.is_disjoint()
 
@@ -114,7 +113,7 @@ def test_is_disjoint_catches_nonadjacent_overlap():
             s = rng.randrange(n)
             raw.add((s, s + rng.randint(1, n - s)))
         spans = tuple(EntitySpan(s, e) for s, e in raw)
-        cs = CandidateSet(0, spans, SourceKind.NGRAM)
+        cs = CandidateSet(spans)
         expected = all(
             a.end <= b.start or b.end <= a.start
             for i, a in enumerate(cs.spans)

@@ -278,8 +278,8 @@ def test_project_rejects_invalid_solver_output(tmp_path, capsys, monkeypatch):
             for s2, t2 in cells:
                 if s < s2 and t != t2 and spans_overlap(spans[t], spans[t2]):
                     objective = problem.costs[s][t] + problem.costs[s2][t2]
-                    return MatchingSolution(((s, t), (s2, t2)), objective, True)
-        return MatchingSolution((), Fraction(0), True)
+                    return MatchingSolution(((s, t), (s2, t2)), objective)
+        return MatchingSolution((), Fraction(0))
 
     monkeypatch.setitem(projection._SOLVER_FUNCS, Solver.GREEDY, overlapping)
     out = tmp_path / "p.conll"
@@ -589,6 +589,19 @@ def test_config_file_missing(tmp_path, capsys):
     assert "cannot read config file" in err
 
 
+@pytest.mark.parametrize("command", ["project", "solve", "candidates"])
+def test_empty_config_path_is_an_error(tmp_path, capsys, command):
+    argv = [command, "--target", fixture("clean_target.conll"), "--config", ""]
+    if command != "candidates":
+        argv += ["--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
+    if command != "solve":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: cannot read config file ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_threshold_flag_changes_heuristic_behavior(tmp_path, capsys):
     out = tmp_path / "pred.conll"
     code, _, _ = project_noisy(capsys, out, "--method", "heuristic", "--threshold", "1/2")
@@ -781,7 +794,7 @@ def _run_in(root, argv, contents: dict[str, bytes]) -> tuple[int, str, str]:
     for name, raw in contents.items():
         (root / name).write_bytes(raw)
     args = [str(root / arg) if arg in contents else arg for arg in argv]
-    if argv[0] == "project":
+    if argv[0] in ("project", "candidates"):
         args += ["--out", str(root / "out.conll")]
     with (
         contextlib.redirect_stdout(io.StringIO()) as out,
@@ -822,6 +835,32 @@ def test_invalid_utf8_is_a_located_error(tmp_path, argv, bad):
     else:
         assert (code, err) == (2, f"format error: {message}\n")
     assert out == ""
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (("project", *_CLEAN), "clean_target.conll"),
+        (("project", *_CLEAN), "clean_source.conll"),
+        (("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl"),
+        (("candidates", "--target", "clean_target.conll"), "clean_target.conll"),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_gold.conll"),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_source.conll"),
+    ],
+    ids=["target", "labeled", "spans", "candidates-target", "pred", "gold"],
+)
+def test_whole_file_format_errors_name_their_file(tmp_path, argv, bad):
+    contents = _input_files(argv)
+    lines = contents[bad].split(b"\n")
+    if bad == "spans.jsonl":
+        lines[1], message = b"[]", "span record must be a JSON object"
+    else:
+        lines[1], message = b"x B_PER", "tag 'B_PER' does not match the BIO grammar"
+    contents[bad] = b"\n".join(lines)
+
+    code, out, err = _run_in(tmp_path, argv, contents)
+    assert (code, out, err) == (2, "", f"format error: {tmp_path / bad}: line 2: {message}\n")
     assert not (tmp_path / "out.conll").exists()
 
 

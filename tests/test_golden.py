@@ -9,6 +9,7 @@ fails here.
 """
 
 import hashlib
+import json
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     random_nonoverlapping_spans,
     random_one_to_one_alignment,
     words,
+    write_round_trip_corpus,
 )
 
 N_SENTENCES = 150
@@ -127,3 +129,44 @@ def test_exact_never_trails_greedy_and_beats_it_on_nine_sentences(corpus):
         assert exact.objective >= greedy.objective
         gaps += exact.objective > greedy.objective
     assert gaps == 9
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    return write_round_trip_corpus(tmp_path_factory.mktemp("round_trip"), seed=11, n_sentences=120)
+
+
+def round_trip_project(paths, spans, *extra: str) -> int:
+    """main() on a tgt2tgt run with NER candidates and the assignment solver."""
+    files = ("marked", "translations", "target", "align")
+    return main([
+        "project", "--direction", "tgt2tgt", "--candidates", "ner", "--solver", "assignment",
+        *(f"--{role}={paths[role]}" for role in files), f"--spans={spans}", *extra,
+    ])
+
+
+def test_round_trip_output_bytes_are_pinned(round_trip, tmp_path, capsys):
+    out = tmp_path / "pred.conll"
+    code = round_trip_project(round_trip, round_trip["spans"], "--out", str(out))
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert sha256(out.read_bytes()) == (
+        "fcf6a74fdb85a1eb808acfa74908ccf85f6fb50b0abf823f87ca6e5a33bff087"
+    )
+
+
+def test_round_trip_overlapping_span_record_is_skipped_with_its_sentence(
+    round_trip, tmp_path, capsys
+):
+    spans = tmp_path / "spans.jsonl"
+    overlapping = {"sentence_id": 7, "spans": [{"start": 0, "end": 2}, {"start": 1, "end": 3}]}
+    spans.write_text(
+        round_trip["spans"].read_text(encoding="utf-8") + json.dumps(overlapping) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "pred.conll"
+    code = round_trip_project(round_trip, spans, "--out", str(out), "--skip-bad-sentences")
+    assert (code, capsys.readouterr().err) == (
+        0,
+        "warning: sentence 7 skipped: external candidates for sentence 7 overlap; "
+        "NER-predicted spans are expected to be disjoint\n",
+    )

@@ -17,7 +17,6 @@ from spanproject import (
     MatchingSolution,
     MatchMode,
     Sentence,
-    SourceKind,
     build_problem,
     external_candidates,
     matching_cost,
@@ -57,7 +56,7 @@ def worked_pair_problem(mode=MatchMode.AT_MOST_ONE):
 
 def crossed_problem(mode=MatchMode.AT_MOST_ONE):
     """Greedy takes the 6/10 cell and ends at 7/10; the optimum is 1."""
-    cands = CandidateSet(0, (EntitySpan(0, 5), EntitySpan(5, 10)), SourceKind.EXTERNAL_NER)
+    cands = CandidateSet((EntitySpan(0, 5), EntitySpan(5, 10)))
     costs = (
         (Fraction(6, 10), Fraction(5, 10)),
         (Fraction(5, 10), Fraction(1, 10)),
@@ -95,7 +94,7 @@ def test_build_problem_degenerate_shapes():
     labeled = LabeledSentence(
         Sentence(words(4)), (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B"))
     )
-    empty_cands = CandidateSet(0, (), SourceKind.NGRAM)
+    empty_cands = CandidateSet(())
     p = build_problem(labeled, empty_cands, AlignmentSet())
     assert p.shape == (2, 0)
     assert solve_greedy(p).assignments == ()
@@ -103,7 +102,7 @@ def test_build_problem_degenerate_shapes():
         solve_bruteforce(build_problem(labeled, empty_cands, AlignmentSet(), MatchMode.REQUIRE_ALL))
 
     no_entities = LabeledSentence(Sentence(words(4)))
-    cands = CandidateSet(0, (EntitySpan(0, 2),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 2),))
     p2 = build_problem(no_entities, cands, AlignmentSet())
     assert p2.shape == (0, 1)
     assert solve_bruteforce(p2).objective == 0
@@ -111,27 +110,27 @@ def test_build_problem_degenerate_shapes():
 
 def test_build_problem_checks_labeled_bounds():
     labeled = LabeledSentence(Sentence(words(3)), (EntitySpan(0, 1, "A"),))
-    cands = CandidateSet(0, (EntitySpan(0, 1),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 1),))
     with pytest.raises(DataError, match="out of bounds"):
         build_problem(labeled, cands, AlignmentSet(frozenset({(3, 0)})))
 
 
 def test_matching_problem_validates_dimensions():
-    cands = CandidateSet(0, (EntitySpan(0, 1),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 1),))
     with pytest.raises(DataError):
         MatchingProblem((EntitySpan(0, 1, "A"),), cands, ())
     with pytest.raises(DataError):
         MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(1), Fraction(1)),))
     negative_rows = [
         (cands, (Fraction(-1),)),
-        (CandidateSet(0, (EntitySpan(0, 1), EntitySpan(1, 2)), SourceKind.NGRAM),
+        (CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2))),
          (Fraction(1, 2), Fraction(-1, 3))),
         (cands, (-1,)),
     ]
     for row_cands, row in negative_rows:
         with pytest.raises(DataError, match=f"negative matching cost {row[-1]}$"):
             MatchingProblem((EntitySpan(0, 1, "A"),), row_cands, (row,))
-    two = CandidateSet(0, (EntitySpan(0, 1), EntitySpan(1, 2)), SourceKind.NGRAM)
+    two = CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2)))
     sources = (EntitySpan(0, 1, "A"), EntitySpan(1, 2, "B"))
     for cell, shown in ((0.5, "0.5"), (Decimal("0.25"), "Decimal('0.25')"), ("1/2", "'1/2'")):
         costs = ((Fraction(1, 2), Fraction(0)), (Fraction(1, 3), cell))
@@ -154,7 +153,7 @@ def test_build_problem_equals_matching_cost_on_every_cell():
             ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False)
             cands = external_candidates(target, list(ner))
         else:
-            cands = CandidateSet(0, (), SourceKind.NGRAM)
+            cands = CandidateSet(())
         # build_problem leaves the target side unchecked: some pairs point
         # past every candidate's end, even past the target sentence
         reach = n_tgt + rng.randint(0, 3)
@@ -195,7 +194,7 @@ def test_greedy_matches_the_fraction_keyed_reference():
             EntitySpan(span.start, span.end, "A")
             for span in random_intervals(rng, rng.randint(1, 10), rng.randint(0, 5))
         )
-        cands = CandidateSet(0, random_intervals(rng, n_tgt, rng.randint(0, 8)), SourceKind.NGRAM)
+        cands = CandidateSet(random_intervals(rng, n_tgt, rng.randint(0, 8)))
         pool = rng.sample(COST_POOL, rng.randint(3, len(COST_POOL)))
         costs = tuple(
             tuple(rng.choice(pool) for _ in cands.spans) for _ in sources
@@ -208,18 +207,17 @@ def test_greedy_matches_the_fraction_keyed_reference():
             continue
         want, got = greedy_oracle(p), solve_greedy(p)
         assert (got.assignments, got.objective) == (want.assignments, want.objective), trial
-        assert type(got.objective) is Fraction and got.exact is False
+        assert type(got.objective) is Fraction
 
 
 def test_greedy_solves_worked_pair():
     sol = solve_greedy(worked_pair_problem())
     assert sol.assignments == ((0, 0), (1, 1))
     assert sol.objective == 1
-    assert sol.exact is False
 
 
 def test_greedy_never_assigns_zero_cost():
-    cands = CandidateSet(0, (EntitySpan(0, 1),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 1),))
     p = MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(0),),))
     assert solve_greedy(p).assignments == ()
 
@@ -241,7 +239,7 @@ def test_greedy_suboptimal_on_crossed_instance():
 
 def test_greedy_tie_break_order():
     # all four cells equal: lowest source start wins, then lowest candidate start
-    cands = CandidateSet(0, (EntitySpan(0, 2), EntitySpan(3, 5)), SourceKind.EXTERNAL_NER)
+    cands = CandidateSet((EntitySpan(0, 2), EntitySpan(3, 5)))
     half = Fraction(1, 2)
     p = MatchingProblem(
         (EntitySpan(0, 2, "A"), EntitySpan(3, 5, "B")),
@@ -253,7 +251,7 @@ def test_greedy_tie_break_order():
 
 def test_greedy_tie_break_prefers_shorter_candidate():
     # same source, same start, same cost: the shorter candidate wins
-    cands = CandidateSet(0, (EntitySpan(0, 1), EntitySpan(0, 3)), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 1), EntitySpan(0, 3)))
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"),),
         cands,
@@ -263,7 +261,7 @@ def test_greedy_tie_break_prefers_shorter_candidate():
 
 
 def test_greedy_excludes_overlapping_candidates():
-    cands = CandidateSet(0, (EntitySpan(0, 3), EntitySpan(2, 4)), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 3), EntitySpan(2, 4)))
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")),
         cands,
@@ -275,7 +273,7 @@ def test_greedy_excludes_overlapping_candidates():
 
 def test_bruteforce_guard_and_override():
     labeled = LabeledSentence(Sentence(words(14)), (EntitySpan(0, 1, "A"),))
-    cands = CandidateSet(0, tuple(EntitySpan(i, i + 1) for i in range(13)), SourceKind.NGRAM)
+    cands = CandidateSet(tuple(EntitySpan(i, i + 1) for i in range(13)))
     p = build_problem(labeled, cands, AlignmentSet(frozenset({(0, 0)})))
     with pytest.raises(GuardError):
         solve_bruteforce(p)
@@ -285,13 +283,13 @@ def test_bruteforce_guard_and_override():
     many_sources = LabeledSentence(
         Sentence(words(14)), tuple(EntitySpan(i, i + 1, "A") for i in range(7))
     )
-    p2 = build_problem(many_sources, CandidateSet(0, (), SourceKind.NGRAM), AlignmentSet())
+    p2 = build_problem(many_sources, CandidateSet(()), AlignmentSet())
     with pytest.raises(GuardError):
         solve_bruteforce(p2)
 
 
 def test_bruteforce_require_all_infeasible_lists_uncoverable():
-    cands = CandidateSet(0, (EntitySpan(0, 2),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 2),))
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")),
         cands,
@@ -305,7 +303,7 @@ def test_bruteforce_require_all_infeasible_lists_uncoverable():
 
 def test_bruteforce_require_all_overlap_contradiction():
     # both sources have positive cost only against mutually overlapping candidates
-    cands = CandidateSet(0, (EntitySpan(0, 3), EntitySpan(1, 4)), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 3), EntitySpan(1, 4)))
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")),
         cands,
@@ -351,7 +349,7 @@ def tied_problem(rng: Random, mode: MatchMode) -> MatchingProblem:
     """Overlapping candidates whose costs come from three values, so optima often tie."""
     n_src = rng.randint(0, 4)
     sources = tuple(EntitySpan(i, i + 1, "A") for i in range(n_src))
-    cands = CandidateSet(0, random_intervals(rng, 8, rng.randint(1, 8)), SourceKind.NGRAM)
+    cands = CandidateSet(random_intervals(rng, 8, rng.randint(1, 8)))
     values = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
     costs = tuple(tuple(rng.choice(values) for _ in cands.spans) for _ in sources)
     return MatchingProblem(sources, cands, costs, mode)
@@ -378,7 +376,7 @@ def test_exact_equals_bruteforce_on_random_instances(mode):
             outcomes["infeasible"] += 1
             continue
         got = solve_exact(p)
-        assert (got.objective, got.assignments, got.exact) == (want.objective, want.assignments, True)
+        assert (got.objective, got.assignments) == (want.objective, want.assignments)
         validate_solution(p, got)
         outcomes["feasible"] += 1
     assert outcomes["feasible"] > 100
@@ -390,7 +388,7 @@ def test_exact_guard_counts_sources():
         labeled = LabeledSentence(
             Sentence(words(n_src)), tuple(EntitySpan(i, i + 1, "A") for i in range(n_src))
         )
-        cands = CandidateSet(0, tuple(EntitySpan(i, i + 1) for i in range(20)), SourceKind.NGRAM)
+        cands = CandidateSet(tuple(EntitySpan(i, i + 1) for i in range(20)))
         return build_problem(labeled, cands, AlignmentSet(frozenset((i, i) for i in range(n_src))))
 
     assert solve_exact(problem(10)).objective == 5
@@ -399,16 +397,14 @@ def test_exact_guard_counts_sources():
 
 
 def test_assignment_rejects_overlapping_candidates():
-    cands = CandidateSet(0, (EntitySpan(0, 3), EntitySpan(2, 4)), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 3), EntitySpan(2, 4)))
     p = MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(1, 2), Fraction(1, 3)),))
     with pytest.raises(DataError, match="disjoint"):
         solve_assignment_exact(p)
 
 
 def test_assignment_identity_on_positive_diagonal():
-    cands = CandidateSet(
-        0, (EntitySpan(0, 1), EntitySpan(2, 3), EntitySpan(4, 5)), SourceKind.EXTERNAL_NER
-    )
+    cands = CandidateSet((EntitySpan(0, 1), EntitySpan(2, 3), EntitySpan(4, 5)))
     diag = tuple(
         tuple(Fraction(1, 2) if s == t else Fraction(0) for t in range(3)) for s in range(3)
     )
@@ -419,7 +415,7 @@ def test_assignment_identity_on_positive_diagonal():
 
 
 def test_assignment_all_zero_costs_gives_empty_solution():
-    cands = CandidateSet(0, (EntitySpan(0, 1), EntitySpan(2, 3)), SourceKind.EXTERNAL_NER)
+    cands = CandidateSet((EntitySpan(0, 1), EntitySpan(2, 3)))
     zero = Fraction(0)
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")), cands, ((zero, zero), (zero, zero))
@@ -436,7 +432,7 @@ def test_assignment_beats_greedy_on_crossed_instance():
 
 
 def test_assignment_require_all_infeasible():
-    cands = CandidateSet(0, (EntitySpan(0, 1),), SourceKind.EXTERNAL_NER)
+    cands = CandidateSet((EntitySpan(0, 1),))
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")),
         cands,
@@ -447,7 +443,7 @@ def test_assignment_require_all_infeasible():
         solve_assignment_exact(p)
     with pytest.raises(InfeasibleError):
         solve_assignment_exact(
-            MatchingProblem(p.sources, CandidateSet(0, (), SourceKind.EXTERNAL_NER),
+            MatchingProblem(p.sources, CandidateSet(()),
                             ((), ()), MatchMode.REQUIRE_ALL)
         )
 
@@ -480,7 +476,7 @@ def test_assignment_matches_bruteforce_randomized():
 
 def test_mwis_interval_chain():
     spans = (EntitySpan(0, 2), EntitySpan(1, 3), EntitySpan(2, 4))
-    cands = CandidateSet(0, spans, SourceKind.NGRAM)
+    cands = CandidateSet(spans)
     one = Fraction(1)
     p = MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((one, one, one),))
     sol = solve_relaxed_mwis(p)
@@ -490,7 +486,7 @@ def test_mwis_interval_chain():
 
 
 def test_mwis_single_candidate():
-    cands = CandidateSet(0, (EntitySpan(0, 1),), SourceKind.NGRAM)
+    cands = CandidateSet((EntitySpan(0, 1),))
     p = MatchingProblem((EntitySpan(0, 1, "A"),), cands, ((Fraction(1, 2),),))
     sol = solve_relaxed_mwis(p)
     assert sol.objective == Fraction(1, 2)
@@ -499,7 +495,7 @@ def test_mwis_single_candidate():
 
 def test_mwis_clique_takes_best_weight():
     spans = (EntitySpan(0, 3), EntitySpan(1, 4), EntitySpan(2, 5))
-    cands = CandidateSet(0, spans, SourceKind.NGRAM)
+    cands = CandidateSet(spans)
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"),),
         cands,
@@ -512,7 +508,7 @@ def test_mwis_clique_takes_best_weight():
 
 def test_mwis_reuses_a_source_across_candidates():
     spans = (EntitySpan(0, 1), EntitySpan(2, 3))
-    cands = CandidateSet(0, spans, SourceKind.NGRAM)
+    cands = CandidateSet(spans)
     p = MatchingProblem(
         (EntitySpan(0, 1, "A"),),
         cands,
@@ -554,15 +550,15 @@ def test_validate_solution_accepts_solver_output():
 def test_validate_solution_catches_violations():
     p = worked_pair_problem()
     with pytest.raises(DataError, match="zero cost"):
-        validate_solution(p, MatchingSolution(((0, 1),), Fraction(0), True))
+        validate_solution(p, MatchingSolution(((0, 1),), Fraction(0)))
     with pytest.raises(DataError, match="twice"):
-        validate_solution(p, MatchingSolution(((0, 0), (0, 1)), Fraction(1), True))
+        validate_solution(p, MatchingSolution(((0, 0), (0, 1)), Fraction(1)))
     with pytest.raises(DataError, match="objective"):
-        validate_solution(p, MatchingSolution(((0, 0),), Fraction(1), True))
+        validate_solution(p, MatchingSolution(((0, 0),), Fraction(1)))
     with pytest.raises(DataError, match="out of range"):
-        validate_solution(p, MatchingSolution(((5, 0),), Fraction(1, 2), True))
+        validate_solution(p, MatchingSolution(((5, 0),), Fraction(1, 2)))
 
-    overlapping = CandidateSet(0, (EntitySpan(0, 3), EntitySpan(2, 4)), SourceKind.NGRAM)
+    overlapping = CandidateSet((EntitySpan(0, 3), EntitySpan(2, 4)))
     half = Fraction(1, 2)
     p2 = MatchingProblem(
         (EntitySpan(0, 1, "A"), EntitySpan(2, 3, "B")),
@@ -570,11 +566,11 @@ def test_validate_solution_catches_violations():
         ((half, half), (half, half)),
     )
     with pytest.raises(DataError, match="overlap"):
-        validate_solution(p2, MatchingSolution(((0, 0), (1, 1)), Fraction(1), True))
+        validate_solution(p2, MatchingSolution(((0, 0), (1, 1)), Fraction(1)))
 
     req = worked_pair_problem(MatchMode.REQUIRE_ALL)
     with pytest.raises(DataError, match="unassigned"):
-        validate_solution(req, MatchingSolution(((0, 0),), Fraction(1, 2), True))
+        validate_solution(req, MatchingSolution(((0, 0),), Fraction(1, 2)))
 
 
 def test_every_solver_output_validates_on_random_instances():
