@@ -1,114 +1,86 @@
-"""Cross-lingual entity span projection via alignment-weighted span matching."""
+"""Cross-lingual entity span projection via alignment-weighted span matching.
 
-from .candidates import CandidateSet, SourceKind, external_candidates, ngram_candidates
-from .core import (
-    AlignmentSet,
-    EntitySpan,
-    LabeledSentence,
-    Sentence,
-    bio_decode,
-    bio_encode,
-    spans_overlap,
-)
-from .errors import (
-    DataError,
-    FormatError,
-    GuardError,
-    InfeasibleError,
-    SpanProjectError,
-    UsageError,
-)
-from .evaluation import EvalReport, LabelScores, evaluate, render_report, report_record
-from .formats import (
-    CorpusDocument,
-    MarkedSentence,
-    parse_conll,
-    parse_marked_sentence,
-    parse_pharaoh,
-    parse_span_records,
-    parse_translations_line,
-    serialize_conll,
-    serialize_pharaoh,
-    serialize_span_records,
-)
-from .matching import (
-    MatchingProblem,
-    MatchingSolution,
-    MatchMode,
-    build_problem,
-    matching_cost,
-    render_problem,
-    solve_assignment_exact,
-    solve_bruteforce,
-    solve_exact,
-    solve_greedy,
-    solve_relaxed_mwis,
-    validate_solution,
-)
-from .projection import (
-    Method,
-    ProjectionConfig,
-    Solver,
-    assign_marker_labels,
-    edit_distance,
-    fuzzy_similarity,
-    project_heuristic,
-    project_matching,
-)
+Every public name resolves on first access (PEP 562), importing only the
+submodule that defines it: ``import spanproject`` loads nothing else, so
+each command of ``spanproject.cli`` pays only for the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentSet",
-    "CandidateSet",
-    "CorpusDocument",
-    "DataError",
-    "EntitySpan",
-    "EvalReport",
-    "FormatError",
-    "GuardError",
-    "InfeasibleError",
-    "LabelScores",
-    "LabeledSentence",
-    "MarkedSentence",
-    "MatchMode",
-    "MatchingProblem",
-    "MatchingSolution",
-    "Method",
-    "ProjectionConfig",
-    "Sentence",
-    "SourceKind",
-    "Solver",
-    "SpanProjectError",
-    "UsageError",
-    "assign_marker_labels",
-    "bio_decode",
-    "bio_encode",
-    "build_problem",
-    "edit_distance",
-    "evaluate",
-    "external_candidates",
-    "fuzzy_similarity",
-    "matching_cost",
-    "ngram_candidates",
-    "parse_conll",
-    "parse_marked_sentence",
-    "parse_pharaoh",
-    "parse_span_records",
-    "parse_translations_line",
-    "project_heuristic",
-    "project_matching",
-    "render_problem",
-    "render_report",
-    "report_record",
-    "serialize_conll",
-    "serialize_pharaoh",
-    "serialize_span_records",
-    "solve_assignment_exact",
-    "solve_bruteforce",
-    "solve_exact",
-    "solve_greedy",
-    "solve_relaxed_mwis",
-    "spans_overlap",
-    "validate_solution",
-]
+_EXPORTS = {
+    "candidates": ("CandidateSet", "SourceKind", "external_candidates", "ngram_candidates"),
+    "core": (
+        "AlignmentSet",
+        "EntitySpan",
+        "LabeledSentence",
+        "MatchMode",
+        "Sentence",
+        "bio_decode",
+        "bio_encode",
+        "spans_overlap",
+    ),
+    "errors": (
+        "DataError",
+        "FormatError",
+        "GuardError",
+        "InfeasibleError",
+        "SpanProjectError",
+        "UsageError",
+    ),
+    "evaluation": ("EvalReport", "LabelScores", "evaluate", "render_report", "report_record"),
+    "formats": (
+        "CorpusDocument",
+        "parse_conll",
+        "parse_pharaoh",
+        "parse_span_records",
+        "serialize_conll",
+        "serialize_pharaoh",
+        "serialize_span_records",
+    ),
+    "matching": (
+        "MatchingProblem",
+        "MatchingSolution",
+        "build_problem",
+        "matching_cost",
+        "render_problem",
+        "solve_assignment_exact",
+        "solve_bruteforce",
+        "solve_exact",
+        "solve_greedy",
+        "solve_relaxed_mwis",
+        "validate_solution",
+    ),
+    "projection": (
+        "Method",
+        "ProjectionConfig",
+        "Solver",
+        "project_heuristic",
+        "project_matching",
+    ),
+    "roundtrip": (
+        "MarkedSentence",
+        "assign_marker_labels",
+        "edit_distance",
+        "fuzzy_similarity",
+        "parse_marked_sentence",
+        "parse_translations_line",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

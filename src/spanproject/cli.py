@@ -8,13 +8,18 @@ Exit codes: 0 success, 1 usage, 2 data or format problem, 3 infeasibility
 or solver guard. Knobs resolve as command line over config file over
 defaults. Output files are written atomically, so a failing run never
 leaves a partial file behind.
+
+Each command imports only what it runs: ``matching`` for matching runs and
+``solve``, ``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for
+``evaluate``, and ``json`` where span records, worker payloads or the
+evaluation record are encoded or decoded. A ``project`` run that forks loads
+its modules first, so no worker compiles one again.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import tempfile
@@ -25,7 +30,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .candidates import SourceKind, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, Sentence
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence
 from .errors import (
     DataError,
     FormatError,
@@ -33,23 +38,18 @@ from .errors import (
     InfeasibleError,
     UsageError,
 )
-from .evaluation import evaluate, render_report, report_record
 from .formats import (
     CorpusDocument,
     conll_block,
     parse_conll,
-    parse_marked_sentence,
     parse_pharaoh,
     parse_span_records,
-    parse_translations_line,
     serialize_span_records,
 )
-from .matching import EXACT_MAX_SOURCES, MatchMode, render_problem
 from .projection import (
     Method,
     ProjectionConfig,
     Solver,
-    assign_marker_labels,
     matching_problem,
     project_heuristic,
     project_matching,
@@ -206,6 +206,8 @@ _CONFIG = {
 
 def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
     """Merge flags over config-file values over defaults into a ProjectionConfig."""
+    if args.config == "":  # Path("") would read the working directory
+        raise UsageError("cannot read config file '': the path is empty")
     file_values = load_config_file(Path(args.config)) if args.config is not None else {}
     fields = {}
     for key, (field, flag, convert) in _CONFIG.items():
@@ -306,6 +308,8 @@ def _sentence_inputs(
     if inputs.labeled_doc is not None:
         labeled = inputs.labeled_doc.sentences[i]
     else:
+        from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
+
         translations = inputs.translations.parse(i, parse_translations_line)
         marked = inputs.marked.parse(
             i, partial(parse_marked_sentence, entity_translations=translations)
@@ -362,6 +366,8 @@ def _fork_chunk(
     The child prints nothing and always leaves through os._exit, with status
     0 only after its whole JSON payload is written.
     """
+    import json  # before the fork, so the child does not load it again
+
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -384,10 +390,23 @@ def _fork_chunk(
 
 def _collect(pid: int, pipe: BinaryIO) -> tuple[str, list[str]] | None:
     """A child's (text, warnings), read to the end and reaped; None when it failed."""
+    import json
+
     with pipe:
         payload = pipe.read()
     _, status = os.waitpid(pid, 0)
     return tuple(json.loads(payload)) if status == 0 else None
+
+
+def _load_sentence_modules(cfg: ProjectionConfig, inputs: LoadedInputs) -> None:
+    """Import the modules projecting a sentence needs, ahead of forking workers.
+
+    Each forked worker then shares them, where it would compile its own copy.
+    """
+    if cfg.method is Method.CANDIDATE_MATCHING:
+        from . import matching  # noqa: F401
+    if inputs.marked is not None:
+        from . import roundtrip  # noqa: F401
 
 
 def _run_projection(
@@ -406,6 +425,7 @@ def _run_projection(
     chunks = list(zip(bounds, bounds[1:]))
     children: dict[int, tuple[int, BinaryIO] | None] = {}
     if workers > 1:
+        _load_sentence_modules(cfg, inputs)
         sys.stdout.flush()
         sys.stderr.flush()
         gc.freeze()  # the parent's objects stay out of the children's collections
@@ -461,6 +481,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not 0 <= i < len(inputs.target):
         raise UsageError(f"--sentence {i} out of range for corpus of {len(inputs.target)}")
 
+    from .matching import EXACT_MAX_SOURCES, render_problem
+
     out = sys.stdout
     try:
         labeled, target, align, external = _sentence_inputs(inputs, i)
@@ -486,6 +508,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    import json
+
+    from .evaluation import evaluate, render_report, report_record
+
     pred = _parse_file(Path(args.pred), parse_conll)
     gold = _parse_file(Path(args.gold), parse_conll)
     report = evaluate(pred, gold)

@@ -9,8 +9,20 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .errors import DataError, FormatError
+
+
+class MatchMode(Enum):
+    """How often each source entity may be matched: at most once, or exactly once.
+
+    It lives here, not in ``matching``, so that reading a run's options never
+    imports the matcher.
+    """
+
+    AT_MOST_ONE = "atmost"
+    REQUIRE_ALL = "all"
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Parsers and serializers for every on-disk format.
+"""Parsers and serializers for the corpus, alignment and span-record files.
 
 Formats handled here:
 
@@ -7,16 +7,16 @@ Formats handled here:
 * Pharaoh word alignments: one line of ``i-j`` pairs per sentence.
 * Span-record files: JSON Lines with ``sentence_id`` and ``spans``; used for
   externally predicted candidate spans, which may overlap between records
-  and therefore cannot ride on BIO tags.
-* Marker-bracketed sentences: square brackets around entity word ranges,
-  with a companion per-line translations file (``label<TAB>text`` entries
-  joined by ``|||``).
+  and therefore cannot ride on BIO tags. ``json`` is imported only when one
+  is read or written.
+
+The marker-bracketed sentences and translation lines of the back-translation
+round trip are parsed in ``roundtrip``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     AlignmentSet,
@@ -26,7 +26,6 @@ from .core import (
     bio_decode_parsed,
     bio_encode,
     parse_bio_tag,
-    spans_overlap,
 )
 from .errors import DataError, FormatError
 
@@ -51,34 +50,6 @@ class CorpusDocument:
 
     def __iter__(self):
         return iter(self.sentences)
-
-
-@dataclass(frozen=True, slots=True)
-class MarkedSentence:
-    """A bracket-marked sentence with markers stripped.
-
-    ``bracket_spans`` are the word ranges that were enclosed in square
-    brackets, unlabeled until translations are matched against them.
-    """
-
-    tokens: tuple[str, ...]
-    bracket_spans: tuple[EntitySpan, ...] = ()
-    entity_translations: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "bracket_spans", tuple(self.bracket_spans))
-        object.__setattr__(self, "entity_translations", tuple(self.entity_translations))
-        ordered = sorted(self.bracket_spans, key=EntitySpan.sort_key)
-        for prev, cur in zip(ordered, ordered[1:]):
-            if spans_overlap(prev, cur):
-                raise DataError(f"bracket spans {prev} and {cur} overlap")
-        for span in self.bracket_spans:
-            if span.end > len(self.tokens):
-                raise DataError(f"bracket span {span} exceeds sentence length {len(self.tokens)}")
-
-    def bracket_text(self, span: EntitySpan) -> str:
-        return " ".join(self.tokens[span.start : span.end])
 
 
 def parse_conll(text: str) -> CorpusDocument:
@@ -152,6 +123,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
     removed; labels are kept as parsed but downstream candidate handling
     discards them.
     """
+    import json
+
     result: dict[int, list[EntitySpan]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -189,6 +162,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
 
 def serialize_span_records(spans_by_id: dict[int, list[EntitySpan]]) -> str:
     """Render sentence_id -> spans as JSON Lines, one record per sentence id."""
+    import json
+
     lines = []
     for sentence_id in sorted(spans_by_id):
         spans = []
@@ -199,74 +174,6 @@ def serialize_span_records(spans_by_id: dict[int, list[EntitySpan]]) -> str:
             spans.append(item)
         lines.append(json.dumps({"sentence_id": sentence_id, "spans": spans}))
     return "".join(line + "\n" for line in lines)
-
-
-def parse_marked_sentence(
-    raw: str, entity_translations: tuple[tuple[str, str], ...] = ()
-) -> MarkedSentence:
-    """Strip square-bracket markers from a sentence and record the marked ranges.
-
-    Tokens are the whitespace tokenization of the input with all bracket
-    characters removed; a bracket attached to a word binds to that word.
-    Brackets must be balanced and not nested.
-    """
-    tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    depth = 0
-    open_start = -1
-
-    for raw_token in raw.split():
-        core_before = 0  # non-bracket chars seen so far in this raw token
-        core_after = sum(1 for ch in raw_token if ch not in "[]")
-        for ch in raw_token:
-            if ch == "[":
-                if depth:
-                    raise FormatError(f"nested '[' in {raw!r}")
-                depth = 1
-                # span starts at this token if it still has word chars, else at the next
-                if core_after > 0:
-                    open_start = len(tokens)
-                else:
-                    open_start = len(tokens) + (1 if core_before else 0)
-            elif ch == "]":
-                if not depth:
-                    raise FormatError(f"unbalanced ']' in {raw!r}")
-                depth = 0
-                end = len(tokens) + (1 if core_before else 0)
-                if end <= open_start:
-                    raise FormatError(f"marker pair encloses no words in {raw!r}")
-                spans.append((open_start, end))
-            else:
-                core_before += 1
-                core_after -= 1
-        word = raw_token.replace("[", "").replace("]", "")
-        if word:
-            tokens.append(word)
-    if depth:
-        raise FormatError(f"unbalanced '[' in {raw!r}")
-    bracket_spans = tuple(EntitySpan(s, e) for s, e in spans)
-    return MarkedSentence(tuple(tokens), bracket_spans, tuple(entity_translations))
-
-
-def parse_translations_line(line: str) -> tuple[tuple[str, str], ...]:
-    """Parse one companion-translations line into (text, label) pairs.
-
-    Entries are ``label<TAB>text`` joined by ``|||``; an empty line means
-    the sentence carries no entity translations.
-    """
-    line = line.rstrip("\n")
-    if not line.strip():
-        return ()
-    pairs: list[tuple[str, str]] = []
-    for entry in line.split("|||"):
-        label, sep, text = entry.partition("\t")
-        label, text = label.strip(), text.strip()
-        if not sep or not label or not text:
-            raise FormatError(f"translation entry {entry!r} is not 'label<TAB>text'")
-        if any(ch.isspace() for ch in label):
-            raise FormatError(f"label {label!r} contains whitespace, which BIO tags cannot hold")
-        pairs.append((text, label))
-    return tuple(pairs)
 
 
 def render_table(rows: list[list[str]]) -> str:

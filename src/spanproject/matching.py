@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -46,7 +45,7 @@ from numbers import Rational
 from operator import attrgetter
 
 from .candidates import CandidateSet
-from .core import AlignmentSet, EntitySpan, LabeledSentence, spans_overlap
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, spans_overlap
 from .errors import DataError, GuardError, InfeasibleError
 from .formats import render_table
 
@@ -55,11 +54,6 @@ BRUTE_FORCE_MAX_CANDIDATES = 12
 EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
-
-
-class MatchMode(Enum):
-    AT_MOST_ONE = "atmost"
-    REQUIRE_ALL = "all"
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,10 +6,13 @@ longest contiguous run when the alignment looks scattered. The matching
 method generates candidate spans, prices every source-candidate pair, and
 lets a solver pick the assignment.
 
-For back-translated input (the same-language direction), labels first have
-to be recovered from bracket markers via fuzzy string matching; after that
-the projected sentence flows through exactly the same code path, with the
-marker-labeled sentence as the labeled side.
+Back-translated input (the same-language direction) first gets its labels
+from bracket markers (``roundtrip``); after that the projected sentence flows
+through exactly the same code path, with the marker-labeled sentence as the
+labeled side.
+
+``matching`` is imported by the matching functions on first use, never here,
+so a heuristic run does not load it.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING, Callable
 
 from .candidates import SourceKind, external_candidates, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, Sentence, spans_overlap
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, spans_overlap
 from .errors import DataError
-from .formats import MarkedSentence
-from .matching import (
-    MatchingProblem,
-    MatchingSolution,
-    MatchMode,
-    build_problem,
-    solve_assignment_exact,
-    solve_exact,
-    solve_greedy,
-    validate_solution,
-)
+
+if TYPE_CHECKING:
+    from .matching import MatchingProblem, MatchingSolution
 
 DEFAULT_RATIO_THRESHOLD = Fraction(4, 5)
-DEFAULT_MIN_SIMILARITY = Fraction(1, 2)
 DEFAULT_MAX_NGRAM = 8
 
 
@@ -51,11 +46,22 @@ class Solver(Enum):
     ASSIGNMENT = "assignment"
 
 
-_SOLVER_FUNCS = {
-    Solver.GREEDY: solve_greedy,
-    Solver.EXACT: solve_exact,
-    Solver.ASSIGNMENT: solve_assignment_exact,
-}
+# The one solver table; _solver_funcs fills it from matching on first use.
+_SOLVER_FUNCS: dict[Solver, Callable[[MatchingProblem], MatchingSolution]] = {}
+
+
+def _solver_funcs() -> dict[Solver, Callable[[MatchingProblem], MatchingSolution]]:
+    if not _SOLVER_FUNCS:
+        from .matching import solve_assignment_exact, solve_exact, solve_greedy
+
+        _SOLVER_FUNCS.update(
+            {
+                Solver.GREEDY: solve_greedy,
+                Solver.EXACT: solve_exact,
+                Solver.ASSIGNMENT: solve_assignment_exact,
+            }
+        )
+    return _SOLVER_FUNCS
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,15 +129,30 @@ def project_heuristic(
     span shrinks to the longest contiguous run of aligned indices, which
     cuts off stray long-distance alignments. Projected spans that collide
     keep the earlier entity.
+
+    The pairs are grouped by labeled-side index in one pass, and the
+    coverage test ``len / hull < threshold`` is cross-multiplied (both
+    denominators are positive), so no ``Fraction`` is built per entity.
+    ``AlignmentSet.targets_of`` is the reference for each entity's targets.
     """
     align.check_bounds(len(labeled.sentence), len(target))
+    targets_by_source: dict[int, list[int]] = {}
+    for i, j in align.pairs:
+        targets_by_source.setdefault(i, []).append(j)
+    num, den = threshold.numerator, threshold.denominator
     projected: list[EntitySpan] = []
     for entity in labeled.entities:
-        aligned = sorted(align.targets_of(entity))
+        aligned = sorted(
+            {
+                j
+                for i in range(entity.start, entity.end)
+                for j in targets_by_source.get(i, ())
+            }
+        )
         if not aligned:
             continue
         start, end = aligned[0], aligned[-1] + 1
-        if Fraction(len(aligned), end - start) < threshold:
+        if len(aligned) * den < num * (end - start):
             start, end = _longest_run(aligned)
         span = EntitySpan(start, end, entity.label)
         if any(spans_overlap(span, prior) for prior in projected):
@@ -148,6 +169,8 @@ def matching_problem(
     external_spans: list[EntitySpan] | None = None,
 ) -> MatchingProblem:
     """Check the alignment against both sentences, pick candidates as cfg says, price them."""
+    from .matching import build_problem
+
     align.check_bounds(len(labeled.sentence), len(target))
     if cfg.candidate_source is SourceKind.EXTERNAL_NER:
         if external_spans is None:
@@ -165,7 +188,9 @@ def matching_problem(
 
 def solve(problem: MatchingProblem, solver: Solver) -> MatchingSolution:
     """Run the chosen solver and check its result; an invalid one raises DataError."""
-    solution = _SOLVER_FUNCS[solver](problem)
+    from .matching import validate_solution
+
+    solution = _solver_funcs()[solver](problem)
     validate_solution(problem, solution)
     return solution
 
@@ -190,68 +215,3 @@ def project_matching(
         for s, t in solution.assignments
     )
     return LabeledSentence(target, entities)
-
-
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance, two-row DP."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ch_a != ch_b),
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
-def fuzzy_similarity(a: str, b: str) -> Fraction:
-    """Normalized case-folded edit similarity: 1 - dist / max(len).
-
-    Equals 1 exactly when the case-folded strings match; two empty strings
-    count as identical.
-    """
-    fa, fb = a.casefold(), b.casefold()
-    longest = max(len(fa), len(fb))
-    if longest == 0:
-        return Fraction(1)
-    return 1 - Fraction(edit_distance(fa, fb), longest)
-
-
-def assign_marker_labels(
-    marked: MarkedSentence,
-    min_similarity: Fraction = DEFAULT_MIN_SIMILARITY,
-    sentence_id: int = 0,
-) -> LabeledSentence:
-    """Label bracket spans by fuzzy-matching their text against translations.
-
-    Pairs are consumed greedily by descending similarity, each translation
-    and each bracket used at most once; anything scoring below
-    min_similarity stays unlabeled and is dropped.
-    """
-    scored = []
-    for b, span in enumerate(marked.bracket_spans):
-        text = marked.bracket_text(span)
-        for k, (translation, _) in enumerate(marked.entity_translations):
-            similarity = fuzzy_similarity(text, translation)
-            if similarity >= min_similarity:
-                scored.append((-similarity, b, k))
-    scored.sort()
-    used_brackets: set[int] = set()
-    used_translations: set[int] = set()
-    entities = []
-    for neg_similarity, b, k in scored:
-        if b in used_brackets or k in used_translations:
-            continue
-        used_brackets.add(b)
-        used_translations.add(k)
-        label = marked.entity_translations[k][1]
-        entities.append(marked.bracket_spans[b].with_label(label))
-    sentence = Sentence(marked.tokens, id=sentence_id)
-    return LabeledSentence(sentence, tuple(entities))

@@ -333,3 +333,35 @@ def longest_run_oracle(indices: list[int]) -> tuple[int, int]:
         if length > best_len:
             best_start, best_len = start, length
     return best_start, best_start + best_len
+
+
+def random_stray_alignment(rng: Random, n_src: int, n_tgt: int) -> AlignmentSet:
+    """Links near a shifted diagonal, plus stray links to random far target words."""
+    shift = rng.randint(-2, 2)
+    pairs = set()
+    for i in range(n_src):
+        j = i * n_tgt // n_src + shift
+        if 0 <= j < n_tgt and rng.random() < 0.8:
+            pairs.add((i, j))
+        while rng.random() < 0.25:
+            pairs.add((i, rng.randrange(n_tgt)))
+    return AlignmentSet(frozenset(pairs))
+
+
+def heuristic_reference(
+    labeled: LabeledSentence, target: Sentence, align: AlignmentSet, threshold: Fraction
+) -> LabeledSentence:
+    """The hull heuristic from AlignmentSet.targets_of and a Fraction per entity."""
+    align.check_bounds(len(labeled.sentence), len(target))
+    projected: list[EntitySpan] = []
+    for entity in labeled.entities:
+        aligned = sorted(align.targets_of(entity))
+        if not aligned:
+            continue
+        start, end = aligned[0], aligned[-1] + 1
+        if Fraction(len(aligned), end - start) < threshold:
+            start, end = longest_run_oracle(aligned)
+        span = EntitySpan(start, end, entity.label)
+        if not any(spans_overlap(span, prior) for prior in projected):
+            projected.append(span)
+    return LabeledSentence(target, tuple(projected))

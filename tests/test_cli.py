@@ -281,7 +281,7 @@ def test_project_rejects_invalid_solver_output(tmp_path, capsys, monkeypatch):
                     return MatchingSolution(((s, t), (s2, t2)), objective)
         return MatchingSolution((), Fraction(0))
 
-    monkeypatch.setitem(projection._SOLVER_FUNCS, Solver.GREEDY, overlapping)
+    monkeypatch.setitem(projection._solver_funcs(), Solver.GREEDY, overlapping)
     out = tmp_path / "p.conll"
     code, _, err = project(capsys, out)
     assert code == 2
@@ -598,7 +598,7 @@ def test_empty_config_path_is_an_error(tmp_path, capsys, command):
         argv += ["--out", str(tmp_path / "out")]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("usage error: cannot read config file ")
+    assert err == "usage error: cannot read config file '': the path is empty\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -25,9 +25,11 @@ from spanproject import (
 )
 from helpers import (
     edit_distance_oracle,
+    heuristic_reference,
     longest_run_oracle,
     random_alignment,
     random_nonoverlapping_spans,
+    random_stray_alignment,
     words,
 )
 
@@ -111,6 +113,35 @@ def test_heuristic_longest_run_matches_oracle():
             if all(span.end <= t.start or t.end <= span.start for t in taken):
                 taken.append(span)
         assert out.entities == tuple(sorted(taken, key=lambda e: (e.start, e.end)))
+
+
+def test_heuristic_equals_the_targets_of_reference():
+    """2,000 random pairs with stray links, at thresholds 1/2, 4/5 and 1."""
+    rng = Random(61)
+    thresholds = (Fraction(1, 2), Fraction(4, 5), Fraction(1))
+    shrunk = {threshold: 0 for threshold in thresholds}
+    for _ in range(2000):
+        n_src, n_tgt = rng.randint(1, 20), rng.randint(1, 25)
+        spans = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 5))
+        labeled = LabeledSentence(Sentence(words(n_src)), spans)
+        target = Sentence(words(n_tgt))
+        if rng.random() < 0.75:
+            align = random_stray_alignment(rng, n_src, n_tgt)
+        else:
+            align = random_alignment(rng, n_src, n_tgt, density=rng.choice((0.1, 0.3, 0.6)))
+        for threshold in thresholds:
+            expected = heuristic_reference(labeled, target, align, threshold)
+            assert project_heuristic(labeled, target, align, threshold) == expected
+            hulls = {
+                (min(js), max(js) + 1)
+                for js in map(align.targets_of, labeled.entities)
+                if js
+            }
+            shrunk[threshold] += any(
+                (e.start, e.end) not in hulls for e in expected.entities
+            )
+    # every threshold really exercised the shrink-to-run branch
+    assert all(count > 50 for count in shrunk.values()), shrunk
 
 
 def worked_matching_inputs():
