@@ -43,13 +43,10 @@ _EXPORTS = {
         "MatchingProblem",
         "MatchingSolution",
         "build_problem",
-        "matching_cost",
         "render_problem",
         "solve_assignment_exact",
-        "solve_bruteforce",
         "solve_exact",
         "solve_greedy",
-        "solve_relaxed_mwis",
         "validate_solution",
     ),
     "projection": (

@@ -206,8 +206,6 @@ _CONFIG = {
 
 def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
     """Merge flags over config-file values over defaults into a ProjectionConfig."""
-    if args.config == "":  # Path("") would read the working directory
-        raise UsageError("cannot read config file '': the path is empty")
     file_values = load_config_file(Path(args.config)) if args.config is not None else {}
     fields = {}
     for key, (field, flag, convert) in _CONFIG.items():
@@ -525,6 +523,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _path(raw: str) -> str:
+    """A PATH value; an empty one is refused, as Path("") names the working directory."""
+    if not raw:
+        raise argparse.ArgumentTypeError("empty path ''")
+    return raw
+
+
 def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
     sub.add_argument("--method", choices=[m.value for m in Method])
     sub.add_argument("--candidates", choices=[k.value for k in SourceKind])
@@ -533,15 +538,15 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> No
     sub.add_argument("--threshold", metavar="RATIONAL")
     sub.add_argument("--max-ngram", dest="max_ngram", type=int)
     sub.add_argument("--direction", choices=["src2tgt", "tgt2tgt"], default="src2tgt")
-    sub.add_argument("--labeled", metavar="PATH")
-    sub.add_argument("--target", metavar="PATH")
-    sub.add_argument("--align", metavar="PATH")
-    sub.add_argument("--spans", metavar="PATH")
-    sub.add_argument("--marked", metavar="PATH")
-    sub.add_argument("--translations", metavar="PATH")
-    sub.add_argument("--config", metavar="PATH")
+    sub.add_argument("--labeled", metavar="PATH", type=_path)
+    sub.add_argument("--target", metavar="PATH", type=_path)
+    sub.add_argument("--align", metavar="PATH", type=_path)
+    sub.add_argument("--spans", metavar="PATH", type=_path)
+    sub.add_argument("--marked", metavar="PATH", type=_path)
+    sub.add_argument("--translations", metavar="PATH", type=_path)
+    sub.add_argument("--config", metavar="PATH", type=_path)
     if with_out:
-        sub.add_argument("--out", metavar="PATH")
+        sub.add_argument("--out", metavar="PATH", type=_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,19 +562,19 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("--skip-bad-sentences", action="store_true")
 
     candidates = commands.add_parser("candidates", help="dump n-gram candidate spans")
-    candidates.add_argument("--target", metavar="PATH")
+    candidates.add_argument("--target", metavar="PATH", type=_path)
     candidates.add_argument("--max-ngram", dest="max_ngram", type=int)
     candidates.add_argument("--candidates", choices=[k.value for k in SourceKind])
-    candidates.add_argument("--config", metavar="PATH")
-    candidates.add_argument("--out", metavar="PATH")
+    candidates.add_argument("--config", metavar="PATH", type=_path)
+    candidates.add_argument("--out", metavar="PATH", type=_path)
 
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
     _add_common_flags(solver, with_out=False)
     solver.add_argument("--sentence", type=int, default=0)
 
     ev = commands.add_parser("evaluate", help="score predictions against gold")
-    ev.add_argument("pred", metavar="PRED")
-    ev.add_argument("gold", metavar="GOLD")
+    ev.add_argument("pred", metavar="PRED", type=_path)
+    ev.add_argument("gold", metavar="GOLD", type=_path)
     return parser
 
 

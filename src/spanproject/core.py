@@ -99,18 +99,6 @@ class AlignmentSet:
                     f"of lengths ({labeled_len}, {target_len})"
                 )
 
-    def targets_of(self, span: EntitySpan) -> set[int]:
-        """Target indices aligned to any word inside `span` on the labeled side."""
-        return {j for i, j in self.pairs if span.start <= i < span.end}
-
-    def count_within(self, src: EntitySpan, tgt: EntitySpan) -> int:
-        """Number of alignment pairs falling inside src x tgt."""
-        return sum(
-            1
-            for i, j in self.pairs
-            if src.start <= i < src.end and tgt.start <= j < tgt.end
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class LabeledSentence:

@@ -3,30 +3,26 @@
 The optimization problem: choose source-to-candidate assignments maximizing
 the summed matching cost, subject to (a) no two chosen candidates overlap,
 and (b) each source entity used at most once (AT_MOST_ONE) or exactly once
-(REQUIRE_ALL). Four solvers are provided:
+(REQUIRE_ALL). Three solvers are provided:
 
 * ``solve_greedy``: the fast approximation; repeatedly takes the largest
   remaining positive cost.
-* ``solve_bruteforce``: exhaustive optimum for small instances, the oracle
-  the others are tested against.
 * ``solve_assignment_exact``: polynomial optimum when candidates are
   pairwise disjoint, where the problem is a plain assignment problem.
 * ``solve_exact``: the optimum by one DP over target positions that also
-  tracks the set of sources used. ``solve_relaxed_mwis`` is the same DP
-  without that set: the maximum-weight independent set over intervals that
-  drops the per-source cap.
+  tracks the set of sources used.
 
 A pair with zero cost (no alignment evidence) is never assigned, by any
 solver. All arithmetic is exact: costs are ``fractions.Fraction``, and greedy
 and the DP compare them as integers scaled by a common multiple; nothing here
 ever rounds, so identical inputs give identical solutions on any platform.
 
-``build_problem`` is the cost kernel. It counts alignment pairs from one
-prefix-count array per source entity and visits only the positive cells:
-zero cells all share one ``Fraction(0)``, positive ones come from a bounded
-memo, and the problem is built without re-checking the cells it just
-priced. ``matching_cost`` and ``AlignmentSet.count_within`` remain the
-per-cell reference definition that tests compare it against.
+``build_problem`` is the cost kernel. A cell is the number of alignment
+pairs inside source x candidate, over the two spans' summed lengths. It
+counts them from one prefix-count array per source entity and visits only
+the positive cells: zero cells all share one ``Fraction(0)``, positive ones
+come from a bounded memo, and the problem is built without re-checking the
+cells it just priced.
 
 ``MatchingProblem.positive`` lists the positive cells as integer
 ``(numerator, denominator, s, t)`` tuples in row-major order; greedy reads
@@ -49,8 +45,6 @@ from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, spans_ov
 from .errors import DataError, GuardError, InfeasibleError
 from .formats import render_table
 
-BRUTE_FORCE_MAX_SOURCES = 6
-BRUTE_FORCE_MAX_CANDIDATES = 12
 EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
@@ -144,11 +138,6 @@ class MatchingSolution:
         object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
 
 
-def matching_cost(src: EntitySpan, tgt: EntitySpan, align: AlignmentSet) -> Fraction:
-    """Alignment-pair count inside src x tgt, normalized by the summed span lengths."""
-    return Fraction(align.count_within(src, tgt), len(src) + len(tgt))
-
-
 @lru_cache(maxsize=4096)
 def _priced(count: int, total: int) -> tuple[Fraction, int, int]:
     """``Fraction(count, total)`` with its numerator and denominator, memoized.
@@ -171,11 +160,11 @@ def build_problem(
     Alignment indices are checked against the labeled sentence only; the
     target side is checked by callers such as ``matching_problem``.
 
-    Each cell equals ``matching_cost(src, tgt, align)``. For each source
-    entity, ``prefix[j]`` counts its alignment pairs with target index below
-    ``j``, so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``. The
-    array runs to the largest candidate end: target indices past it fall in
-    no candidate.
+    Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
+    len(tgt)``. For each source entity, ``prefix[j]`` counts its alignment
+    pairs with target index below ``j``, so a cell's count is
+    ``prefix[tgt.end] - prefix[tgt.start]``. The array runs to the largest
+    candidate end: target indices past it fall in no candidate.
 
     Only positive cells are visited. Candidates come sorted by (start, end),
     so those sharing a start form a run with rising ends, and the positive
@@ -277,66 +266,6 @@ def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
     """Sources with no positive cost against any candidate."""
     covered = {s for _, _, s, _ in p.positive}
     return tuple(s for s in range(len(p.sources)) if s not in covered)
-
-
-def solve_bruteforce(p: MatchingProblem, unsafe: bool = False) -> MatchingSolution:
-    """Exhaustive optimum over every feasible assignment subset.
-
-    Guarded to 6 sources and 12 candidates unless ``unsafe=True``; the
-    search memoizes on (next source, set of already-chosen candidates), which
-    enumerates the same space as filtering all subsets but revisits nothing.
-    Ties between optima break toward the lexicographically smallest
-    assignment tuple.
-    """
-    n_src, n_cand = p.shape
-    if not unsafe and (n_src > BRUTE_FORCE_MAX_SOURCES or n_cand > BRUTE_FORCE_MAX_CANDIDATES):
-        raise GuardError(
-            f"instance of size {n_src}x{n_cand} exceeds the brute-force guard "
-            f"({BRUTE_FORCE_MAX_SOURCES}x{BRUTE_FORCE_MAX_CANDIDATES}); "
-            "pass unsafe=True to override"
-        )
-    spans = p.candidates.spans
-    require_all = p.mode is MatchMode.REQUIRE_ALL
-
-    # candidate compatibility as bitmasks: conflict[t] = candidates overlapping t
-    conflict = [0] * n_cand
-    for t, span in enumerate(spans):
-        for u, other in enumerate(spans):
-            if u != t and spans_overlap(span, other):
-                conflict[t] |= 1 << u
-
-    memo: dict[tuple[int, int], tuple[Fraction, tuple[tuple[int, int], ...]] | None] = {}
-
-    def best_from(s: int, used: int) -> tuple[Fraction, tuple[tuple[int, int], ...]] | None:
-        """Optimal (objective, assignments) for sources s.., or None if infeasible."""
-        if s == n_src:
-            return Fraction(0), ()
-        key = (s, used)
-        if key in memo:
-            return memo[key]
-        best: tuple[Fraction, tuple[tuple[int, int], ...]] | None = None
-        if not require_all:
-            best = best_from(s + 1, used)
-        for t in range(n_cand):
-            cost = p.costs[s][t]
-            if cost <= 0 or used >> t & 1 or conflict[t] & used:
-                continue
-            sub = best_from(s + 1, used | 1 << t)
-            if sub is None:
-                continue
-            value = (cost + sub[0], ((s, t),) + sub[1])
-            if best is None or value[0] > best[0] or (value[0] == best[0] and value[1] < best[1]):
-                best = value
-        memo[key] = best
-        return best
-
-    result = best_from(0, 0)
-    if result is None:
-        raise InfeasibleError(
-            "no assignment covers every source", uncoverable=_statically_uncoverable(p)
-        )
-    objective, assignments = result
-    return MatchingSolution(assignments, objective)
 
 
 def _hungarian_min(cost: list[list[Fraction]]) -> list[int]:
@@ -445,26 +374,29 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     return MatchingSolution(tuple(assignments), objective)
 
 
-def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
-    """Best set of non-overlapping positive cells, by one pass over target positions.
+def solve_exact(p: MatchingProblem) -> MatchingSolution:
+    """Exact optimum, each source used at most once, by one pass over target positions.
 
-    A state is a target position plus, when ``capped``, the mask of sources
-    used so far. It moves on one position, or takes a positive cell whose
-    candidate starts there: that jumps to the candidate's end and sets the
-    source's bit, so candidates never overlap and the mask caps each source.
-    ``capped=False`` drops the mask, which is the MWIS relaxation. Each state
-    keeps the largest value (an integer under greedy's lcm scale), then the
-    smallest sorted assignment tuple as in ``solve_bruteforce``: all cells
-    are positive, so a common extension never reverses that choice. Under
-    REQUIRE_ALL only the full mask counts.
+    Guarded by source count. A state is a target position plus the mask of
+    sources used so far. It moves on one position, or takes a positive cell
+    whose candidate starts there: that jumps to the candidate's end and sets
+    the source's bit, so candidates never overlap and the mask caps each
+    source. Each state keeps the largest value (an integer under greedy's lcm
+    scale), then the lexicographically smallest sorted assignment tuple: all
+    cells are positive, so a common extension never reverses that choice.
+    Under REQUIRE_ALL only the full mask counts.
     """
+    if len(p.sources) > EXACT_MAX_SOURCES:
+        raise GuardError(
+            f"instance with {len(p.sources)} sources exceeds the exact solver's guard "
+            f"({EXACT_MAX_SOURCES} sources)"
+        )
     spans = p.candidates.spans
     scale = lcm(*{den for _, den, _, _ in p.positive})
     width = max((span.end for span in spans), default=0)
     moves = [[] for _ in range(width)]
     for num, den, s, t in p.positive:
-        bit = 1 << s if capped else 0
-        moves[spans[t].start].append((spans[t].end, bit, num * (scale // den), (s, t)))
+        moves[spans[t].start].append((spans[t].end, 1 << s, num * (scale // den), (s, t)))
     # layers[j][mask] = (-value, assignments in target order); sorted only on ties
     layers = [{} for _ in range(width + 1)]
     layers[0][0] = (0, ())
@@ -481,7 +413,7 @@ def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
                 if not mask & bit:
                     offer(layers[end], mask | bit, neg - gain, chosen + (cell,))
     final = layers[width]
-    if capped and p.mode is MatchMode.REQUIRE_ALL:
+    if p.mode is MatchMode.REQUIRE_ALL:
         full = (1 << len(p.sources)) - 1
         final = {full: final[full]} if full in final else {}
     if not final:
@@ -492,36 +424,8 @@ def _interval_dp(p: MatchingProblem, capped: bool) -> MatchingSolution:
     return MatchingSolution(chosen, Fraction(-neg, scale))
 
 
-def solve_exact(p: MatchingProblem) -> MatchingSolution:
-    """Exact optimum of the capped problem by the interval DP; guarded by source count."""
-    if len(p.sources) > EXACT_MAX_SOURCES:
-        raise GuardError(
-            f"instance with {len(p.sources)} sources exceeds the exact solver's guard "
-            f"({EXACT_MAX_SOURCES} sources)"
-        )
-    return _interval_dp(p, capped=True)
-
-
-def solve_relaxed_mwis(p: MatchingProblem) -> MatchingSolution:
-    """Optimum of the relaxation that drops the per-source cap.
-
-    Without that cap each candidate independently earns its best source's
-    cost, so the problem is maximum-weight independent set over interval
-    spans: the interval DP without its source mask. A source may back several
-    chosen candidates; the result is exact for the relaxed objective and an
-    upper bound for the capped one.
-    """
-    return _interval_dp(p, capped=False)
-
-
-def validate_solution(
-    p: MatchingProblem, sol: MatchingSolution, relaxed: bool = False
-) -> None:
-    """Independently check a solution's feasibility; raises on any violation.
-
-    ``relaxed=True`` waives the per-source cap and the REQUIRE_ALL coverage
-    check, matching solve_relaxed_mwis semantics.
-    """
+def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
+    """Independently check a solution's feasibility; raises on any violation."""
     n_src, n_cand = p.shape
     spans = p.candidates.spans
     seen_sources: set[int] = set()
@@ -532,7 +436,7 @@ def validate_solution(
             raise DataError(f"assignment ({s}, {t}) out of range for shape {p.shape}")
         if t in seen_cands:
             raise DataError(f"candidate {t} assigned twice")
-        if not relaxed and s in seen_sources:
+        if s in seen_sources:
             raise DataError(f"source {s} assigned twice")
         if p.costs[s][t] <= 0:
             raise DataError(f"assignment ({s}, {t}) has zero cost")
@@ -546,7 +450,7 @@ def validate_solution(
                 raise DataError(f"chosen candidates {a} and {b} overlap")
     if objective != sol.objective:
         raise DataError(f"objective {sol.objective} != recomputed {objective}")
-    if not relaxed and p.mode is MatchMode.REQUIRE_ALL and len(seen_sources) != n_src:
+    if p.mode is MatchMode.REQUIRE_ALL and len(seen_sources) != n_src:
         missing = sorted(set(range(n_src)) - seen_sources)
         raise DataError(f"REQUIRE_ALL solution leaves sources {missing} unassigned")
 

@@ -133,7 +133,6 @@ def project_heuristic(
     The pairs are grouped by labeled-side index in one pass, and the
     coverage test ``len / hull < threshold`` is cross-multiplied (both
     denominators are positive), so no ``Fraction`` is built per entity.
-    ``AlignmentSet.targets_of`` is the reference for each entity's targets.
     """
     align.check_bounds(len(labeled.sentence), len(target))
     targets_by_source: dict[int, list[int]] = {}

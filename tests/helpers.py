@@ -12,12 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import spanproject
 from spanproject import (
     AlignmentSet,
     CandidateSet,
     CorpusDocument,
     DataError,
     EntitySpan,
+    GuardError,
+    InfeasibleError,
     LabeledSentence,
     MatchingProblem,
     MatchingSolution,
@@ -167,6 +170,154 @@ def write_round_trip_corpus(root: Path, seed: int, n_sentences: int) -> dict[str
 
 def overlap(a: EntitySpan, b: EntitySpan) -> bool:
     return not (a.end <= b.start or b.end <= a.start)
+
+
+def targets_of(align: AlignmentSet, span: EntitySpan) -> set[int]:
+    """Target indices aligned to any word inside `span` on the labeled side."""
+    return {j for i, j in align.pairs if span.start <= i < span.end}
+
+
+def count_within(align: AlignmentSet, src: EntitySpan, tgt: EntitySpan) -> int:
+    """Number of alignment pairs falling inside src x tgt."""
+    return sum(
+        1 for i, j in align.pairs if src.start <= i < src.end and tgt.start <= j < tgt.end
+    )
+
+
+def matching_cost(src: EntitySpan, tgt: EntitySpan, align: AlignmentSet) -> Fraction:
+    """One cell by definition: pairs inside src x tgt over the summed span lengths.
+
+    ``build_problem`` must give this value on every cell.
+    """
+    return Fraction(count_within(align, src, tgt), len(src) + len(tgt))
+
+
+BRUTE_FORCE_MAX_SOURCES = 6
+BRUTE_FORCE_MAX_CANDIDATES = 12
+
+
+def solve_bruteforce(p: MatchingProblem, unsafe: bool = False) -> MatchingSolution:
+    """Exhaustive optimum over every feasible assignment subset.
+
+    Guarded to 6 sources and 12 candidates unless ``unsafe=True``; the
+    search memoizes on (next source, set of already-chosen candidates), which
+    enumerates the same space as filtering all subsets but revisits nothing.
+    Ties between optima break toward the lexicographically smallest
+    assignment tuple. An infeasible REQUIRE_ALL instance raises
+    InfeasibleError listing the sources with no positive cell.
+    """
+    n_src, n_cand = p.shape
+    if not unsafe and (n_src > BRUTE_FORCE_MAX_SOURCES or n_cand > BRUTE_FORCE_MAX_CANDIDATES):
+        raise GuardError(
+            f"instance of size {n_src}x{n_cand} exceeds the brute-force guard "
+            f"({BRUTE_FORCE_MAX_SOURCES}x{BRUTE_FORCE_MAX_CANDIDATES}); "
+            "pass unsafe=True to override"
+        )
+    spans = p.candidates.spans
+    require_all = p.mode is MatchMode.REQUIRE_ALL
+
+    # candidate compatibility as bitmasks: conflict[t] = candidates overlapping t
+    conflict = [0] * n_cand
+    for t, span in enumerate(spans):
+        for u, other in enumerate(spans):
+            if u != t and overlap(span, other):
+                conflict[t] |= 1 << u
+
+    memo: dict[tuple[int, int], tuple[Fraction, tuple[tuple[int, int], ...]] | None] = {}
+
+    def best_from(s: int, used: int) -> tuple[Fraction, tuple[tuple[int, int], ...]] | None:
+        """Optimal (objective, assignments) for sources s.., or None if infeasible."""
+        if s == n_src:
+            return Fraction(0), ()
+        key = (s, used)
+        if key in memo:
+            return memo[key]
+        best: tuple[Fraction, tuple[tuple[int, int], ...]] | None = None
+        if not require_all:
+            best = best_from(s + 1, used)
+        for t in range(n_cand):
+            cost = p.costs[s][t]
+            if cost <= 0 or used >> t & 1 or conflict[t] & used:
+                continue
+            sub = best_from(s + 1, used | 1 << t)
+            if sub is None:
+                continue
+            value = (cost + sub[0], ((s, t),) + sub[1])
+            if best is None or value[0] > best[0] or (value[0] == best[0] and value[1] < best[1]):
+                best = value
+        memo[key] = best
+        return best
+
+    result = best_from(0, 0)
+    if result is None:
+        uncoverable = tuple(s for s, row in enumerate(p.costs) if not any(c > 0 for c in row))
+        raise InfeasibleError("no assignment covers every source", uncoverable=uncoverable)
+    objective, assignments = result
+    return MatchingSolution(assignments, objective)
+
+
+def solve_relaxed_mwis(p: MatchingProblem) -> MatchingSolution:
+    """Optimum of the relaxation that drops the per-source cap.
+
+    Without that cap each candidate independently earns its best source's
+    cost, so the problem is maximum-weight independent set over interval
+    spans: ``solve_exact``'s DP over target positions without its source
+    mask, one state per position. A source may back several chosen
+    candidates; the result is exact for the relaxed objective and an upper
+    bound for the capped one. Ties break as in ``solve_exact``, toward the
+    smallest sorted assignment tuple.
+    """
+    spans = p.candidates.spans
+    width = max((span.end for span in spans), default=0)
+    moves = [[] for _ in range(width)]
+    for num, den, s, t in p.positive:
+        moves[spans[t].start].append((spans[t].end, Fraction(num, den), (s, t)))
+    # best[j] = (value, assignments in target order) of the best way to reach j
+    best: list = [None] * (width + 1)
+    best[0] = (Fraction(0), ())
+
+    def offer(j, value, chosen):
+        held = best[j]
+        if held is None or value > held[0] or value == held[0] and sorted(chosen) < sorted(held[1]):
+            best[j] = (value, chosen)
+
+    for j in range(width):
+        value, chosen = best[j]  # set: position j - 1 always moves on
+        offer(j + 1, value, chosen)
+        for end, gain, cell in moves[j]:
+            offer(end, value + gain, chosen + (cell,))
+    value, chosen = best[width]
+    return MatchingSolution(chosen, value)
+
+
+def validate_solution(p: MatchingProblem, sol: MatchingSolution, relaxed: bool = False) -> None:
+    """``spanproject.validate_solution``, or with ``relaxed=True`` its relaxed form.
+
+    The relaxed check waives the per-source cap and the REQUIRE_ALL coverage
+    check, matching ``solve_relaxed_mwis``: candidates stay in range, used
+    once, positive and pairwise disjoint, and the objective is their sum.
+    """
+    if not relaxed:
+        spanproject.validate_solution(p, sol)
+        return
+    n_src, n_cand = p.shape
+    spans = p.candidates.spans
+    chosen: list[int] = []
+    for s, t in sol.assignments:
+        if not (0 <= s < n_src and 0 <= t < n_cand):
+            raise DataError(f"assignment ({s}, {t}) out of range for shape {p.shape}")
+        if t in chosen:
+            raise DataError(f"candidate {t} assigned twice")
+        if p.costs[s][t] <= 0:
+            raise DataError(f"assignment ({s}, {t}) has zero cost")
+        chosen.append(t)
+    for pos, a in enumerate(chosen):
+        for b in chosen[pos + 1 :]:
+            if overlap(spans[a], spans[b]):
+                raise DataError(f"chosen candidates {a} and {b} overlap")
+    objective = sum((p.costs[s][t] for s, t in sol.assignments), Fraction(0))
+    if objective != sol.objective:
+        raise DataError(f"objective {sol.objective} != recomputed {objective}")
 
 
 def matching_oracle(
@@ -351,11 +502,11 @@ def random_stray_alignment(rng: Random, n_src: int, n_tgt: int) -> AlignmentSet:
 def heuristic_reference(
     labeled: LabeledSentence, target: Sentence, align: AlignmentSet, threshold: Fraction
 ) -> LabeledSentence:
-    """The hull heuristic from AlignmentSet.targets_of and a Fraction per entity."""
+    """The hull heuristic from targets_of and a Fraction per entity."""
     align.check_bounds(len(labeled.sentence), len(target))
     projected: list[EntitySpan] = []
     for entity in labeled.entities:
-        aligned = sorted(align.targets_of(entity))
+        aligned = sorted(targets_of(align, entity))
         if not aligned:
             continue
         start, end = aligned[0], aligned[-1] + 1

@@ -29,29 +29,29 @@ from spanproject import (
     evaluate,
     external_candidates,
     fuzzy_similarity,
-    matching_cost,
     parse_conll,
     parse_pharaoh,
     project_matching,
     serialize_conll,
     serialize_pharaoh,
     solve_assignment_exact,
-    solve_bruteforce,
     solve_greedy,
-    solve_relaxed_mwis,
-    validate_solution,
 )
 from spanproject.cli import main
 from helpers import (
     FIXTURES,
     edit_distance_oracle,
     eval_oracle,
+    matching_cost,
     mwis_mask_oracle,
     random_alignment,
     random_intervals,
     random_nonoverlapping_spans,
     random_one_to_one_alignment,
     random_problem,
+    solve_bruteforce,
+    solve_relaxed_mwis,
+    validate_solution,
     words,
 )
 

@@ -598,8 +598,79 @@ def test_empty_config_path_is_an_error(tmp_path, capsys, command):
         argv += ["--out", str(tmp_path / "out")]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "usage error: cannot read config file '': the path is empty\n"
+    assert err == "usage error: argument --config: empty path ''\n"
     assert not (tmp_path / "out").exists()
+
+
+# Every path value each command takes: flags, and evaluate's positionals.
+PATH_VALUES = {
+    "project": (
+        "--labeled", "--target", "--align", "--spans", "--marked", "--translations",
+        "--config", "--out",
+    ),
+    "solve": (
+        "--labeled", "--target", "--align", "--spans", "--marked", "--translations", "--config",
+    ),
+    "candidates": ("--target", "--config", "--out"),
+    "evaluate": ("PRED", "GOLD"),
+}
+
+
+def working_command_lines(inputs) -> list[list[str]]:
+    """Command lines that succeed and between them give every path value.
+
+    Outputs are relative, so they land in the working directory.
+    """
+    config = inputs / "run.cfg"
+    config.write_text("threshold=1/2\n", encoding="utf-8")
+    spans = inputs / "spans.jsonl"
+    spans.write_text('{"sentence_id": 0, "spans": [{"start": 0, "end": 2}]}\n', encoding="utf-8")
+    src2tgt = [
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", fixture("clean.align"),
+    ]
+    tgt2tgt = [
+        "--direction", "tgt2tgt",
+        "--marked", fixture("backtrans.marked"),
+        "--translations", fixture("backtrans.trans"),
+        "--target", fixture("backtrans_target.conll"),
+        "--align", fixture("backtrans.align"),
+    ]
+    ner = [*src2tgt, "--method", "matching", "--candidates", "ner", "--spans", str(spans)]
+    lines = []
+    for command, out in (("project", ["--out", "out.conll"]), ("solve", [])):
+        for flags in ([*src2tgt, "--config", str(config)], tgt2tgt, ner):
+            lines.append([command, *flags, *out])
+    lines.append(
+        ["candidates", "--target", fixture("clean_target.conll"), "--config", str(config),
+         "--out", "out.jsonl"]
+    )
+    lines.append(["evaluate", fixture("clean_gold.conll"), fixture("clean_gold.conll")])
+    return lines
+
+
+@pytest.mark.parametrize(
+    ("command", "name"),
+    [(command, name) for command, names in PATH_VALUES.items() for name in names],
+)
+def test_empty_path_is_a_usage_error_before_any_file_is_touched(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    (tmp_path / "inputs").mkdir()
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    argv = next(
+        line for line in working_command_lines(tmp_path / "inputs")
+        if line[0] == command and (name in line or command == "evaluate")
+    )
+    empty = list(argv)
+    position = {"PRED": 1, "GOLD": 2}[name] if command == "evaluate" else argv.index(name) + 1
+    empty[position] = ""
+    assert run(capsys, *empty) == (1, "", f"usage error: argument {name}: empty path ''\n")
+    assert list((tmp_path / "cwd").iterdir()) == []
+    # with the path in place, the same command line runs
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_threshold_flag_changes_heuristic_behavior(tmp_path, capsys):

@@ -15,7 +15,7 @@ from spanproject import (
     bio_encode,
     spans_overlap,
 )
-from helpers import random_nonoverlapping_spans, words
+from helpers import count_within, random_nonoverlapping_spans, targets_of, words
 
 
 def test_sentence_basics():
@@ -78,10 +78,10 @@ def test_spans_overlap_symmetric_and_matches_set_intersection(a_start, a_len, b_
 def test_alignment_set_helpers():
     align = AlignmentSet(frozenset({(0, 1), (2, 3), (5, 0)}))
     assert len(align) == 3
-    assert align.targets_of(EntitySpan(0, 3)) == {1, 3}
-    assert align.targets_of(EntitySpan(3, 5)) == set()
-    assert align.count_within(EntitySpan(0, 3), EntitySpan(0, 4)) == 2
-    assert align.count_within(EntitySpan(0, 6), EntitySpan(0, 1)) == 1
+    assert targets_of(align, EntitySpan(0, 3)) == {1, 3}
+    assert targets_of(align, EntitySpan(3, 5)) == set()
+    assert count_within(align, EntitySpan(0, 3), EntitySpan(0, 4)) == 2
+    assert count_within(align, EntitySpan(0, 6), EntitySpan(0, 1)) == 1
     with pytest.raises(DataError):
         AlignmentSet(frozenset({(-1, 0)}))
     with pytest.raises(DataError):

@@ -3,9 +3,9 @@
 The benchmark checks the CLI against an in-process pipeline that calls the
 same cost kernel and solver, so a change that silently alters the cost
 matrix or greedy's order would pass there. The greedy and heuristic digests
-were recorded from the Fraction reference implementation (``matching_cost``
-per cell, a Fraction sort key in greedy); any change to the output bytes
-fails here.
+were recorded from the Fraction reference implementation (the per-cell
+``matching_cost`` that now lives in ``tests/helpers.py``, and a Fraction sort
+key in greedy); any change to the output bytes fails here.
 """
 
 import hashlib

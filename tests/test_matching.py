@@ -19,18 +19,17 @@ from spanproject import (
     Sentence,
     build_problem,
     external_candidates,
-    matching_cost,
     ngram_candidates,
     render_problem,
     solve_assignment_exact,
-    solve_bruteforce,
     solve_exact,
     solve_greedy,
-    solve_relaxed_mwis,
     validate_solution,
 )
+import helpers
 from helpers import (
     greedy_oracle,
+    matching_cost,
     matching_oracle,
     mwis_oracle,
     random_alignment,
@@ -38,6 +37,8 @@ from helpers import (
     random_nonoverlapping_spans,
     random_one_to_one_alignment,
     random_problem,
+    solve_bruteforce,
+    solve_relaxed_mwis,
     words,
 )
 
@@ -544,7 +545,7 @@ def test_validate_solution_accepts_solver_output():
     validate_solution(p, solve_bruteforce(p))
     validate_solution(p, solve_exact(p))
     validate_solution(p, solve_assignment_exact(p))
-    validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
+    helpers.validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
 
 
 def test_validate_solution_catches_violations():
@@ -580,7 +581,7 @@ def test_every_solver_output_validates_on_random_instances():
         validate_solution(p, solve_greedy(p))
         validate_solution(p, solve_bruteforce(p))
         validate_solution(p, solve_exact(p))
-        validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
+        helpers.validate_solution(p, solve_relaxed_mwis(p), relaxed=True)
         if p.candidates.is_disjoint():
             validate_solution(p, solve_assignment_exact(p))
 

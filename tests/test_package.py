@@ -145,6 +145,31 @@ def test_importing_the_package_loads_no_submodule():
     assert proc.stdout == "\n"
 
 
+SURFACE = [
+    "AlignmentSet", "CandidateSet", "CorpusDocument", "DataError", "EntitySpan",
+    "EvalReport", "FormatError", "GuardError", "InfeasibleError", "LabelScores",
+    "LabeledSentence", "MarkedSentence", "MatchMode", "MatchingProblem",
+    "MatchingSolution", "Method", "ProjectionConfig", "Sentence", "Solver",
+    "SourceKind", "SpanProjectError", "UsageError", "assign_marker_labels",
+    "bio_decode", "bio_encode", "build_problem", "edit_distance", "evaluate",
+    "external_candidates", "fuzzy_similarity", "ngram_candidates", "parse_conll",
+    "parse_marked_sentence", "parse_pharaoh", "parse_span_records",
+    "parse_translations_line", "project_heuristic", "project_matching",
+    "render_problem", "render_report", "report_record", "serialize_conll",
+    "serialize_pharaoh", "serialize_span_records", "solve_assignment_exact",
+    "solve_exact", "solve_greedy", "spans_overlap", "validate_solution",
+]
+
+
+def test_package_surface_is_pinned():
+    assert SURFACE == sorted(SURFACE) and len(SURFACE) == 49
+    assert spanproject.__all__ == SURFACE
+    # the test oracles live in tests/helpers.py, not in the package
+    for name in ("solve_bruteforce", "solve_relaxed_mwis", "matching_cost"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(spanproject, name)
+
+
 def test_every_exported_name_resolves():
     for name in spanproject.__all__:
         value = getattr(spanproject, name)

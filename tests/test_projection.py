@@ -30,6 +30,7 @@ from helpers import (
     random_alignment,
     random_nonoverlapping_spans,
     random_stray_alignment,
+    targets_of,
     words,
 )
 
@@ -134,7 +135,7 @@ def test_heuristic_equals_the_targets_of_reference():
             assert project_heuristic(labeled, target, align, threshold) == expected
             hulls = {
                 (min(js), max(js) + 1)
-                for js in map(align.targets_of, labeled.entities)
+                for js in (targets_of(align, entity) for entity in labeled.entities)
                 if js
             }
             shrunk[threshold] += any(
@@ -166,7 +167,8 @@ def test_project_matching_ngram_candidates_same_answer():
     out = project_matching(labeled, target, align, ProjectionConfig(solver=Solver.GREEDY))
     assert out.entities == (EntitySpan(0, 2, "PER"), EntitySpan(4, 5, "LOC"))
     # exhaustive search over the full n-gram candidate set agrees with greedy here
-    from spanproject import build_problem, ngram_candidates, solve_bruteforce
+    from spanproject import build_problem, ngram_candidates
+    from helpers import solve_bruteforce
 
     problem = build_problem(labeled, ngram_candidates(target, 8), align)
     oracle = solve_bruteforce(problem, unsafe=True)
