@@ -36,11 +36,13 @@ class Sentence:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise DataError("sentence must contain at least one token")
-        for tok in self.tokens:
-            # one C-level split per token: it differs from [tok] exactly when
-            # tok is empty or holds a character for which str.isspace() holds
-            if tok.split() != [tok]:
-                raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
+        # splitting the space-joined tokens gives them back exactly when none
+        # is empty or holds a character for which str.isspace() holds; only
+        # then is each token split on its own, to name the first bad one
+        if " ".join(self.tokens).split() != list(self.tokens):
+            for tok in self.tokens:
+                if tok.split() != [tok]:
+                    raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
         if self.id < 0:
             raise DataError(f"sentence id must be non-negative, got {self.id}")
 
@@ -167,22 +169,13 @@ def bio_decode_parsed(parsed: list[tuple[str, str | None]]) -> list[EntitySpan]:
     spans: list[EntitySpan] = []
     open_start: int | None = None
     open_label: str | None = None
-
-    def close(upto: int) -> None:
-        nonlocal open_start, open_label
-        if open_start is not None:
-            spans.append(EntitySpan(open_start, upto, open_label))
-            open_start, open_label = None, None
-
     for i, (prefix, label) in enumerate(parsed):
-        if prefix == "O":
-            close(i)
-        elif prefix == "B":
-            close(i)
-            open_start, open_label = i, label
-        else:  # "I"
-            if open_start is None or open_label != label:
-                close(i)
-                open_start, open_label = i, label
-    close(len(parsed))
+        if prefix == "I" and open_start is not None and open_label == label:
+            continue  # the open span goes on
+        if open_start is not None:
+            spans.append(EntitySpan(open_start, i, open_label))
+        # O closes the open span; B, or an I that continues nothing, opens one
+        open_start, open_label = (None, None) if prefix == "O" else (i, label)
+    if open_start is not None:
+        spans.append(EntitySpan(open_start, len(parsed), open_label))
     return spans

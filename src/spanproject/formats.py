@@ -16,6 +16,7 @@ round trip are parsed in ``roundtrip``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -52,42 +53,61 @@ class CorpusDocument:
         return iter(self.sentences)
 
 
+# One sentence block: a maximal run of lines that each hold a non-whitespace
+# character. Only "\n" ends a line, and re's \S is exactly "not str.isspace()",
+# so a line outside every block is one whose split() is empty.
+_FIELDS = r"[^\S\n]*\S[^\n]*"
+_BLOCK = re.compile(rf"^{_FIELDS}(?:\n{_FIELDS})*", re.MULTILINE)
+# A block in which every line holds exactly two fields.
+_TWO_FIELDS = r"[^\S\n]*\S+[^\S\n]+\S+[^\S\n]*"
+_TWO_FIELD_BLOCK = re.compile(rf"{_TWO_FIELDS}(?:\n{_TWO_FIELDS})*")
+
+
 def parse_conll(text: str) -> CorpusDocument:
-    """Parse a CoNLL file: ``token [tag]`` lines with blank-line sentence breaks."""
+    """Parse a CoNLL file: ``token [tag]`` lines with blank-line sentence breaks.
+
+    A line of whitespace only ends a sentence, and a line with one field reads
+    as tag ``O``. Each distinct tag goes through ``parse_bio_tag`` once, at
+    the first line that holds it.
+    """
     sentences: list[LabeledSentence] = []
-    tokens: list[str] = []
-    tags: list[tuple[str, str | None]] = []
-
-    def flush() -> None:
-        if not tokens:
-            return
-        sentence = Sentence(tuple(tokens), id=len(sentences))
-        entities = tuple(bio_decode_parsed(tags))
-        sentences.append(LabeledSentence(sentence, entities))
-        tokens.clear()
-        tags.clear()
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            flush()
+    bio_tags: dict[str, tuple[str, str | None]] = {}
+    line, pos = 1, 0  # line `line` starts at text offset `pos`
+    for match in _BLOCK.finditer(text):
+        block = match.group()
+        fields = block.split()
+        if len(fields) == block.count("\n") + 1:
+            # each line of a block holds a field, so here each holds just one: no tags
+            sentences.append(LabeledSentence(Sentence(tuple(fields), id=len(sentences))))
             continue
-        fields = line.split()
-        if len(fields) > 2:
-            raise FormatError(
-                f"expected 'token' or 'token tag', got {len(fields)} fields", line=lineno
-            )
-        token = fields[0]
-        tag = fields[1] if len(fields) == 2 else "O"
-        tags.append(parse_bio_tag(tag, line=lineno))
-        tokens.append(token)
-    flush()
+        tokens, parsed = fields[0::2], [bio_tags.get(tag) for tag in fields[1::2]]
+        if None in parsed or not _TWO_FIELD_BLOCK.fullmatch(block):
+            # a tag not parsed yet, or a line without two fields: go line by
+            # line, so that an error names its line
+            line += text.count("\n", pos, match.start())
+            pos = match.start()
+            tokens, parsed = [], []
+            for lineno, row in enumerate(block.split("\n"), start=line):
+                cells = row.split()
+                if len(cells) > 2:
+                    raise FormatError(
+                        f"expected 'token' or 'token tag', got {len(cells)} fields", line=lineno
+                    )
+                tag = cells[1] if len(cells) == 2 else "O"
+                bio = bio_tags.get(tag)
+                if bio is None:
+                    bio = bio_tags[tag] = parse_bio_tag(tag, line=lineno)
+                tokens.append(cells[0])
+                parsed.append(bio)
+        sentence = Sentence(tuple(tokens), id=len(sentences))
+        sentences.append(LabeledSentence(sentence, tuple(bio_decode_parsed(parsed))))
     return CorpusDocument(tuple(sentences))
 
 
 def conll_block(labeled: LabeledSentence) -> str:
     """One sentence's CoNLL block: a ``token tag`` line per token."""
     tags = bio_encode(labeled.entities, len(labeled.sentence))
-    return "".join(f"{token} {tag}\n" for token, tag in zip(labeled.sentence.tokens, tags))
+    return "\n".join(map(" ".join, zip(labeled.sentence.tokens, tags))) + "\n"
 
 
 def serialize_conll(doc: CorpusDocument) -> str:
@@ -126,6 +146,7 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
     import json
 
     result: dict[int, list[EntitySpan]] = {}
+    seen: dict[int, set[EntitySpan]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -142,6 +163,7 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
         if not isinstance(raw_spans, list):
             raise FormatError("'spans' must be an array", line=lineno)
         spans = result.setdefault(sentence_id, [])
+        seen_spans = seen.setdefault(sentence_id, set())
         for raw in raw_spans:
             if not isinstance(raw, dict):
                 raise FormatError("each span must be an object", line=lineno)
@@ -155,7 +177,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
                 span = EntitySpan(start, end, label)
             except DataError as exc:
                 raise FormatError(str(exc), line=lineno) from exc
-            if span not in spans:
+            if span not in seen_spans:
+                seen_spans.add(span)
                 spans.append(span)
     return result
 

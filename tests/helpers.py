@@ -19,6 +19,7 @@ from spanproject import (
     CorpusDocument,
     DataError,
     EntitySpan,
+    FormatError,
     GuardError,
     InfeasibleError,
     LabeledSentence,
@@ -31,6 +32,7 @@ from spanproject import (
     serialize_pharaoh,
     spans_overlap,
 )
+from spanproject.core import bio_decode_parsed, parse_bio_tag
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -516,3 +518,35 @@ def heuristic_reference(
         if not any(spans_overlap(span, prior) for prior in projected):
             projected.append(span)
     return LabeledSentence(target, tuple(projected))
+
+
+def parse_conll_reference(text: str) -> CorpusDocument:
+    """The line-at-a-time CoNLL parser that ``parse_conll`` must agree with."""
+    sentences: list[LabeledSentence] = []
+    tokens: list[str] = []
+    tags: list[tuple[str, str | None]] = []
+
+    def flush() -> None:
+        if not tokens:
+            return
+        sentence = Sentence(tuple(tokens), id=len(sentences))
+        entities = tuple(bio_decode_parsed(tags))
+        sentences.append(LabeledSentence(sentence, entities))
+        tokens.clear()
+        tags.clear()
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            flush()
+            continue
+        fields = line.split()
+        if len(fields) > 2:
+            raise FormatError(
+                f"expected 'token' or 'token tag', got {len(fields)} fields", line=lineno
+            )
+        token = fields[0]
+        tag = fields[1] if len(fields) == 2 else "O"
+        tags.append(parse_bio_tag(tag, line=lineno))
+        tokens.append(token)
+    flush()
+    return CorpusDocument(tuple(sentences))

@@ -33,13 +33,23 @@ def test_sentence_rejects_empty_and_whitespace_tokens():
         Sentence(("ok", "two words"))
     with pytest.raises(DataError):
         Sentence(("a",), id=-1)
-    # every code point: a token holding it is rejected exactly when str.isspace() says so
+    # every code point: a token holding it is rejected exactly when str.isspace()
+    # says so, and the error names the first bad token wherever it stands
     chars = [chr(code) for code in range(0x110000)]
     spaces = [ch for ch in chars if ch.isspace()]
     assert len(spaces) > 20
-    for ch in spaces:
-        with pytest.raises(DataError, match="whitespace"):
-            Sentence(("a" + ch + "b",))
+    bad_tokens = [""] + [
+        bad for ch in spaces for bad in (ch, "a" + ch, ch + "b", "a" + ch + "b", ch + ch)
+    ]
+    good = ["w0", "w1", "w2", "w3", "w4"]
+    for k, bad in enumerate(bad_tokens):
+        later = bad_tokens[(k + 1) % len(bad_tokens)]  # bad too, but not the first
+        for pos in (0, 2, 5):
+            tokens = good[:pos] + [bad] + good[pos:]
+            for sentence_tokens in ([bad], tokens, tokens + [later]):
+                with pytest.raises(DataError) as info:
+                    Sentence(tuple(sentence_tokens))
+                assert str(info.value) == f"invalid token {bad!r}: empty or contains whitespace"
     Sentence(tuple("a" + ch + "b" for ch in chars if not ch.isspace()))
 
 
@@ -133,6 +143,27 @@ def test_bio_decode_rejects_malformed_tags():
     for bad in ("B", "X-PER", "B-", "b-PER", "I"):
         with pytest.raises(FormatError):
             bio_decode([bad])
+
+
+def test_bio_decode_equals_a_run_scan_on_random_tags():
+    def runs(tags):
+        spans, i = [], 0
+        while i < len(tags):
+            if tags[i] == "O":
+                i += 1
+                continue
+            label, end = tags[i][2:], i + 1
+            while end < len(tags) and tags[end] == "I-" + label:
+                end += 1
+            spans.append(EntitySpan(i, end, label))
+            i = end
+        return spans
+
+    rng = Random(8)
+    for _ in range(3_000):
+        length = rng.randint(0, 10)
+        tags = [rng.choice(("O", "B-PER", "I-PER", "B-LOC", "I-LOC")) for _ in range(length)]
+        assert bio_decode(tags) == runs(tags), tags
 
 
 def test_bio_round_trip_randomized():

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from spanproject import (
     FormatError,
     LabeledSentence,
     Sentence,
+    SpanProjectError,
     parse_conll,
     parse_marked_sentence,
     parse_pharaoh,
@@ -19,7 +21,7 @@ from spanproject import (
     serialize_pharaoh,
     serialize_span_records,
 )
-from helpers import FIXTURES, random_nonoverlapping_spans, words
+from helpers import FIXTURES, parse_conll_reference, random_nonoverlapping_spans, words
 
 
 CONLL_SAMPLE = """Mark B-PER
@@ -56,6 +58,70 @@ def test_parse_conll_rejects_bad_lines():
         parse_conll("one two three\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_conll("ok O\nword Q-PER\n")
+
+
+def test_parse_conll_whitespace_only_line_ends_a_sentence():
+    doc = parse_conll("a B-PER\n \t\u3000\x0b\nb\n\x1c\r\nc I-LOC\n")
+    assert [s.sentence.tokens for s in doc] == [("a",), ("b",), ("c",)]
+    assert [s.entities for s in doc] == [
+        (EntitySpan(0, 1, "PER"),),
+        (),
+        (EntitySpan(0, 1, "LOC"),),
+    ]
+    # a one-field line reads as tag O, inside a tagged sentence too
+    doc = parse_conll("x B-ORG\ny\nz I-ORG\n")
+    assert doc.sentences[0].entities == (EntitySpan(0, 1, "ORG"), EntitySpan(2, 3, "ORG"))
+
+
+_SEPARATORS = (" ", "  ", "\t", "\x0b", "\x1c", "\u3000", " \t")
+_BLANKS = ("", " ", "\t", "\x0b", "\x1c", "\u3000", "\r", " \x0c ")
+_TOKENS = ("a", "bc", "O", "B-PER", "Zürich", "\u00ad", "7", "-")
+_GOOD_TAGS = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG")
+_BAD_TAGS = ("Q-X", "B-", "I", "o", "B_PER")
+
+
+def _random_conll_text(rng: Random) -> str:
+    """A text of sentence blocks and blank lines, now and then with a bad line."""
+    tagged = rng.random() < 0.7
+    lines = []
+    for _ in range(rng.randint(0, 30)):
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append(rng.choice(_BLANKS))
+            continue
+        fields = [rng.choice(_TOKENS)]
+        if tagged and roll < 0.9:
+            bad = rng.random() < 0.01
+            fields.append(rng.choice(_BAD_TAGS if bad else _GOOD_TAGS))
+        if rng.random() < 0.01:
+            fields.append(rng.choice(_GOOD_TAGS))
+        line = rng.choice(_SEPARATORS).join(fields)
+        if rng.random() < 0.1:
+            line = rng.choice(_BLANKS) + line + rng.choice(_BLANKS)
+        lines.append(line)
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_parse_conll_equals_the_line_parser_on_random_texts():
+    rng = Random(20)
+    kinds = {"ok": 0, "fields": 0, "tag": 0}
+    for _ in range(20_000):
+        text = _random_conll_text(rng)
+        got = _parse_outcome(parse_conll, text)
+        assert got == _parse_outcome(parse_conll_reference, text), repr(text)
+        if isinstance(got, CorpusDocument):
+            kinds["ok"] += 1
+        else:
+            assert issubclass(got[0], SpanProjectError)
+            kinds["fields" if "fields" in got[1] else "tag"] += 1
+    assert min(kinds.values()) > 1_000, kinds
 
 
 def test_conll_round_trip_fixture():
@@ -108,11 +174,18 @@ def test_span_records_round_trip_and_merge():
         '{"sentence_id": 2, "spans": []}\n'
         '{"sentence_id": 0, "spans": [{"start": 0, "end": 2}]}\n'
     )
+    # many duplicates of a few spans keep first-seen order, across records too
+    many = [{"start": k % 7, "end": k % 7 + 1 + k % 3} for k in range(5_000)]
+    text += json.dumps({"sentence_id": 3, "spans": many}) + "\n"
+    text += json.dumps({"sentence_id": 3, "spans": [{"start": 9, "end": 10}] + many}) + "\n"
+    first_seen = list(dict.fromkeys((s["start"], s["end"]) for s in many)) + [(9, 10)]
     records = parse_span_records(text)
     assert records == {
         0: [EntitySpan(0, 2), EntitySpan(4, 5, "LOC")],
         2: [],
+        3: [EntitySpan(start, end) for start, end in first_seen],
     }
+    assert len(first_seen) == 22
     serialized = serialize_span_records(records)
     assert parse_span_records(serialized) == records
 
