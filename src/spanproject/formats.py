@@ -58,9 +58,6 @@ class CorpusDocument:
 # so a line outside every block is one whose split() is empty.
 _FIELDS = r"[^\S\n]*\S[^\n]*"
 _BLOCK = re.compile(rf"^{_FIELDS}(?:\n{_FIELDS})*", re.MULTILINE)
-# A block in which every line holds exactly two fields.
-_TWO_FIELDS = r"[^\S\n]*\S+[^\S\n]+\S+[^\S\n]*"
-_TWO_FIELD_BLOCK = re.compile(rf"{_TWO_FIELDS}(?:\n{_TWO_FIELDS})*")
 
 
 def parse_conll(text: str) -> CorpusDocument:
@@ -80,25 +77,21 @@ def parse_conll(text: str) -> CorpusDocument:
             # each line of a block holds a field, so here each holds just one: no tags
             sentences.append(LabeledSentence(Sentence(tuple(fields), id=len(sentences))))
             continue
-        tokens, parsed = fields[0::2], [bio_tags.get(tag) for tag in fields[1::2]]
-        if None in parsed or not _TWO_FIELD_BLOCK.fullmatch(block):
-            # a tag not parsed yet, or a line without two fields: go line by
-            # line, so that an error names its line
-            line += text.count("\n", pos, match.start())
-            pos = match.start()
-            tokens, parsed = [], []
-            for lineno, row in enumerate(block.split("\n"), start=line):
-                cells = row.split()
-                if len(cells) > 2:
-                    raise FormatError(
-                        f"expected 'token' or 'token tag', got {len(cells)} fields", line=lineno
-                    )
-                tag = cells[1] if len(cells) == 2 else "O"
-                bio = bio_tags.get(tag)
-                if bio is None:
-                    bio = bio_tags[tag] = parse_bio_tag(tag, line=lineno)
-                tokens.append(cells[0])
-                parsed.append(bio)
+        line += text.count("\n", pos, match.start())
+        pos = match.start()
+        tokens, parsed = [], []
+        for lineno, row in enumerate(block.split("\n"), start=line):
+            cells = row.split()
+            if len(cells) > 2:
+                raise FormatError(
+                    f"expected 'token' or 'token tag', got {len(cells)} fields", line=lineno
+                )
+            tag = cells[1] if len(cells) == 2 else "O"
+            bio = bio_tags.get(tag)
+            if bio is None:
+                bio = bio_tags[tag] = parse_bio_tag(tag, line=lineno)
+            tokens.append(cells[0])
+            parsed.append(bio)
         sentence = Sentence(tuple(tokens), id=len(sentences))
         sentences.append(LabeledSentence(sentence, tuple(bio_decode_parsed(parsed))))
     return CorpusDocument(tuple(sentences))
@@ -145,8 +138,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
     """
     import json
 
-    result: dict[int, list[EntitySpan]] = {}
-    seen: dict[int, set[EntitySpan]] = {}
+    # one insertion-ordered dict per sentence: first-seen order, exact duplicates dropped
+    result: dict[int, dict[EntitySpan, None]] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -162,8 +155,7 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
             raise FormatError("'sentence_id' must be a non-negative integer", line=lineno)
         if not isinstance(raw_spans, list):
             raise FormatError("'spans' must be an array", line=lineno)
-        spans = result.setdefault(sentence_id, [])
-        seen_spans = seen.setdefault(sentence_id, set())
+        spans = result.setdefault(sentence_id, {})
         for raw in raw_spans:
             if not isinstance(raw, dict):
                 raise FormatError("each span must be an object", line=lineno)
@@ -177,10 +169,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
                 span = EntitySpan(start, end, label)
             except DataError as exc:
                 raise FormatError(str(exc), line=lineno) from exc
-            if span not in seen_spans:
-                seen_spans.add(span)
-                spans.append(span)
-    return result
+            spans[span] = None
+    return {sentence_id: list(spans) for sentence_id, spans in result.items()}
 
 
 def serialize_span_records(spans_by_id: dict[int, list[EntitySpan]]) -> str:
