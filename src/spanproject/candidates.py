@@ -8,11 +8,10 @@ matching step assigns labels by pairing them with source entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .core import EntitySpan, Sentence, spans_overlap
+from .core import EntitySpan, Sentence, _Value, spans_overlap
 from .errors import DataError
 
 
@@ -21,18 +20,18 @@ class SourceKind(Enum):
     EXTERNAL_NER = "ner"
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateSet:
+class CandidateSet(_Value):
     """Unlabeled candidate spans, deduplicated and sorted by (start, end).
 
     The set depends only on its spans, so one set can serve every sentence
     it fits.
     """
 
+    __slots__ = ("spans",)
     spans: tuple[EntitySpan, ...]
 
-    def __post_init__(self):
-        spans = tuple(sorted(set(self.spans), key=EntitySpan.sort_key))
+    def __init__(self, spans: tuple[EntitySpan, ...]):
+        spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         object.__setattr__(self, "spans", spans)
         for span in spans:
             if span.label is not None:

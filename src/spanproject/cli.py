@@ -23,14 +23,13 @@ import gc
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO
 
 from .candidates import SourceKind, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, _Value
 from .errors import (
     DataError,
     FormatError,
@@ -57,12 +56,16 @@ from .projection import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class LineFile:
+class LineFile(_Value):
     """A line-per-sentence input file: line i holds sentence i."""
 
+    __slots__ = ("path", "lines")
     path: Path
     lines: tuple[str, ...]
+
+    def __init__(self, path: Path, lines: tuple[str, ...]):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "lines", lines)
 
     @classmethod
     def read(cls, path: Path) -> LineFile:
@@ -76,20 +79,36 @@ class LineFile:
             raise FormatError(f"{self.path}: line {i + 1}: {exc}") from exc
 
 
-@dataclass(frozen=True, slots=True)
-class LoadedInputs:
+class LoadedInputs(_Value):
     """Parsed run inputs, cross-checked for consistent sentence counts.
 
     Line-per-sentence files stay raw lines, parsed one sentence at a time,
     so --skip-bad-sentences can catch per-sentence damage.
     """
 
+    __slots__ = ("target", "align", "labeled_doc", "marked", "translations", "spans_by_id")
     target: CorpusDocument
     align: LineFile
-    labeled_doc: CorpusDocument | None = None
-    marked: LineFile | None = None
-    translations: LineFile | None = None
-    spans_by_id: dict[int, list[EntitySpan]] | None = None
+    labeled_doc: CorpusDocument | None
+    marked: LineFile | None
+    translations: LineFile | None
+    spans_by_id: dict[int, list[EntitySpan]] | None
+
+    def __init__(
+        self,
+        target: CorpusDocument,
+        align: LineFile,
+        labeled_doc: CorpusDocument | None = None,
+        marked: LineFile | None = None,
+        translations: LineFile | None = None,
+        spans_by_id: dict[int, list[EntitySpan]] | None = None,
+    ):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "align", align)
+        object.__setattr__(self, "labeled_doc", labeled_doc)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "translations", translations)
+        object.__setattr__(self, "spans_by_id", spans_by_id)
 
 
 # Per-sentence failures: fatal by default, a skipped sentence under --skip-bad-sentences.

@@ -2,14 +2,28 @@
 
 All spans are half-open word-index intervals [start, end) over a single
 sentence's token list, so ``end - start`` is the span's word count and two
-spans that merely touch do not overlap. Every type here is immutable after
-construction and safe to share across threads.
+spans that merely touch do not overlap.
+
+The value types of the package (here and in the other modules) share one
+contract, kept by the private base class ``_Value``:
+
+* **Fields** are the class's ``__slots__``, in order, less any it names as
+  derived. ``__init__`` takes them by position or by name, runs the class's
+  checks and sets each one through ``object.__setattr__``.
+* **repr** is ``Name(field=value, ...)`` over the fields, e.g.
+  ``EntitySpan(start=0, end=2, label='PER')``.
+* **== and hash**: two values are equal only when they are of the same class
+  and their field tuples are equal; ``hash`` is the hash of the field tuple.
+* **Immutability**: assigning or deleting any attribute raises
+  ``AttributeError``, so a value is safe to share across threads.
+* **Copying and pickling** rebuild a value from its field tuple through
+  ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .errors import DataError, FormatError
 
@@ -25,15 +39,55 @@ class MatchMode(Enum):
     REQUIRE_ALL = "all"
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class _Value:
+    """Base of the immutable value types; see the module docstring.
+
+    A subclass lists its fields as ``__slots__``. Slots named in the class
+    keyword ``derived`` are set by ``__init__`` but left out of repr, == and
+    hash.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(name for name in cls.__slots__ if name not in derived)
+        get = attrgetter(*fields)  # for a single name it returns the bare value, not a 1-tuple
+        cls._fields = fields
+        cls._values = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def __repr__(self) -> str:
+        values = zip(self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in values)})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Sentence(_Value):
     """An ordered, non-empty list of word tokens plus a stable id."""
 
+    __slots__ = ("tokens", "id")
     tokens: tuple[str, ...]
-    id: int = 0
+    id: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+    def __init__(self, tokens: tuple[str, ...], id: int = 0):
+        object.__setattr__(self, "tokens", tuple(tokens))
+        object.__setattr__(self, "id", id)
         if not self.tokens:
             raise DataError("sentence must contain at least one token")
         # splitting the space-joined tokens gives them back exactly when none
@@ -50,17 +104,30 @@ class Sentence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class EntitySpan:
+class EntitySpan(_Value):
     """A labeled half-open word interval; ``label=None`` marks an unlabeled candidate."""
 
+    __slots__ = ("start", "end", "label")
     start: int
     end: int
-    label: str | None = None
+    label: str | None
 
-    def __post_init__(self):
+    def __init__(self, start: int, end: int, label: str | None = None):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "label", label)
         if not 0 <= self.start < self.end:
             raise DataError(f"invalid span ({self.start}, {self.end}): need 0 <= start < end")
+
+    # Candidate sets, span records and evaluation hash spans in bulk, so ==
+    # and hash spell out the field tuple: a slot read is cheaper than attrgetter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.start, self.end, self.label) == (other.start, other.end, other.label)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end, self.label))
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -77,14 +144,14 @@ def spans_overlap(a: EntitySpan, b: EntitySpan) -> bool:
     return a.start < b.end and b.start < a.end
 
 
-@dataclass(frozen=True, slots=True)
-class AlignmentSet:
+class AlignmentSet(_Value):
     """A set of (labeled-side index, target index) word alignment pairs."""
 
-    pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ("pairs",)
+    pairs: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+    def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()):
+        object.__setattr__(self, "pairs", frozenset(pairs))
         for i, j in self.pairs:
             if i < 0 or j < 0:
                 raise DataError(f"alignment pair ({i}, {j}) has a negative index")
@@ -102,18 +169,19 @@ class AlignmentSet:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledSentence:
+class LabeledSentence(_Value):
     """A sentence together with its flat (non-overlapping) labeled entities.
 
     Entities are normalized to start-index order on construction.
     """
 
+    __slots__ = ("sentence", "entities")
     sentence: Sentence
-    entities: tuple[EntitySpan, ...] = ()
+    entities: tuple[EntitySpan, ...]
 
-    def __post_init__(self):
-        ents = tuple(sorted(self.entities, key=EntitySpan.sort_key))
+    def __init__(self, sentence: Sentence, entities: tuple[EntitySpan, ...] = ()):
+        object.__setattr__(self, "sentence", sentence)
+        ents = tuple(sorted(entities, key=EntitySpan.sort_key))
         object.__setattr__(self, "entities", ents)
         for ent in ents:
             if ent.label is None:

@@ -8,20 +8,21 @@ not 0.9999....
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DataError
 from .formats import CorpusDocument, render_table
 
 
-@dataclass
 class LabelScores:
     """Counts and derived metrics for one label (or the micro total)."""
 
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    __slots__ = ("tp", "fp", "fn")
+
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0):
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
 
     @property
     def precision(self) -> Fraction:
@@ -37,10 +38,16 @@ class LabelScores:
         return 2 * p * r / (p + r) if p + r else Fraction(0)
 
 
-@dataclass
 class EvalReport:
-    total: LabelScores = field(default_factory=LabelScores)
-    per_label: dict[str, LabelScores] = field(default_factory=dict)
+    """Micro-total and per-label counts, accumulated by ``evaluate``."""
+
+    __slots__ = ("total", "per_label")
+
+    def __init__(
+        self, total: LabelScores | None = None, per_label: dict[str, LabelScores] | None = None
+    ):
+        self.total = LabelScores() if total is None else total
+        self.per_label = {} if per_label is None else per_label
 
 
 def evaluate(pred: CorpusDocument, gold: CorpusDocument) -> EvalReport:

@@ -17,13 +17,13 @@ round trip are parsed in ``roundtrip``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     AlignmentSet,
     EntitySpan,
     LabeledSentence,
     Sentence,
+    _Value,
     bio_decode_parsed,
     bio_encode,
     parse_bio_tag,
@@ -31,14 +31,14 @@ from .core import (
 from .errors import DataError, FormatError
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusDocument:
+class CorpusDocument(_Value):
     """An ordered corpus of (optionally labeled) sentences with ids 0..n-1."""
 
-    sentences: tuple[LabeledSentence, ...] = ()
+    __slots__ = ("sentences",)
+    sentences: tuple[LabeledSentence, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    def __init__(self, sentences: tuple[LabeledSentence, ...] = ()):
+        object.__setattr__(self, "sentences", tuple(sentences))
         for pos, labeled in enumerate(self.sentences):
             if labeled.sentence.id != pos:
                 raise DataError(

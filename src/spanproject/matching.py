@@ -32,7 +32,6 @@ only that list, so its work grows with the positive cells, not the matrix.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -41,7 +40,7 @@ from numbers import Rational
 from operator import attrgetter
 
 from .candidates import CandidateSet
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, spans_overlap
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, _Value, spans_overlap
 from .errors import DataError, GuardError, InfeasibleError
 from .formats import render_table
 
@@ -50,27 +49,34 @@ EXACT_MAX_SOURCES = 10
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchingProblem:
+class MatchingProblem(_Value, derived=("positive",)):
     """A cost matrix between labeled source entities and unlabeled candidates.
 
     ``positive`` is derived from ``costs``: one ``(numerator, denominator, s,
-    t)`` entry per positive cell, in row-major order. Cells must be rational
+    t)`` entry per positive cell, in row-major order; it is left out of repr,
+    == and hash. Cells must be rational
     (``Fraction`` or ``int``) and non-negative. ``candidates`` holds spans
     only, so the problems of every n-gram target of one length share one set.
     """
 
+    __slots__ = ("sources", "candidates", "costs", "mode", "positive")
     sources: tuple[EntitySpan, ...]
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
-    mode: MatchMode = MatchMode.AT_MOST_ONE
-    positive: tuple[tuple[int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    mode: MatchMode
+    positive: tuple[tuple[int, int, int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "costs", tuple(tuple(row) for row in self.costs))
+    def __init__(
+        self,
+        sources: tuple[EntitySpan, ...],
+        candidates: CandidateSet,
+        costs: tuple[tuple[Fraction, ...], ...],
+        mode: MatchMode = MatchMode.AT_MOST_ONE,
+    ):
+        object.__setattr__(self, "sources", tuple(sources))
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "costs", tuple(tuple(row) for row in costs))
+        object.__setattr__(self, "mode", mode)
         if len(self.costs) != len(self.sources):
             raise DataError(
                 f"cost matrix has {len(self.costs)} rows for {len(self.sources)} sources"
@@ -107,7 +113,7 @@ class MatchingProblem:
     ) -> "MatchingProblem":
         """Wrap cells a caller has just priced, with their positive list.
 
-        Skips ``__post_init__``, which would scan every cell again; only
+        Skips ``__init__``, which would scan every cell again; only
         ``build_problem`` uses it.
         """
         self = object.__new__(cls)
@@ -123,19 +129,20 @@ class MatchingProblem:
         return len(self.sources), len(self.candidates.spans)
 
 
-@dataclass(frozen=True, slots=True)
-class MatchingSolution:
+class MatchingSolution(_Value):
     """Chosen (source index, candidate index) pairs and their summed cost.
 
     The constructor normalizes assignment order; feasibility is deliberately
     not checked here, see validate_solution.
     """
 
+    __slots__ = ("assignments", "objective")
     assignments: tuple[tuple[int, int], ...]
     objective: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", tuple(sorted(self.assignments)))
+    def __init__(self, assignments: tuple[tuple[int, int], ...], objective: Fraction):
+        object.__setattr__(self, "assignments", tuple(sorted(assignments)))
+        object.__setattr__(self, "objective", objective)
 
 
 @lru_cache(maxsize=4096)

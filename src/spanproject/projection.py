@@ -17,13 +17,20 @@ so a heuristic run does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .candidates import SourceKind, external_candidates, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, spans_overlap
+from .core import (
+    AlignmentSet,
+    EntitySpan,
+    LabeledSentence,
+    MatchMode,
+    Sentence,
+    _Value,
+    spans_overlap,
+)
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -64,8 +71,7 @@ def _solver_funcs() -> dict[Solver, Callable[[MatchingProblem], MatchingSolution
     return _SOLVER_FUNCS
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectionConfig:
+class ProjectionConfig(_Value):
     """Resolved knobs for a projection run.
 
     candidate_source and solver only matter for CANDIDATE_MATCHING;
@@ -75,14 +81,31 @@ class ProjectionConfig:
     works on any candidates but is guarded by its source count.
     """
 
-    method: Method = Method.CANDIDATE_MATCHING
-    candidate_source: SourceKind = SourceKind.NGRAM
-    solver: Solver = Solver.GREEDY
-    ratio_threshold: Fraction = DEFAULT_RATIO_THRESHOLD
-    max_ngram_len: int | None = DEFAULT_MAX_NGRAM
-    mode: MatchMode = MatchMode.AT_MOST_ONE
+    __slots__ = (
+        "method", "candidate_source", "solver", "ratio_threshold", "max_ngram_len", "mode"
+    )
+    method: Method
+    candidate_source: SourceKind
+    solver: Solver
+    ratio_threshold: Fraction
+    max_ngram_len: int | None
+    mode: MatchMode
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        method: Method = Method.CANDIDATE_MATCHING,
+        candidate_source: SourceKind = SourceKind.NGRAM,
+        solver: Solver = Solver.GREEDY,
+        ratio_threshold: Fraction = DEFAULT_RATIO_THRESHOLD,
+        max_ngram_len: int | None = DEFAULT_MAX_NGRAM,
+        mode: MatchMode = MatchMode.AT_MOST_ONE,
+    ):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "candidate_source", candidate_source)
+        object.__setattr__(self, "solver", solver)
+        object.__setattr__(self, "ratio_threshold", ratio_threshold)
+        object.__setattr__(self, "max_ngram_len", max_ngram_len)
+        object.__setattr__(self, "mode", mode)
         if not 0 < self.ratio_threshold <= 1:
             raise DataError(
                 f"ratio threshold must be in (0, 1], got {self.ratio_threshold}"

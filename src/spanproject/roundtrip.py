@@ -12,31 +12,35 @@ Only round-trip runs import this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EntitySpan, LabeledSentence, Sentence, spans_overlap
+from .core import EntitySpan, LabeledSentence, Sentence, _Value, spans_overlap
 from .errors import DataError, FormatError
 
 DEFAULT_MIN_SIMILARITY = Fraction(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedSentence:
+class MarkedSentence(_Value):
     """A bracket-marked sentence with markers stripped.
 
     ``bracket_spans`` are the word ranges that were enclosed in square
     brackets, unlabeled until translations are matched against them.
     """
 
+    __slots__ = ("tokens", "bracket_spans", "entity_translations")
     tokens: tuple[str, ...]
-    bracket_spans: tuple[EntitySpan, ...] = ()
-    entity_translations: tuple[tuple[str, str], ...] = ()
+    bracket_spans: tuple[EntitySpan, ...]
+    entity_translations: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "bracket_spans", tuple(self.bracket_spans))
-        object.__setattr__(self, "entity_translations", tuple(self.entity_translations))
+    def __init__(
+        self,
+        tokens: tuple[str, ...],
+        bracket_spans: tuple[EntitySpan, ...] = (),
+        entity_translations: tuple[tuple[str, str], ...] = (),
+    ):
+        object.__setattr__(self, "tokens", tuple(tokens))
+        object.__setattr__(self, "bracket_spans", tuple(bracket_spans))
+        object.__setattr__(self, "entity_translations", tuple(entity_translations))
         ordered = sorted(self.bracket_spans, key=EntitySpan.sort_key)
         for prev, cur in zip(ordered, ordered[1:]):
             if spans_overlap(prev, cur):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -6,11 +9,21 @@ from hypothesis import strategies as st
 
 from spanproject import (
     AlignmentSet,
+    CandidateSet,
+    CorpusDocument,
     DataError,
     EntitySpan,
     FormatError,
     LabeledSentence,
+    MarkedSentence,
+    MatchingProblem,
+    MatchingSolution,
+    MatchMode,
+    Method,
+    ProjectionConfig,
     Sentence,
+    Solver,
+    SourceKind,
     bio_decode,
     bio_encode,
     spans_overlap,
@@ -109,6 +122,126 @@ def test_labeled_sentence_normalizes_and_validates():
         LabeledSentence(sent, (EntitySpan(4, 7, "LOC"),))  # out of bounds
     with pytest.raises(DataError):
         LabeledSentence(sent, (EntitySpan(0, 3, "A"), EntitySpan(2, 4, "B")))
+    with pytest.raises(DataError) as info:
+        LabeledSentence(sent, (EntitySpan(1, 3, "B"), EntitySpan(0, 2, "A")))
+    assert str(info.value) == (
+        "entities EntitySpan(start=0, end=2, label='A') and "
+        "EntitySpan(start=1, end=3, label='B') overlap"
+    )
+
+
+# (class, every field by keyword in field order, repr, one field changed)
+VALUE_TYPES = [
+    (
+        EntitySpan,
+        {"start": 0, "end": 2, "label": "PER"},
+        "EntitySpan(start=0, end=2, label='PER')",
+        ("label", "LOC"),
+    ),
+    (
+        Sentence,
+        {"tokens": ("Paris", "is"), "id": 1},
+        "Sentence(tokens=('Paris', 'is'), id=1)",
+        ("id", 2),
+    ),
+    (
+        LabeledSentence,
+        {"sentence": Sentence(("New", "York", "!")), "entities": (EntitySpan(0, 2, "LOC"),)},
+        "LabeledSentence(sentence=Sentence(tokens=('New', 'York', '!'), id=0), "
+        "entities=(EntitySpan(start=0, end=2, label='LOC'),))",
+        ("entities", ()),
+    ),
+    (
+        AlignmentSet,
+        {"pairs": frozenset({(0, 1)})},
+        "AlignmentSet(pairs=frozenset({(0, 1)}))",
+        ("pairs", frozenset()),
+    ),
+    (
+        CandidateSet,
+        {"spans": (EntitySpan(0, 1), EntitySpan(1, 2))},
+        "CandidateSet(spans=(EntitySpan(start=0, end=1, label=None), "
+        "EntitySpan(start=1, end=2, label=None)))",
+        ("spans", (EntitySpan(0, 1),)),
+    ),
+    (
+        CorpusDocument,
+        {"sentences": (LabeledSentence(Sentence(("a",))),)},
+        "CorpusDocument(sentences=(LabeledSentence(sentence=Sentence(tokens=('a',), id=0), "
+        "entities=()),))",
+        ("sentences", ()),
+    ),
+    (
+        ProjectionConfig,
+        {
+            "method": Method.HEURISTIC,
+            "candidate_source": SourceKind.NGRAM,
+            "solver": Solver.GREEDY,
+            "ratio_threshold": Fraction(1, 2),
+            "max_ngram_len": 8,
+            "mode": MatchMode.AT_MOST_ONE,
+        },
+        "ProjectionConfig(method=<Method.HEURISTIC: 'heuristic'>, "
+        "candidate_source=<SourceKind.NGRAM: 'ngram'>, solver=<Solver.GREEDY: 'greedy'>, "
+        "ratio_threshold=Fraction(1, 2), max_ngram_len=8, "
+        "mode=<MatchMode.AT_MOST_ONE: 'atmost'>)",
+        ("max_ngram_len", None),
+    ),
+    (
+        MatchingProblem,
+        {
+            "sources": (EntitySpan(0, 1, "PER"),),
+            "candidates": CandidateSet((EntitySpan(0, 1),)),
+            "costs": ((Fraction(1, 2),),),
+            "mode": MatchMode.AT_MOST_ONE,
+        },
+        "MatchingProblem(sources=(EntitySpan(start=0, end=1, label='PER'),), "
+        "candidates=CandidateSet(spans=(EntitySpan(start=0, end=1, label=None),)), "
+        "costs=((Fraction(1, 2),),), mode=<MatchMode.AT_MOST_ONE: 'atmost'>)",
+        ("costs", ((Fraction(0),),)),
+    ),
+    (
+        MatchingSolution,
+        {"assignments": ((0, 0),), "objective": Fraction(1, 2)},
+        "MatchingSolution(assignments=((0, 0),), objective=Fraction(1, 2))",
+        ("objective", Fraction(1)),
+    ),
+    (
+        MarkedSentence,
+        {
+            "tokens": ("a", "b"),
+            "bracket_spans": (EntitySpan(0, 1),),
+            "entity_translations": (("PER", "a"),),
+        },
+        "MarkedSentence(tokens=('a', 'b'), "
+        "bracket_spans=(EntitySpan(start=0, end=1, label=None),), "
+        "entity_translations=(('PER', 'a'),))",
+        ("entity_translations", ()),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "text", "change"), VALUE_TYPES, ids=[case[0].__name__ for case in VALUE_TYPES]
+)
+def test_value_type_semantics(cls, fields, text, change):
+    value = cls(**fields)
+    values = tuple(getattr(value, name) for name in fields)
+    assert repr(value) == text
+    assert value == cls(**fields) and not value != cls(**fields)
+    other = cls(**{**fields, change[0]: change[1]})
+    assert value != other and not value == other
+    assert value != values and (value == values) is False
+    assert hash(value) == hash(values) == hash(cls(**fields))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value and repr(clone) == text
+        assert getattr(clone, "positive", None) == getattr(value, "positive", None)
 
 
 def test_bio_encode_basic():
