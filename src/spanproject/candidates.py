@@ -8,6 +8,7 @@ matching step assigns labels by pairing them with source entities.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
 
@@ -20,15 +21,21 @@ class SourceKind(Enum):
     EXTERNAL_NER = "ner"
 
 
-class CandidateSet(_Value):
+class CandidateSet(_Value, derived=("ends", "runs")):
     """Unlabeled candidate spans, deduplicated and sorted by (start, end).
 
     The set depends only on its spans, so one set can serve every sentence
-    it fits.
+    it fits. ``ends`` and ``runs`` are the layout the cost kernel walks,
+    derived from the spans and left out of repr, == and hash: ``ends[t]`` is
+    span t's end, and ``runs`` holds one ``(start, first, past)`` per
+    distinct start, the spans ``first <= t < past`` sharing it, their ends
+    rising.
     """
 
-    __slots__ = ("spans",)
+    __slots__ = ("spans", "ends", "runs")
     spans: tuple[EntitySpan, ...]
+    ends: tuple[int, ...]
+    runs: tuple[tuple[int, int, int], ...]
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
@@ -36,6 +43,16 @@ class CandidateSet(_Value):
         for span in spans:
             if span.label is not None:
                 raise DataError(f"candidate {span} must not carry a label")
+        starts = [span.start for span in spans]
+        object.__setattr__(self, "ends", tuple(span.end for span in spans))
+        object.__setattr__(
+            self,
+            "runs",
+            tuple(
+                (start, bisect_left(starts, start), bisect_right(starts, start))
+                for start in dict.fromkeys(starts)
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.spans)

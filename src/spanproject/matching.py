@@ -19,25 +19,25 @@ ever rounds, so identical inputs give identical solutions on any platform.
 
 ``build_problem`` is the cost kernel. A cell is the number of alignment
 pairs inside source x candidate, over the two spans' summed lengths. It
-counts them from one prefix-count array per source entity and visits only
-the positive cells: zero cells all share one ``Fraction(0)``, positive ones
-come from a bounded memo, and the problem is built without re-checking the
-cells it just priced.
-
-``MatchingProblem.positive`` lists the positive cells as integer
-``(numerator, denominator, s, t)`` tuples in row-major order; greedy reads
-only that list, so its work grows with the positive cells, not the matrix.
+counts them from one prefix-count array per source entity, visits only the
+positive cells and stores only those: ``MatchingProblem.positive`` lists
+them as reduced integer ``(numerator, denominator, s, t)`` tuples in
+row-major order. Every solver and ``validate_solution`` read that list, so
+their work grows with the positive cells, not the matrix. The dense
+``costs`` matrix of such a problem is built from the list on first read and
+then kept; only ``render_problem`` and the problem's repr, == and hash read
+it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from heapq import heapify, heappop
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter
+from operator import itemgetter
 
 from .candidates import CandidateSet
 from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, _Value, spans_overlap
@@ -47,16 +47,20 @@ from .formats import render_table
 EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
+_CELL = itemgetter(2, 3)  # the (s, t) of a positive entry
 
 
 class MatchingProblem(_Value, derived=("positive",)):
     """A cost matrix between labeled source entities and unlabeled candidates.
 
-    ``positive`` is derived from ``costs``: one ``(numerator, denominator, s,
-    t)`` entry per positive cell, in row-major order; it is left out of repr,
-    == and hash. Cells must be rational
-    (``Fraction`` or ``int``) and non-negative. ``candidates`` holds spans
-    only, so the problems of every n-gram target of one length share one set.
+    ``positive`` holds one reduced ``(numerator, denominator, s, t)`` entry
+    per positive cell, in row-major order; it is left out of repr, == and
+    hash. The constructor derives it from ``costs``, whose cells must be
+    rational (``Fraction`` or ``int``) and non-negative. A problem from
+    ``build_problem`` stores only ``positive``: its ``costs`` are built on
+    first read, ``Fraction(0)`` in the zero cells, and then kept.
+    ``candidates`` holds spans only, so the problems of every n-gram target
+    of one length share one set.
     """
 
     __slots__ = ("sources", "candidates", "costs", "mode", "positive")
@@ -103,26 +107,32 @@ class MatchingProblem(_Value, derived=("positive",)):
         object.__setattr__(self, "positive", tuple(positive))
 
     @classmethod
-    def _trusted(
+    def _sparse(
         cls,
         sources: tuple[EntitySpan, ...],
         candidates: CandidateSet,
-        costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode,
         positive: tuple[tuple[int, int, int, int], ...],
     ) -> "MatchingProblem":
-        """Wrap cells a caller has just priced, with their positive list.
+        """Wrap the positive cells a caller has just priced; ``costs`` stays unset.
 
-        Skips ``__init__``, which would scan every cell again; only
+        Skips ``__init__``, which needs the dense matrix; only
         ``build_problem`` uses it.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "positive", positive)
         return self
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: ``costs`` of a sparse problem
+        if name != "costs":
+            raise AttributeError(name)
+        costs = _dense_costs(self)
+        object.__setattr__(self, "costs", costs)
+        return costs
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -145,15 +155,21 @@ class MatchingSolution(_Value):
         object.__setattr__(self, "objective", objective)
 
 
-@lru_cache(maxsize=4096)
-def _priced(count: int, total: int) -> tuple[Fraction, int, int]:
-    """``Fraction(count, total)`` with its numerator and denominator, memoized.
+def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:
+    """The full cost matrix of ``p``, rebuilt from its positive cells."""
+    n_src, n_cand = p.shape
+    rows = [[_ZERO] * n_cand for _ in range(n_src)]
+    for num, den, s, t in p.positive:
+        rows[s][t] = Fraction(num, den)
+    return tuple(map(tuple, rows))
 
-    Fractions are immutable, so every cell with the same count and length
-    sum can share one.
-    """
-    cost = Fraction(count, total)
-    return cost, cost.numerator, cost.denominator
+
+def _positive_cell(p: MatchingProblem, s: int, t: int) -> tuple[int, int] | None:
+    """Cell (s, t)'s ``(numerator, denominator)``, found by bisection; None if zero."""
+    k = bisect_left(p.positive, (s, t), key=_CELL)
+    if k < len(p.positive) and _CELL(p.positive[k]) == (s, t):
+        return p.positive[k][:2]
+    return None
 
 
 def build_problem(
@@ -162,67 +178,60 @@ def build_problem(
     align: AlignmentSet,
     mode: MatchMode = MatchMode.AT_MOST_ONE,
 ) -> MatchingProblem:
-    """Assemble the full cost matrix for one sentence pair.
+    """Price every positive cell of one sentence pair.
 
     Alignment indices are checked against the labeled sentence only; the
     target side is checked by callers such as ``matching_problem``.
 
     Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
-    len(tgt)``. For each source entity, ``prefix[j]`` counts its alignment
-    pairs with target index below ``j``, so a cell's count is
-    ``prefix[tgt.end] - prefix[tgt.start]``. The array runs to the largest
-    candidate end: target indices past it fall in no candidate.
+    len(tgt)``. The pairs are grouped by labeled-side index once. For each
+    source entity, ``prefix[j]`` counts its alignment pairs with target
+    index below ``j``, so a cell's count is ``prefix[tgt.end] -
+    prefix[tgt.start]``. The array runs to the largest candidate end: target
+    indices past it fall in no candidate.
 
-    Only positive cells are visited. Candidates come sorted by (start, end),
-    so those sharing a start form a run with rising ends, and the positive
-    ones are the run's tail whose end passes the first aligned index at or
-    after the start; one bisection per run finds it. Each row starts as
-    shared zeros, positive cells take their ``Fraction`` from a bounded memo
-    on (count, length sum), and the problem is built without a second scan
-    of the cells: a count is never negative and the lengths are positive.
+    Only positive cells are visited. The candidate set's ``runs`` group the
+    candidates sharing a start, ends rising, so the positive ones are the
+    run's tail whose end passes the first aligned index at or after the
+    start; one bisection per run finds it. Each cell is reduced by its gcd
+    into the positive list, the problem's only storage; a count is never
+    negative and the lengths are positive, so nothing needs re-checking.
     """
-    for i, _ in align.pairs:
-        if i >= len(labeled.sentence):
+    n = len(labeled.sentence)
+    targets_by_source: dict[int, list[int]] = {}
+    for i, j in align.pairs:
+        if i >= n:
             raise DataError(
                 f"alignment index {i} out of bounds for labeled sentence "
-                f"{labeled.sentence.id} of length {len(labeled.sentence)}"
+                f"{labeled.sentence.id} of length {n}"
             )
-    spans = cands.spans
-    starts = list(map(attrgetter("start"), spans))
-    ends = list(map(attrgetter("end"), spans))
-    # runs of candidates sharing a start: (start, first index, index past the run)
-    runs = [
-        (start, bisect_left(starts, start), bisect_right(starts, start))
-        for start in dict.fromkeys(starts)
-    ]
+        targets_by_source.setdefault(i, []).append(j)
+    ends = cands.ends
     width = max(ends, default=0)
-    costs = []
     positive = []
     for s, src in enumerate(labeled.entities):
         hits = [0] * (width + 1)
-        for i, j in align.pairs:
-            if src.start <= i < src.end and j < width:
-                hits[j + 1] += 1
+        for i in range(src.start, src.end):
+            for j in targets_by_source.get(i, ()):
+                if j < width:
+                    hits[j + 1] += 1
         prefix = list(accumulate(hits))
         total = prefix[-1]
-        row = [_ZERO] * len(spans)
-        src_len = len(src)
-        for start, first, past in runs:
+        src_len = src.end - src.start
+        for start, first, past in cands.runs:
             before = prefix[start]
             if before == total:
                 break  # no aligned index at or after this start, nor any later one
             # a candidate is positive once its end passes the first target
             # index whose prefix count exceeds `before`
-            reach = bisect_right(prefix, before)
+            reach = bisect_right(prefix, before, start)
             for t in range(bisect_left(ends, reach, first, past), past):
                 end = ends[t]
-                cost, num, den = _priced(prefix[end] - before, src_len + end - start)
-                row[t] = cost
-                positive.append((num, den, s, t))
-        costs.append(tuple(row))
-    return MatchingProblem._trusted(
-        labeled.entities, cands, tuple(costs), mode, tuple(positive)
-    )
+                count = prefix[end] - before
+                length = src_len + end - start
+                g = gcd(count, length)
+                positive.append((count // g, length // g, s, t))
+    return MatchingProblem._sparse(labeled.entities, cands, mode, tuple(positive))
 
 
 def solve_greedy(p: MatchingProblem) -> MatchingSolution:
@@ -233,30 +242,30 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
     lower candidate start, then the shorter candidate. Only AT_MOST_ONE is
     supported; greedy cannot promise full source coverage.
 
-    Only the problem's positive-cell list is read, and it is sorted on an
+    Only the problem's positive-cell list is read, and it is ordered on an
     exact integer key: with ``scale`` the least common multiple of the
     positive cells' denominators, ``cost * scale`` is an integer for every
-    cell, so the order is the same as sorting on the Fraction costs.
-    Candidates are distinct and sorted by (start, end), so the candidate
-    index orders them as (start, end) does, and a source index breaks the
-    remaining ties (overlapping sources sharing a start) in row-major
-    order. The scan stops once every source is used, and the objective sums
-    the chosen cells' ``Fraction`` costs.
+    cell, so the order is the same as on the Fraction costs. Candidates are
+    distinct and sorted by (start, end), so the candidate index orders them
+    as (start, end) does, and a source index breaks the remaining ties
+    (overlapping sources sharing a start) in row-major order. The scan stops
+    once every source is used, usually after a few cells, so the cells are
+    heapified and popped in order rather than sorted. The objective is the
+    chosen cells' summed integer keys over ``scale``.
     """
     if p.mode is MatchMode.REQUIRE_ALL:
         raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
     spans = p.candidates.spans
     starts = [src.start for src in p.sources]
     scale = lcm(*{den for _, den, _, _ in p.positive})
-    order = sorted(
-        (-num * (scale // den), starts[s], t, s) for num, den, s, t in p.positive
-    )
+    heap = [(-num * (scale // den), starts[s], t, s) for num, den, s, t in p.positive]
+    heapify(heap)
     used_sources: set[int] = set()
     chosen_spans: list[EntitySpan] = []
     assignments: list[tuple[int, int]] = []
-    for _, _, t, s in order:
-        if len(used_sources) == len(starts):
-            break
+    neg_total = 0
+    while heap and len(used_sources) < len(starts):
+        neg, _, t, s = heappop(heap)
         if s in used_sources:
             continue
         span = spans[t]
@@ -265,8 +274,8 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
         assignments.append((s, t))
         used_sources.add(s)
         chosen_spans.append(span)
-    objective = sum((p.costs[s][t] for s, t in assignments), Fraction(0))
-    return MatchingSolution(tuple(assignments), objective)
+        neg_total += neg
+    return MatchingSolution(tuple(assignments), Fraction(-neg_total, scale))
 
 
 def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
@@ -334,7 +343,8 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     is padded to square with zero-cost dummy rows and columns standing for
     "unassigned"; forbidden pairs (zero cost, or source-to-dummy under
     REQUIRE_ALL) get a cost large enough that the optimum avoids them
-    whenever avoiding them is feasible.
+    whenever avoiding them is feasible. The matrix is filled from the
+    positive cells; every other source-candidate cell is forbidden.
     """
     if not p.candidates.is_disjoint():
         raise DataError(
@@ -352,27 +362,22 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
             )
         return MatchingSolution((), Fraction(0))
 
-    max_cost = max((c for row in p.costs for c in row), default=Fraction(0))
-    big = n_src * max_cost + 1
-    k = n_src + n_cand
-    zero = Fraction(0)
-    matrix = [[zero] * k for _ in range(k)]
-    for s in range(n_src):
-        for t in range(n_cand):
-            c = p.costs[s][t]
-            matrix[s][t] = -c if c > 0 else big
-        if require_all:
-            for t in range(n_cand, k):
-                matrix[s][t] = big
+    costs = {(s, t): Fraction(num, den) for num, den, s, t in p.positive}
+    big = n_src * max(costs.values(), default=_ZERO) + 1
+    unassigned = big if require_all else _ZERO
+    matrix = [[big] * n_cand + [unassigned] * n_src for _ in range(n_src)]
+    matrix += [[_ZERO] * (n_src + n_cand) for _ in range(n_cand)]
+    for (s, t), c in costs.items():
+        matrix[s][t] = -c
 
     cols = _hungarian_min(matrix)
     assignments = []
     objective = Fraction(0)
     for s in range(n_src):
         t = cols[s]
-        if t < n_cand and p.costs[s][t] > 0:
+        if (s, t) in costs:
             assignments.append((s, t))
-            objective += p.costs[s][t]
+            objective += costs[s, t]
         elif require_all:
             raise InfeasibleError(
                 "no full positive-cost assignment exists",
@@ -432,12 +437,16 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
 
 
 def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
-    """Independently check a solution's feasibility; raises on any violation."""
+    """Independently check a solution's feasibility; raises on any violation.
+
+    Each assigned cell is looked up in the positive list by bisection, so
+    the dense matrix is never built.
+    """
     n_src, n_cand = p.shape
     spans = p.candidates.spans
     seen_sources: set[int] = set()
     seen_cands: set[int] = set()
-    objective = Fraction(0)
+    num_sum, den_sum = 0, 1  # the recomputed objective, as one unreduced fraction
     for s, t in sol.assignments:
         if not (0 <= s < n_src and 0 <= t < n_cand):
             raise DataError(f"assignment ({s}, {t}) out of range for shape {p.shape}")
@@ -445,16 +454,19 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
             raise DataError(f"candidate {t} assigned twice")
         if s in seen_sources:
             raise DataError(f"source {s} assigned twice")
-        if p.costs[s][t] <= 0:
+        cell = _positive_cell(p, s, t)
+        if cell is None:
             raise DataError(f"assignment ({s}, {t}) has zero cost")
         seen_sources.add(s)
         seen_cands.add(t)
-        objective += p.costs[s][t]
+        num, den = cell
+        num_sum, den_sum = num_sum * den + num * den_sum, den_sum * den
     chosen = sorted(seen_cands)
     for a_pos, a in enumerate(chosen):
         for b in chosen[a_pos + 1 :]:
             if spans_overlap(spans[a], spans[b]):
                 raise DataError(f"chosen candidates {a} and {b} overlap")
+    objective = Fraction(num_sum, den_sum)
     if objective != sol.objective:
         raise DataError(f"objective {sol.objective} != recomputed {objective}")
     if p.mode is MatchMode.REQUIRE_ALL and len(seen_sources) != n_src:

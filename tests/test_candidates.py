@@ -1,3 +1,5 @@
+import copy
+import pickle
 from random import Random
 
 import pytest
@@ -12,7 +14,7 @@ from spanproject import (
     external_candidates,
     ngram_candidates,
 )
-from helpers import words
+from helpers import random_intervals, random_nonoverlapping_spans, words
 
 
 def test_ngram_candidates_small_enumeration():
@@ -120,3 +122,35 @@ def test_is_disjoint_catches_nonadjacent_overlap():
             for b in cs.spans[i + 1 :]
         )
         assert cs.is_disjoint() == expected
+
+
+def recomputed_layout(spans):
+    """The (ends, runs) layout of sorted spans, by a plain scan over them."""
+    runs = []
+    for t, span in enumerate(spans):
+        if runs and runs[-1][0] == span.start:
+            runs[-1][2] = t + 1
+        else:
+            runs.append([span.start, t, t + 1])
+    return tuple(span.end for span in spans), tuple(map(tuple, runs))
+
+
+def test_candidate_layout_is_derived_from_the_spans():
+    rng = Random(5)
+    sets = [CandidateSet(()), external_candidates(Sentence(words(3)), [])]
+    for n in (1, 2, 9, 17, 30):
+        for cap in (1, 3, 8, None):
+            sets.append(ngram_candidates(Sentence(words(n)), cap))
+    for _ in range(100):
+        n = rng.randint(1, 14)
+        sets.append(CandidateSet(random_intervals(rng, n, rng.randint(0, 8))))
+        ner = random_nonoverlapping_spans(rng, n, rng.randint(0, 4), labeled=False)
+        sets.append(external_candidates(Sentence(words(n)), list(ner)))
+    for cs in sets:
+        assert (cs.ends, cs.runs) == recomputed_layout(cs.spans)
+        # the layout is left out of repr, == and hash
+        assert repr(cs) == f"CandidateSet(spans={cs.spans!r})"
+        assert hash(cs) == hash((cs.spans,))
+        for clone in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
+            assert clone == cs
+            assert (clone.ends, clone.runs) == (cs.ends, cs.runs)

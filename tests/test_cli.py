@@ -317,6 +317,28 @@ def test_exact_guard_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_only_solve_builds_the_dense_cost_matrix(tmp_path, capsys, monkeypatch):
+    from spanproject import matching
+
+    built = []
+    dense_costs = matching._dense_costs
+    monkeypatch.setattr(matching, "_dense_costs", lambda p: built.append(p) or dense_costs(p))
+    for solver in ("greedy", "exact"):
+        code, _, err = project_noisy(
+            capsys, tmp_path / f"{solver}.conll", "--solver", solver, "--skip-bad-sentences"
+        )
+        assert code == 0, err
+    assert built == []
+    code, out, _ = run(
+        capsys, "solve", "--sentence", "0",
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", fixture("clean.align"),
+    )
+    assert code == 0 and out.startswith("mode=atmost shape=")
+    assert len(built) == 1
+
+
 def test_solve_prints_matrix_and_oracle(capsys):
     code, out, err = run(
         capsys,

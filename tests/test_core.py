@@ -241,7 +241,9 @@ def test_value_type_semantics(cls, fields, text, change):
     assert tuple(getattr(value, name) for name in fields) == values
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value and repr(clone) == text
-        assert getattr(clone, "positive", None) == getattr(value, "positive", None)
+        # derived slots (a problem's positive cells, a candidate set's layout) are rebuilt
+        for name in cls.__slots__:
+            assert getattr(clone, name) == getattr(value, name), name
 
 
 def test_bio_encode_basic():

@@ -139,22 +139,49 @@ def test_matching_problem_validates_dimensions():
             MatchingProblem(sources, two, costs)
 
 
+def validation_outcome(p, sol):
+    """validate_solution's verdict on sol: None when it passes, else the message."""
+    try:
+        validate_solution(p, sol)
+    except DataError as err:
+        return str(err)
+    return None
+
+
+def probe_solutions(rng, p):
+    """Greedy's solution and a few that validate_solution must judge, some of them wrong."""
+    sol = solve_greedy(p)
+    probes = [sol, MatchingSolution(sol.assignments, sol.objective + 1)]
+    n_src, n_cand = p.shape
+    if n_src and n_cand:
+        cells = [(rng.randrange(n_src), rng.randrange(n_cand)) for _ in range(3)]
+        probes += [MatchingSolution((cell,), Fraction(rng.randint(0, 2), 4)) for cell in cells]
+        probes.append(MatchingSolution(tuple(sorted(set(cells))), Fraction(1)))
+    probes.append(MatchingSolution(((n_src, 0),), Fraction(0)))
+    return probes
+
+
 def test_build_problem_equals_matching_cost_on_every_cell():
     rng = Random(17)
-    for trial in range(1200):
+    for trial in range(1400):
+        kind = trial % 4
         n_src, n_tgt = rng.randint(1, 12), rng.randint(1, 14)
+        if kind == 3:
+            # long targets with unbounded n-grams: runs far wider than the default cap of 8
+            n_tgt = rng.randint(9, 26)
         entities = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
         labeled = LabeledSentence(Sentence(words(n_src)), entities)
         target = Sentence(words(n_tgt))
-        kind = trial % 3
         if kind == 0:
             cands = ngram_candidates(target, rng.randint(1, 5))
         elif kind == 1:
             # gapped disjoint spans, as an external NER model gives them; may be empty
             ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False)
             cands = external_candidates(target, list(ner))
-        else:
+        elif kind == 2:
             cands = CandidateSet(())
+        else:
+            cands = ngram_candidates(target, None)
         # build_problem leaves the target side unchecked: some pairs point
         # past every candidate's end, even past the target sentence
         reach = n_tgt + rng.randint(0, 3)
@@ -163,10 +190,14 @@ def test_build_problem_equals_matching_cost_on_every_cell():
         else:
             align = random_alignment(rng, n_src, reach, density=rng.choice((0.1, 0.3, 0.6)))
         p = build_problem(labeled, cands, align)
+        # judged from the positive cells alone, before the dense view exists
+        probes = probe_solutions(rng, p)
+        sparse_outcomes = [validation_outcome(p, sol) for sol in probes]
         assert p.shape == (len(entities), len(cands.spans))
         for s, src in enumerate(entities):
             for t, tgt in enumerate(cands.spans):
                 assert p.costs[s][t] == matching_cost(src, tgt, align), (trial, s, t)
+        assert all(type(c) is Fraction for row in p.costs for c in row), trial
         # the positive list is the row-major positive cells, whichever constructor ran
         want = [
             (c.numerator, c.denominator, s, t)
@@ -175,7 +206,9 @@ def test_build_problem_equals_matching_cost_on_every_cell():
         rebuilt = MatchingProblem(p.sources, p.candidates, p.costs, p.mode)
         assert list(p.positive) == list(rebuilt.positive) == want, trial
         assert rebuilt == p
+        assert (hash(rebuilt), repr(rebuilt)) == (hash(p), repr(p)), trial
         assert solve_greedy(p) == solve_greedy(rebuilt), trial
+        assert [validation_outcome(rebuilt, sol) for sol in probes] == sparse_outcomes, trial
 
 
 # every positive value ties with others; some differ only far past the decimal point

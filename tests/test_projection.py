@@ -9,6 +9,7 @@ from spanproject import (
     AlignmentSet,
     DataError,
     EntitySpan,
+    InfeasibleError,
     LabeledSentence,
     MatchMode,
     Method,
@@ -22,6 +23,8 @@ from spanproject import (
     parse_marked_sentence,
     project_heuristic,
     project_matching,
+    projection,
+    render_problem,
 )
 from helpers import (
     edit_distance_oracle,
@@ -175,6 +178,48 @@ def test_project_matching_ngram_candidates_same_answer():
     assert oracle.objective == 1
     chosen = {problem.candidates.spans[t] for _, t in oracle.assignments}
     assert chosen == {EntitySpan(0, 2), EntitySpan(4, 5)}
+
+
+def test_matching_path_never_builds_the_dense_matrix(monkeypatch):
+    from spanproject import matching
+
+    built = []
+    dense_costs = matching._dense_costs
+    monkeypatch.setattr(matching, "_dense_costs", lambda p: built.append(p) or dense_costs(p))
+    rng = Random(13)
+    problems = []
+    for trial in range(240):
+        n_src, n_tgt = rng.randint(1, 12), rng.randint(1, 24)
+        entities = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
+        labeled = LabeledSentence(Sentence(words(n_src)), entities)
+        target = Sentence(words(n_tgt))
+        align = random_alignment(rng, n_src, n_tgt, density=rng.choice((0.1, 0.3)))
+        ner = list(random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False))
+        mode = (MatchMode.AT_MOST_ONE, MatchMode.REQUIRE_ALL)[trial % 2]
+        runs = (
+            (ProjectionConfig(solver=Solver.GREEDY), None),
+            (ProjectionConfig(solver=Solver.EXACT, max_ngram_len=None, mode=mode), None),
+            (
+                ProjectionConfig(
+                    candidate_source=SourceKind.EXTERNAL_NER, solver=Solver.ASSIGNMENT, mode=mode
+                ),
+                ner,
+            ),
+        )
+        for cfg, spans in runs:
+            problem = projection.matching_problem(labeled, target, align, cfg, spans)
+            try:
+                projection.solve(problem, cfg.solver)
+            except InfeasibleError:
+                pass
+            problems.append(problem)
+    assert built == []
+    # printing the matrix, as the `solve` command does, builds the view once and keeps it
+    problem = max(problems, key=lambda p: len(p.positive))
+    text = render_problem(problem)
+    assert render_problem(problem) == text
+    assert built == [problem]
+    assert problem.costs is problem.costs
 
 
 def test_project_matching_empty_sources():
