@@ -12,8 +12,9 @@ leaves a partial file behind.
 Each command imports only what it runs: ``matching`` for matching runs and
 ``solve``, ``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for
 ``evaluate``, and ``json`` where span records, worker payloads or the
-evaluation record are encoded or decoded. A ``project`` run that forks loads
-its modules first, so no worker compiles one again.
+evaluation record are encoded or decoded. A round-trip run loads
+``roundtrip`` while it reads its inputs, and a matching run loads
+``matching`` before it forks, so no worker compiles either again.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import tempfile
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 from .candidates import SourceKind, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, _Value
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence
 from .errors import (
     DataError,
     FormatError,
@@ -56,60 +57,10 @@ from .projection import (
 )
 
 
-class LineFile(_Value):
-    """A line-per-sentence input file: line i holds sentence i."""
-
-    __slots__ = ("path", "lines")
-    path: Path
-    lines: tuple[str, ...]
-
-    def __init__(self, path: Path, lines: tuple[str, ...]):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "lines", lines)
-
-    @classmethod
-    def read(cls, path: Path) -> LineFile:
-        return cls(path, tuple(_file_lines(_read_text(path))))
-
-    def parse(self, i: int, parse_line):
-        """Sentence i's line through parse_line; a FormatError names the file and the line."""
-        try:
-            return parse_line(self.lines[i])
-        except FormatError as exc:
-            raise FormatError(f"{self.path}: line {i + 1}: {exc}") from exc
-
-
-class LoadedInputs(_Value):
-    """Parsed run inputs, cross-checked for consistent sentence counts.
-
-    Line-per-sentence files stay raw lines, parsed one sentence at a time,
-    so --skip-bad-sentences can catch per-sentence damage.
-    """
-
-    __slots__ = ("target", "align", "labeled_doc", "marked", "translations", "spans_by_id")
-    target: CorpusDocument
-    align: LineFile
-    labeled_doc: CorpusDocument | None
-    marked: LineFile | None
-    translations: LineFile | None
-    spans_by_id: dict[int, list[EntitySpan]] | None
-
-    def __init__(
-        self,
-        target: CorpusDocument,
-        align: LineFile,
-        labeled_doc: CorpusDocument | None = None,
-        marked: LineFile | None = None,
-        translations: LineFile | None = None,
-        spans_by_id: dict[int, list[EntitySpan]] | None = None,
-    ):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "align", align)
-        object.__setattr__(self, "labeled_doc", labeled_doc)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "translations", translations)
-        object.__setattr__(self, "spans_by_id", spans_by_id)
-
+# What load_inputs gives per sentence: i -> (labeled, target, alignment, external spans).
+Inputs = Callable[
+    [int], tuple[LabeledSentence, Sentence, AlignmentSet, list[EntitySpan] | None]
+]
 
 # Per-sentence failures: fatal by default, a skipped sentence under --skip-bad-sentences.
 _SENTENCE_ERRORS = (FormatError, DataError, GuardError, InfeasibleError)
@@ -142,12 +93,32 @@ def _parse_file(path: Path, parse):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _file_lines(text: str) -> list[str]:
-    """Exact line split: a single final newline does not create a last empty line."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+def _line_files(n: int, *files: tuple[str, str]) -> list[Callable]:
+    """Read line-per-sentence files, then check that each has n lines.
+
+    Each (path, what) pair gives a function ``parse(i, parse_line)``: line i
+    through parse_line, with a FormatError naming the file and the line.
+    Every file is read before any count is checked. A single final newline
+    does not make a last empty line.
+    """
+    read = []
+    for path, what in files:
+        path = Path(path)
+        lines = _read_text(path).split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        read.append((path, what, lines))
+    for _, what, lines in read:
+        if len(lines) != n:
+            raise DataError(f"{what} has {len(lines)} lines for {n} target sentences")
+    return [partial(_parse_line, path, lines) for path, _, lines in read]
+
+
+def _parse_line(path: Path, lines: list[str], i: int, parse_line):
+    try:
+        return parse_line(lines[i])
+    except FormatError as exc:
+        raise FormatError(f"{path}: line {i + 1}: {exc}") from exc
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -223,8 +194,12 @@ _CONFIG = {
 }
 
 
-def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
-    """Merge flags over config-file values over defaults into a ProjectionConfig."""
+def resolve_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> ProjectionConfig:
+    """Merge flags over config-file values over defaults into a ProjectionConfig.
+
+    Every value is checked; the keys in unread then keep their defaults, so
+    the combinations they take part in are not checked.
+    """
     file_values = load_config_file(Path(args.config)) if args.config is not None else {}
     fields = {}
     for key, (field, flag, convert) in _CONFIG.items():
@@ -232,7 +207,9 @@ def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
         if raw is None:
             raw = file_values.get(key)
         if raw is not None:
-            fields[field] = convert(raw, flag)
+            value = convert(raw, flag)
+            if key not in unread:
+                fields[field] = value
     try:
         return ProjectionConfig(**fields)
     except DataError as exc:
@@ -278,32 +255,35 @@ def checked_config(args: argparse.Namespace) -> ProjectionConfig:
     return config
 
 
-def load_inputs(args: argparse.Namespace) -> LoadedInputs:
-    """Read and parse every input file the run names, then check counts line up."""
+def load_inputs(args: argparse.Namespace) -> tuple[CorpusDocument, Inputs]:
+    """Read every input file the run names and check that their counts line up.
+
+    Returns the target corpus and a function giving sentence i's inputs.
+    Line-per-sentence files stay raw lines, parsed one sentence at a time
+    (alignment, then translations, then marked line), so --skip-bad-sentences
+    can catch per-sentence damage.
+    """
     target = _parse_file(Path(args.target), parse_conll)
     n = len(target)
-    align = LineFile.read(Path(args.align))
-    if len(align.lines) != n:
-        raise DataError(
-            f"alignment file has {len(align.lines)} lines for {n} target sentences"
-        )
-
-    labeled_doc = marked = translations = None
+    [align] = _line_files(n, (args.align, "alignment file"))
     if args.labeled is not None:
         labeled_doc = _parse_file(Path(args.labeled), parse_conll)
         if len(labeled_doc) != n:
             raise DataError(
                 f"labeled corpus has {len(labeled_doc)} sentences for {n} target sentences"
             )
+        labeled_of = labeled_doc.sentences.__getitem__
     else:
-        marked = LineFile.read(Path(args.marked))
-        translations = LineFile.read(Path(args.translations))
-        if len(marked.lines) != n:
-            raise DataError(f"marked file has {len(marked.lines)} lines for {n} target sentences")
-        if len(translations.lines) != n:
-            raise DataError(
-                f"translations file has {len(translations.lines)} lines for {n} target sentences"
-            )
+        from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
+
+        marked, translations = _line_files(
+            n, (args.marked, "marked file"), (args.translations, "translations file")
+        )
+
+        def labeled_of(i: int) -> LabeledSentence:
+            pairs = translations(i, parse_translations_line)
+            sentence = marked(i, partial(parse_marked_sentence, entity_translations=pairs))
+            return assign_marker_labels(sentence, sentence_id=i)
 
     spans_by_id = None
     if args.spans is not None:
@@ -314,35 +294,16 @@ def load_inputs(args: argparse.Namespace) -> LoadedInputs:
                     f"span record for sentence {sentence_id} but corpus has {n} sentences"
                 )
 
-    return LoadedInputs(target, align, labeled_doc, marked, translations, spans_by_id)
+    def sentence_inputs(i: int):
+        alignment = align(i, parse_pharaoh)
+        external = None if spans_by_id is None else spans_by_id.get(i, [])
+        return labeled_of(i), target.sentences[i].sentence, alignment, external
 
-
-def _sentence_inputs(
-    inputs: LoadedInputs, i: int
-) -> tuple[LabeledSentence, Sentence, AlignmentSet, list[EntitySpan] | None]:
-    """Sentence i's (labeled, target, alignment, external spans); alignment errors come first."""
-    align = inputs.align.parse(i, parse_pharaoh)
-    if inputs.labeled_doc is not None:
-        labeled = inputs.labeled_doc.sentences[i]
-    else:
-        from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
-
-        translations = inputs.translations.parse(i, parse_translations_line)
-        marked = inputs.marked.parse(
-            i, partial(parse_marked_sentence, entity_translations=translations)
-        )
-        labeled = assign_marker_labels(marked, sentence_id=i)
-    external = None if inputs.spans_by_id is None else inputs.spans_by_id.get(i, [])
-    return labeled, inputs.target.sentences[i].sentence, align, external
-
-
-def _at_sentence(i: int, exc: Exception) -> Exception:
-    """The same error, its message prefixed with the sentence it happened in."""
-    return type(exc)(f"sentence {i}: {exc}")
+    return target, sentence_inputs
 
 
 def _project_range(
-    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, a: int, b: int
+    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, a: int, b: int
 ) -> tuple[str, list[str]]:
     """Sentences a..b-1 as CoNLL text, and a warning line per sentence skipped.
 
@@ -352,16 +313,16 @@ def _project_range(
     blocks, warnings = [], []
     for i in range(a, b):
         try:
-            labeled, target, align, external = _sentence_inputs(inputs, i)
+            labeled, target, align, external = inputs(i)
             if cfg.method is Method.HEURISTIC:
                 result = project_heuristic(labeled, target, align, cfg.ratio_threshold)
             else:
                 result = project_matching(labeled, target, align, cfg, external)
         except _SENTENCE_ERRORS as exc:
             if not skip_bad:
-                raise _at_sentence(i, exc) from exc
+                raise type(exc)(f"sentence {i}: {exc}") from exc
             warnings.append(f"warning: sentence {i} skipped: {exc}")
-            result = LabeledSentence(inputs.target.sentences[i].sentence, ())
+            result = LabeledSentence(corpus.sentences[i].sentence, ())
         blocks.append(conll_block(result))
     return "\n".join(blocks), warnings
 
@@ -375,7 +336,7 @@ def _worker_count(n_sentences: int, jobs: int) -> int:
 
 
 def _fork_chunk(
-    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, a: int, b: int
+    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, a: int, b: int
 ) -> tuple[int, BinaryIO] | None:
     """Fork a child that projects sentences a..b-1 and sends the result through a pipe.
 
@@ -397,7 +358,7 @@ def _fork_chunk(
         try:
             os.close(r)
             with os.fdopen(w, "w", encoding="utf-8") as pipe:
-                pipe.write(json.dumps(_project_range(cfg, inputs, skip_bad, a, b)))
+                pipe.write(json.dumps(_project_range(cfg, corpus, inputs, skip_bad, a, b)))
             status = 0
         finally:
             os._exit(status)
@@ -415,19 +376,8 @@ def _collect(pid: int, pipe: BinaryIO) -> tuple[str, list[str]] | None:
     return tuple(json.loads(payload)) if status == 0 else None
 
 
-def _load_sentence_modules(cfg: ProjectionConfig, inputs: LoadedInputs) -> None:
-    """Import the modules projecting a sentence needs, ahead of forking workers.
-
-    Each forked worker then shares them, where it would compile its own copy.
-    """
-    if cfg.method is Method.CANDIDATE_MATCHING:
-        from . import matching  # noqa: F401
-    if inputs.marked is not None:
-        from . import roundtrip  # noqa: F401
-
-
 def _run_projection(
-    cfg: ProjectionConfig, inputs: LoadedInputs, skip_bad: bool, jobs: int
+    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, jobs: int
 ) -> str:
     """Project every sentence, print the warnings in sentence order, return the CoNLL text.
 
@@ -435,25 +385,27 @@ def _run_projection(
     here; each other chunk runs in a forked child, which shares the parsed
     inputs copy-on-write. A chunk whose child failed is recomputed here, so
     the output, warnings and first error are the serial run's, whatever jobs is.
+    A matching run loads ``matching`` before it forks, so the workers share it.
     """
-    n = len(inputs.target)
+    n = len(corpus)
     workers = _worker_count(n, jobs)
     bounds = [n * k // workers for k in range(workers + 1)]
     chunks = list(zip(bounds, bounds[1:]))
     children: dict[int, tuple[int, BinaryIO] | None] = {}
     if workers > 1:
-        _load_sentence_modules(cfg, inputs)
+        if cfg.method is Method.CANDIDATE_MATCHING:
+            from . import matching  # noqa: F401
         sys.stdout.flush()
         sys.stderr.flush()
         gc.freeze()  # the parent's objects stay out of the children's collections
     try:
         for k, chunk in enumerate(chunks[1:], start=1):
-            children[k] = _fork_chunk(cfg, inputs, skip_bad, *chunk)
-        results = [_project_range(cfg, inputs, skip_bad, *chunks[0])]
+            children[k] = _fork_chunk(cfg, corpus, inputs, skip_bad, *chunk)
+        results = [_project_range(cfg, corpus, inputs, skip_bad, *chunks[0])]
         for k, chunk in enumerate(chunks[1:], start=1):
             sent = children[k] and _collect(*children[k])
             del children[k]
-            results.append(sent or _project_range(cfg, inputs, skip_bad, *chunk))
+            results.append(sent or _project_range(cfg, corpus, inputs, skip_bad, *chunk))
     finally:
         for pid, pipe in filter(None, children.values()):  # children not yet reaped
             import signal  # imported here: the serial path never needs it
@@ -471,14 +423,14 @@ def _run_projection(
 
 def cmd_project(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
-    inputs = load_inputs(args)
-    text = _run_projection(cfg, inputs, args.skip_bad_sentences, args.jobs)
+    corpus, inputs = load_inputs(args)
+    text = _run_projection(cfg, corpus, inputs, args.skip_bad_sentences, args.jobs)
     atomic_write(Path(args.out), text)
     return 0
 
 
 def cmd_candidates(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    config = resolve_config(args, unread=("method", "solver", "mode"))
     if config.candidate_source is not SourceKind.NGRAM:
         raise UsageError("the candidates subcommand only generates n-gram candidates")
     _require(args, "target", "out")
@@ -493,16 +445,16 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
-    inputs = load_inputs(args)
+    corpus, inputs = load_inputs(args)
     i = args.sentence
-    if not 0 <= i < len(inputs.target):
-        raise UsageError(f"--sentence {i} out of range for corpus of {len(inputs.target)}")
+    if not 0 <= i < len(corpus):
+        raise UsageError(f"--sentence {i} out of range for corpus of {len(corpus)}")
 
     from .matching import EXACT_MAX_SOURCES, render_problem
 
     out = sys.stdout
     try:
-        labeled, target, align, external = _sentence_inputs(inputs, i)
+        labeled, target, align, external = inputs(i)
         problem = matching_problem(labeled, target, align, cfg, external)
         out.write(render_problem(problem))
         n_src, n_cand = problem.shape
@@ -520,7 +472,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"assignments={list(solution.assignments)}\n"
             )
     except _SENTENCE_ERRORS as exc:
-        raise _at_sentence(i, exc) from exc
+        raise type(exc)(f"sentence {i}: {exc}") from exc
     return 0
 
 

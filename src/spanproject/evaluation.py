@@ -66,15 +66,16 @@ def evaluate(pred: CorpusDocument, gold: CorpusDocument) -> EvalReport:
             )
         pred_set = set(pred_sent.entities)
         gold_set = set(gold_sent.entities)
-        labels = {e.label for e in pred_set | gold_set if e.label is not None}
-        for label in labels:
-            p_l = {e for e in pred_set if e.label == label}
-            g_l = {e for e in gold_set if e.label == label}
-            tp = len(p_l & g_l)
-            scores = report.per_label.setdefault(label, LabelScores())
-            scores.tp += tp
-            scores.fp += len(p_l) - tp
-            scores.fn += len(g_l) - tp
+        for e in pred_set | gold_set:
+            if e.label is None:
+                continue
+            scores = report.per_label.setdefault(e.label, LabelScores())
+            if e not in gold_set:
+                scores.fp += 1
+            elif e in pred_set:
+                scores.tp += 1
+            else:
+                scores.fn += 1
     for scores in report.per_label.values():
         report.total.tp += scores.tp
         report.total.fp += scores.fp

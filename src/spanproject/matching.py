@@ -13,9 +13,10 @@ and (b) each source entity used at most once (AT_MOST_ONE) or exactly once
   tracks the set of sources used.
 
 A pair with zero cost (no alignment evidence) is never assigned, by any
-solver. All arithmetic is exact: costs are ``fractions.Fraction``, and greedy
-and the DP compare them as integers scaled by a common multiple; nothing here
-ever rounds, so identical inputs give identical solutions on any platform.
+solver. All arithmetic is exact: costs are ``fractions.Fraction``, and every
+solver works on them as integers scaled by the lcm of their denominators;
+nothing here ever rounds, so identical inputs give identical solutions on any
+platform.
 
 ``build_problem`` is the cost kernel. A cell is the number of alignment
 pairs inside source x candidate, over the two spans' summed lengths. It
@@ -284,37 +285,40 @@ def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
     return tuple(s for s in range(len(p.sources)) if s not in covered)
 
 
-def _hungarian_min(cost: list[list[Fraction]]) -> list[int]:
-    """Minimum-cost perfect matching on a square matrix; returns column of each row.
+def _hungarian_min(cost: list[list[int]]) -> list[int]:
+    """Minimum-cost perfect matching on a square integer matrix; returns column of each row.
 
-    Potential-based shortest-augmenting-path method, cubic time. Exact
-    because all arithmetic stays in Fraction.
+    Potential-based shortest-augmenting-path method, cubic time, in exact
+    integer arithmetic. None marks a column with no path yet: an infinite
+    float there would mix floats into the sums, and a float minus an integer
+    past about 1e308 overflows.
     """
     k = len(cost)
-    inf = float("inf")
-    u = [Fraction(0)] * (k + 1)
-    v = [Fraction(0)] * (k + 1)
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
     match = [0] * (k + 1)  # 1-based: column j is matched to row match[j]
     way = [0] * (k + 1)
     for i in range(1, k + 1):
         match[0] = i
         j0 = 0
-        minv: list = [inf] * (k + 1)
+        minv: list[int | None] = [None] * (k + 1)
         used = [False] * (k + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = inf
+            row, u0 = cost[i0 - 1], u[i0]
+            delta = None
             j1 = 0
             for j in range(1, k + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                cur = row[j - 1] - u0 - v[j]
+                least = minv[j]
+                if least is None or cur < least:
+                    minv[j] = least = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if delta is None or least < delta:
+                    delta = least
                     j1 = j
             for j in range(k + 1):
                 if used[j]:
@@ -344,7 +348,8 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     "unassigned"; forbidden pairs (zero cost, or source-to-dummy under
     REQUIRE_ALL) get a cost large enough that the optimum avoids them
     whenever avoiding them is feasible. The matrix is filled from the
-    positive cells; every other source-candidate cell is forbidden.
+    positive cells; every other source-candidate cell is forbidden. Costs
+    are integers under greedy's lcm scale, so the solver never rounds.
     """
     if not p.candidates.is_disjoint():
         raise DataError(
@@ -362,28 +367,29 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
             )
         return MatchingSolution((), Fraction(0))
 
-    costs = {(s, t): Fraction(num, den) for num, den, s, t in p.positive}
-    big = n_src * max(costs.values(), default=_ZERO) + 1
-    unassigned = big if require_all else _ZERO
+    scale = lcm(*{den for _, den, _, _ in p.positive})
+    gains = {(s, t): num * (scale // den) for num, den, s, t in p.positive}
+    big = n_src * max(gains.values(), default=0) + scale
+    unassigned = big if require_all else 0
     matrix = [[big] * n_cand + [unassigned] * n_src for _ in range(n_src)]
-    matrix += [[_ZERO] * (n_src + n_cand) for _ in range(n_cand)]
-    for (s, t), c in costs.items():
-        matrix[s][t] = -c
+    matrix += [[0] * (n_src + n_cand) for _ in range(n_cand)]
+    for (s, t), gain in gains.items():
+        matrix[s][t] = -gain
 
     cols = _hungarian_min(matrix)
     assignments = []
-    objective = Fraction(0)
+    total = 0
     for s in range(n_src):
         t = cols[s]
-        if (s, t) in costs:
+        if (s, t) in gains:
             assignments.append((s, t))
-            objective += costs[s, t]
+            total += gains[s, t]
         elif require_all:
             raise InfeasibleError(
                 "no full positive-cost assignment exists",
                 uncoverable=_statically_uncoverable(p),
             )
-    return MatchingSolution(tuple(assignments), objective)
+    return MatchingSolution(tuple(assignments), Fraction(total, scale))
 
 
 def solve_exact(p: MatchingProblem) -> MatchingSolution:

@@ -68,30 +68,26 @@ def parse_marked_sentence(
     open_start = -1
 
     for raw_token in raw.split():
-        core_before = 0  # non-bracket chars seen so far in this raw token
-        core_after = sum(1 for ch in raw_token if ch not in "[]")
+        word = raw_token.replace("[", "").replace("]", "")
+        index = len(tokens)  # this token's word index, if it has a word
+        seen = 0  # word characters of this token before the current one
         for ch in raw_token:
             if ch == "[":
                 if depth:
                     raise FormatError(f"nested '[' in {raw!r}")
                 depth = 1
-                # span starts at this token if it still has word chars, else at the next
-                if core_after > 0:
-                    open_start = len(tokens)
-                else:
-                    open_start = len(tokens) + (1 if core_before else 0)
+                # a '[' after the whole word opens at the next token
+                open_start = index + (0 < seen == len(word))
             elif ch == "]":
                 if not depth:
                     raise FormatError(f"unbalanced ']' in {raw!r}")
                 depth = 0
-                end = len(tokens) + (1 if core_before else 0)
+                end = index + (seen > 0)
                 if end <= open_start:
                     raise FormatError(f"marker pair encloses no words in {raw!r}")
                 spans.append((open_start, end))
             else:
-                core_before += 1
-                core_after -= 1
-        word = raw_token.replace("[", "").replace("]", "")
+                seen += 1
         if word:
             tokens.append(word)
     if depth:

@@ -357,6 +357,79 @@ def matching_oracle(
     return recurse(0, ())
 
 
+def hungarian_min_fraction(cost: list[list[Fraction]]) -> list[int]:
+    """Minimum-cost perfect matching on a square matrix, all in Fraction.
+
+    The assignment solver's Hungarian method as it ran before it moved to
+    integers: ``float("inf")`` marks a column with no path yet. The
+    reference for ``matching._hungarian_min``.
+    """
+    k = len(cost)
+    inf = float("inf")
+    u = [Fraction(0)] * (k + 1)
+    v = [Fraction(0)] * (k + 1)
+    match = [0] * (k + 1)
+    way = [0] * (k + 1)
+    for i in range(1, k + 1):
+        match[0] = i
+        j0 = 0
+        minv: list = [inf] * (k + 1)
+        used = [False] * (k + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = inf
+            j1 = 0
+            for j in range(1, k + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(k + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    result = [0] * k
+    for j in range(1, k + 1):
+        result[match[j] - 1] = j - 1
+    return result
+
+
+def assignment_oracle(p: MatchingProblem) -> MatchingSolution | None:
+    """The assignment reduction on the Fraction matrix, solved by hungarian_min_fraction.
+
+    None when REQUIRE_ALL leaves a source unassigned.
+    """
+    n_src, n_cand = p.shape
+    require_all = p.mode is MatchMode.REQUIRE_ALL
+    costs = {(s, t): p.costs[s][t] for s in range(n_src) for t in range(n_cand) if p.costs[s][t]}
+    big = n_src * max(costs.values(), default=Fraction(0)) + 1
+    unassigned = big if require_all else Fraction(0)
+    matrix = [[big] * n_cand + [unassigned] * n_src for _ in range(n_src)]
+    matrix += [[Fraction(0)] * (n_src + n_cand) for _ in range(n_cand)]
+    for (s, t), c in costs.items():
+        matrix[s][t] = -c
+    cols = hungarian_min_fraction(matrix)
+    chosen = [(s, cols[s]) for s in range(n_src) if (s, cols[s]) in costs]
+    if require_all and len(chosen) < n_src:
+        return None
+    return MatchingSolution(tuple(chosen), sum((costs[c] for c in chosen), Fraction(0)))
+
+
 def greedy_oracle(p: MatchingProblem) -> MatchingSolution:
     """The Fraction-keyed greedy solver, kept as written before the integer key.
 

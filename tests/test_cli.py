@@ -491,6 +491,42 @@ def test_candidates_subcommand_rejects_external_source(tmp_path, capsys):
     assert "n-gram" in err
 
 
+@pytest.mark.parametrize(
+    "line", ["mode = all", "solver = assignment", "method = heuristic"],
+    ids=["mode", "solver", "method"],
+)
+def test_candidates_config_ignores_the_knobs_it_does_not_read(tmp_path, capsys, line):
+    """Mode, solver and method only combine with each other in project and solve."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
+    target = ("--target", fixture("clean_target.conll"))
+    assert run(capsys, "candidates", *target, "--out", str(plain)) == (0, "", "")
+    assert run(
+        capsys, "candidates", *target, "--config", str(cfg), "--out", str(configured)
+    ) == (0, "", "")
+    assert configured.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("mode = nope", "invalid value 'nope' for --mode; expected one of: atmost, all"),
+        ("threshold = 2", "ratio threshold must be in (0, 1], got 2"),
+    ],
+    ids=["mode", "threshold"],
+)
+def test_candidates_config_still_checks_every_value(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert run(
+        capsys, "candidates", "--target", fixture("clean_target.conll"),
+        "--config", str(cfg), "--out", str(out),
+    ) == (1, "", f"usage error: {message}\n")
+    assert not out.exists()
+
+
 def test_candidates_rejects_nonpositive_max_ngram(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -587,6 +623,20 @@ def test_config_file_value_acts_like_its_flag(tmp_path, capsys, key, flag, value
     code, _, err = project_noisy(capsys, tmp_path / "p.conll", *extra, "--config", str(cfg))
     assert code == 1
     assert err.startswith("usage error: ") and flag in err
+
+
+@pytest.mark.parametrize("command", ["project", "candidates"])
+def test_config_file_non_integer_max_ngram(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_ngram = abc\n", encoding="utf-8")
+    out = tmp_path / "p.conll"
+    if command == "project":
+        result = project_noisy(capsys, out, "--config", str(cfg))
+    else:
+        result = run(capsys, "candidates", "--target", fixture("clean_target.conll"),
+                     "--config", str(cfg), "--out", str(out))
+    assert result == (1, "", "usage error: invalid integer 'abc' for --max-ngram\n")
+    assert not out.exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -729,13 +779,6 @@ def test_jobs_output_matches_serial(tmp_path, capsys):
 def assert_no_children() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def eight_cpus(monkeypatch):
-    """Let --jobs fork up to eight workers, whatever this machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
 def eight_sentences(tmp_path, bad: int | None = None) -> tuple[str, ...]:
@@ -895,6 +938,62 @@ def _run_in(root, argv, contents: dict[str, bytes]) -> tuple[int, str, str]:
     ):
         code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ("project", "--direction", "tgt2tgt", "--marked", "backtrans.marked",
+             "--target", "backtrans_target.conll", "--align", "backtrans.align"),
+            "--marked and --translations are required for --direction tgt2tgt",
+        ),
+        (
+            ("project", *_ROUND_TRIP, "--labeled", "clean_source.conll"),
+            "--labeled does not apply to --direction tgt2tgt",
+        ),
+    ],
+    ids=["translations-missing", "labeled-given"],
+)
+def test_round_trip_flag_combinations_are_usage_errors(tmp_path, argv, message):
+    assert _run_in(tmp_path, argv, _input_files(argv)) == (1, "", f"usage error: {message}\n")
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize(
+    ("bad", "what"),
+    [("backtrans.marked", "marked file"), ("backtrans.trans", "translations file")],
+    ids=["marked", "translations"],
+)
+def test_round_trip_line_counts_are_checked(tmp_path, bad, what):
+    contents = _input_files(("project", *_ROUND_TRIP))
+    contents[bad] *= 2  # two lines for the one target sentence
+    assert _run_in(tmp_path, ("project", *_ROUND_TRIP), contents) == (
+        2, "", f"data error: {what} has 2 lines for 1 target sentences\n"
+    )
+    assert not (tmp_path / "out.conll").exists()
+
+
+def test_round_trip_line_files_are_read_before_their_counts_are_checked(tmp_path):
+    """A marked file of the wrong length and a missing translations file: the read fails."""
+    contents = _input_files(("project", *_ROUND_TRIP))
+    contents["backtrans.marked"] *= 2
+    del contents["backtrans.trans"]
+    missing = tmp_path / "missing.trans"
+    argv = [str(missing) if arg == "backtrans.trans" else arg for arg in ("project", *_ROUND_TRIP)]
+    assert _run_in(tmp_path, argv, contents) == (
+        2, "", f"io error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+def test_span_record_past_the_corpus_is_a_data_error(tmp_path):
+    argv = ("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl")
+    contents = _input_files(argv)
+    contents["spans.jsonl"] = b'{"sentence_id": 5, "spans": [{"start": 0, "end": 1}]}\n'
+    assert _run_in(tmp_path, argv, contents) == (
+        2, "", "data error: span record for sentence 5 but corpus has 4 sentences\n"
+    )
+    assert not (tmp_path / "out.conll").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import product
 from random import Random
 
 import pytest
@@ -241,6 +243,22 @@ def test_parse_marked_sentence_rejects_damage():
         parse_marked_sentence("a [b c")  # never closed
     with pytest.raises(FormatError):
         parse_marked_sentence("a [] b")  # encloses nothing
+
+
+def test_parse_marked_sentence_outcomes_are_pinned():
+    """Tokens, spans or error of every string of up to 6 characters over 'ab[] '."""
+    digest = hashlib.sha256()
+    for length in range(7):
+        for chars in product("ab[] ", repeat=length):
+            try:
+                marked = parse_marked_sentence("".join(chars))
+                outcome = (marked.tokens, tuple((s.start, s.end) for s in marked.bracket_spans))
+            except (FormatError, DataError) as exc:
+                outcome = (type(exc).__name__, str(exc))
+            digest.update(repr(outcome).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "72ca0f299d8df9dcbe6c1ce958733978582038bfcec408ff18e4550c09d4422b"
+    )
 
 
 def test_parse_translations_line():

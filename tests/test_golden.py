@@ -145,13 +145,21 @@ def round_trip_project(paths, spans, *extra: str) -> int:
     ])
 
 
+ROUND_TRIP_DIGEST = "fcf6a74fdb85a1eb808acfa74908ccf85f6fb50b0abf823f87ca6e5a33bff087"
+
+
 def test_round_trip_output_bytes_are_pinned(round_trip, tmp_path, capsys):
     out = tmp_path / "pred.conll"
     code = round_trip_project(round_trip, round_trip["spans"], "--out", str(out))
     assert (code, capsys.readouterr().err) == (0, "")
-    assert sha256(out.read_bytes()) == (
-        "fcf6a74fdb85a1eb808acfa74908ccf85f6fb50b0abf823f87ca6e5a33bff087"
-    )
+    assert sha256(out.read_bytes()) == ROUND_TRIP_DIGEST
+
+
+def test_round_trip_output_bytes_hold_in_forked_workers(round_trip, tmp_path, capsys, eight_cpus):
+    out = tmp_path / "pred.conll"
+    code = round_trip_project(round_trip, round_trip["spans"], "--out", str(out), "--jobs", "3")
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert sha256(out.read_bytes()) == ROUND_TRIP_DIGEST
 
 
 def test_round_trip_overlapping_span_record_is_skipped_with_its_sentence(

@@ -1,6 +1,8 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from random import Random
 
 import pytest
@@ -26,9 +28,12 @@ from spanproject import (
     solve_greedy,
     validate_solution,
 )
+from spanproject.matching import _hungarian_min
 import helpers
 from helpers import (
+    assignment_oracle,
     greedy_oracle,
+    hungarian_min_fraction,
     matching_cost,
     matching_oracle,
     mwis_oracle,
@@ -506,6 +511,80 @@ def test_assignment_matches_bruteforce_randomized():
     for _ in range(200):
         p = random_problem(rng, max_sources=4, max_candidates=8, disjoint=True)
         assert solve_assignment_exact(p).objective == solve_bruteforce(p).objective
+
+
+def scaled(matrix: list[list[Fraction]]) -> list[list[int]]:
+    """The matrix times the lcm of its denominators, as integers."""
+    scale = lcm(*(cell.denominator for row in matrix for cell in row))
+    return [[int(cell * scale) for cell in row] for row in matrix]
+
+
+def test_integer_hungarian_matches_the_fraction_reference():
+    rng = Random(53)
+    values = [Fraction(n, d) for d in range(1, 7) for n in range(-2 * d, 2 * d + 1)]
+    for _ in range(1000):
+        k = rng.randint(1, 8)
+        pool = rng.sample(values, rng.randint(1, 6))  # few distinct values: many ties
+        matrix = [[rng.choice(pool) for _ in range(k)] for _ in range(k)]
+        assert _hungarian_min(scaled(matrix)) == hungarian_min_fraction(matrix)
+
+
+# Primes of five digits: a product of 100 of them has over 400 digits.
+PRIMES = [n for n in range(10_000, 20_000) if all(n % d for d in range(2, 142))]
+
+
+def prime_fractions(rng: Random, rows: int, cols: int, low: int) -> list[list[Fraction]]:
+    """Fractions between low and 1, each over its own prime denominator."""
+    denominators = iter(rng.sample(PRIMES, rows * cols))
+    return [
+        [Fraction(rng.randint(low * d, d), d) for d in islice(denominators, cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_integer_hungarian_past_the_float_range():
+    rng = Random(59)
+    for _ in range(3):
+        matrix = prime_fractions(rng, 12, 12, low=-1)
+        integers = scaled(matrix)
+        assert max(abs(cell) for row in integers for cell in row) > 10**308
+        assert _hungarian_min(integers) == hungarian_min_fraction(matrix)
+
+
+def disjoint_problem(rng: Random, n_src: int, n_cand: int, mode: MatchMode) -> MatchingProblem:
+    """Arbitrary rational costs, most of them zero, over disjoint one-word candidates."""
+    values = [Fraction(0)] * 4 + [Fraction(n, d) for d in (1, 2, 3, 4) for n in range(1, d + 1)]
+    sources = tuple(EntitySpan(2 * s, 2 * s + 1, "A") for s in range(n_src))
+    cands = CandidateSet(tuple(EntitySpan(t, t + 1) for t in range(n_cand)))
+    costs = [[rng.choice(values) for _ in range(n_cand)] for _ in range(n_src)]
+    return MatchingProblem(sources, cands, costs, mode)
+
+
+def test_assignment_solver_matches_the_fraction_reference():
+    rng = Random(61)
+    for k in range(1200):
+        mode = (MatchMode.AT_MOST_ONE, MatchMode.REQUIRE_ALL)[k % 2]
+        if k < 600:
+            p = random_problem(rng, max_sources=5, max_candidates=8, disjoint=True, mode=mode)
+        else:
+            p = disjoint_problem(rng, rng.randint(0, 6), rng.randint(0, 8), mode)
+        expected = assignment_oracle(p)
+        if expected is None:
+            with pytest.raises(InfeasibleError):
+                solve_assignment_exact(p)
+        else:
+            assert solve_assignment_exact(p) == expected
+
+
+def test_assignment_solver_past_the_float_range():
+    """A hundred distinct prime denominators: the lcm scale has over 400 digits."""
+    rng = Random(67)
+    sources = tuple(EntitySpan(2 * s, 2 * s + 1, "A") for s in range(10))
+    cands = CandidateSet(tuple(EntitySpan(t, t + 1) for t in range(10)))
+    for mode in MatchMode:
+        p = MatchingProblem(sources, cands, prime_fractions(rng, 10, 10, low=0), mode)
+        assert lcm(*(den for _, den, _, _ in p.positive)) > 10**400
+        assert solve_assignment_exact(p) == assignment_oracle(p)
 
 
 def test_mwis_interval_chain():
