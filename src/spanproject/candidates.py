@@ -38,16 +38,16 @@ class CandidateSet(_Value, derived=("ends", "runs")):
     runs: tuple[tuple[int, int, int], ...]
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
+        set_spans, set_ends, set_runs = self._setters
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
-        object.__setattr__(self, "spans", spans)
+        set_spans(self, spans)
         for span in spans:
             if span.label is not None:
                 raise DataError(f"candidate {span} must not carry a label")
         starts = [span.start for span in spans]
-        object.__setattr__(self, "ends", tuple(span.end for span in spans))
-        object.__setattr__(
+        set_ends(self, tuple(span.end for span in spans))
+        set_runs(
             self,
-            "runs",
             tuple(
                 (start, bisect_left(starts, start), bisect_right(starts, start))
                 for start in dict.fromkeys(starts)

@@ -9,7 +9,9 @@ contract, kept by the private base class ``_Value``:
 
 * **Fields** are the class's ``__slots__``, in order, less any it names as
   derived. ``__init__`` takes them by position or by name, runs the class's
-  checks and sets each one through ``object.__setattr__``.
+  checks on its arguments and stores each slot through the class's
+  ``_setters``: the slots' own ``__set__``, one per ``__slots__`` name in
+  order, which skip the ``__setattr__`` that refuses every assignment.
 * **repr** is ``Name(field=value, ...)`` over the fields, e.g.
   ``EntitySpan(start=0, end=2, label='PER')``.
 * **== and hash**: two values are equal only when they are of the same class
@@ -51,6 +53,9 @@ class _Value:
 
     def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
+        # getattr, not cls.__dict__: a subclass without __slots__ of its own
+        # inherits its parent's slots, whose descriptors live on the parent
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         fields = tuple(name for name in cls.__slots__ if name not in derived)
         get = attrgetter(*fields)  # for a single name it returns the bare value, not a 1-tuple
         cls._fields = fields
@@ -86,19 +91,21 @@ class Sentence(_Value):
     id: int
 
     def __init__(self, tokens: tuple[str, ...], id: int = 0):
-        object.__setattr__(self, "tokens", tuple(tokens))
-        object.__setattr__(self, "id", id)
-        if not self.tokens:
+        set_tokens, set_id = self._setters
+        tokens = tuple(tokens)
+        set_tokens(self, tokens)
+        set_id(self, id)
+        if not tokens:
             raise DataError("sentence must contain at least one token")
         # splitting the space-joined tokens gives them back exactly when none
         # is empty or holds a character for which str.isspace() holds; only
         # then is each token split on its own, to name the first bad one
-        if " ".join(self.tokens).split() != list(self.tokens):
-            for tok in self.tokens:
+        if " ".join(tokens).split() != list(tokens):
+            for tok in tokens:
                 if tok.split() != [tok]:
                     raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
-        if self.id < 0:
-            raise DataError(f"sentence id must be non-negative, got {self.id}")
+        if id < 0:
+            raise DataError(f"sentence id must be non-negative, got {id}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -113,11 +120,12 @@ class EntitySpan(_Value):
     label: str | None
 
     def __init__(self, start: int, end: int, label: str | None = None):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "label", label)
-        if not 0 <= self.start < self.end:
-            raise DataError(f"invalid span ({self.start}, {self.end}): need 0 <= start < end")
+        set_start, set_end, set_label = self._setters
+        set_start(self, start)
+        set_end(self, end)
+        set_label(self, label)
+        if not 0 <= start < end:
+            raise DataError(f"invalid span ({start}, {end}): need 0 <= start < end")
 
     # Candidate sets, span records and evaluation hash spans in bulk, so ==
     # and hash spell out the field tuple: a slot read is cheaper than attrgetter.
@@ -151,8 +159,10 @@ class AlignmentSet(_Value):
     pairs: frozenset[tuple[int, int]]
 
     def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()):
-        object.__setattr__(self, "pairs", frozenset(pairs))
-        for i, j in self.pairs:
+        (set_pairs,) = self._setters
+        pairs = frozenset(pairs)
+        set_pairs(self, pairs)
+        for i, j in pairs:
             if i < 0 or j < 0:
                 raise DataError(f"alignment pair ({i}, {j}) has a negative index")
 
@@ -180,25 +190,33 @@ class LabeledSentence(_Value):
     entities: tuple[EntitySpan, ...]
 
     def __init__(self, sentence: Sentence, entities: tuple[EntitySpan, ...] = ()):
-        object.__setattr__(self, "sentence", sentence)
-        ents = tuple(sorted(entities, key=EntitySpan.sort_key))
-        object.__setattr__(self, "entities", ents)
+        set_sentence, set_entities = self._setters
+        set_sentence(self, sentence)
+        ents = tuple(entities)
+        # entities that each end at or before the next one's start are in
+        # sorted order already and cannot overlap, so they skip the sort and
+        # the overlap scan; the parsers yield entities this way
+        disjoint_in_order = all(a.end <= b.start for a, b in zip(ents, ents[1:]))
+        if not disjoint_in_order:
+            ents = tuple(sorted(ents, key=EntitySpan.sort_key))
+        set_entities(self, ents)
+        length = len(sentence) if ents else 0
         for ent in ents:
             if ent.label is None:
                 raise DataError(f"entity {ent} in a labeled sentence must carry a label")
-            if ent.end > len(self.sentence):
+            if ent.end > length:
                 raise DataError(
                     f"entity ({ent.start}, {ent.end}) exceeds sentence length "
-                    f"{len(self.sentence)} (sentence id {self.sentence.id})"
+                    f"{length} (sentence id {sentence.id})"
                 )
-        for prev, cur in zip(ents, ents[1:]):
-            if spans_overlap(prev, cur):
-                raise DataError(f"entities {prev} and {cur} overlap")
+        if not disjoint_in_order:
+            for prev, cur in zip(ents, ents[1:]):
+                if spans_overlap(prev, cur):
+                    raise DataError(f"entities {prev} and {cur} overlap")
 
 
 def bio_encode(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int) -> list[str]:
     """Render non-overlapping entities as a BIO tag list of exactly `length` tags."""
-    tags = ["O"] * length
     seen = sorted(entities, key=EntitySpan.sort_key)
     for prev, cur in zip(seen, seen[1:]):
         if spans_overlap(prev, cur):
@@ -208,9 +226,20 @@ def bio_encode(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int)
             raise DataError(f"cannot BIO-encode unlabeled span {ent}")
         if ent.end > length:
             raise DataError(f"entity ({ent.start}, {ent.end}) exceeds tag length {length}")
-        tags[ent.start] = f"B-{ent.label}"
-        for i in range(ent.start + 1, ent.end):
-            tags[i] = f"I-{ent.label}"
+    return _bio_tags(seen, length)
+
+
+def _bio_tags(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int) -> list[str]:
+    """BIO tags of labeled, disjoint, in-range entities; nothing is checked here.
+
+    ``bio_encode`` checks its arguments first; a ``LabeledSentence``'s
+    entities already passed the same checks in its constructor.
+    """
+    tags = ["O"] * length
+    for ent in entities:
+        start, end, label = ent.start, ent.end, ent.label
+        tags[start] = f"B-{label}"
+        tags[start + 1 : end] = [f"I-{label}"] * (end - start - 1)
     return tags
 
 

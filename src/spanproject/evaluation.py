@@ -39,7 +39,10 @@ class LabelScores:
 
 
 class EvalReport:
-    """Micro-total and per-label counts, accumulated by ``evaluate``."""
+    """Micro-total and per-label counts, accumulated by ``evaluate``.
+
+    ``evaluate`` inserts ``per_label`` in sorted label order.
+    """
 
     __slots__ = ("total", "per_label")
 
@@ -57,7 +60,7 @@ def evaluate(pred: CorpusDocument, gold: CorpusDocument) -> EvalReport:
             f"corpus size mismatch: {len(pred)} predicted vs {len(gold)} gold sentences "
             f"(first divergence at sentence {min(len(pred), len(gold))})"
         )
-    report = EvalReport()
+    per_label: dict[str, LabelScores] = {}
     for pred_sent, gold_sent in zip(pred, gold):
         if pred_sent.sentence.tokens != gold_sent.sentence.tokens:
             raise DataError(
@@ -69,13 +72,15 @@ def evaluate(pred: CorpusDocument, gold: CorpusDocument) -> EvalReport:
         for e in pred_set | gold_set:
             if e.label is None:
                 continue
-            scores = report.per_label.setdefault(e.label, LabelScores())
+            scores = per_label.setdefault(e.label, LabelScores())
             if e not in gold_set:
                 scores.fp += 1
             elif e in pred_set:
                 scores.tp += 1
             else:
                 scores.fn += 1
+    # labels in sorted order: set iteration order would follow the hash seed
+    report = EvalReport(per_label=dict(sorted(per_label.items())))
     for scores in report.per_label.values():
         report.total.tp += scores.tp
         report.total.fp += scores.fp

@@ -17,15 +17,16 @@ round trip are parsed in ``roundtrip``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .core import (
     AlignmentSet,
     EntitySpan,
     LabeledSentence,
     Sentence,
+    _bio_tags,
     _Value,
     bio_decode_parsed,
-    bio_encode,
     parse_bio_tag,
 )
 from .errors import DataError, FormatError
@@ -38,8 +39,10 @@ class CorpusDocument(_Value):
     sentences: tuple[LabeledSentence, ...]
 
     def __init__(self, sentences: tuple[LabeledSentence, ...] = ()):
-        object.__setattr__(self, "sentences", tuple(sentences))
-        for pos, labeled in enumerate(self.sentences):
+        (set_sentences,) = self._setters
+        sentences = tuple(sentences)
+        set_sentences(self, sentences)
+        for pos, labeled in enumerate(sentences):
             if labeled.sentence.id != pos:
                 raise DataError(
                     f"sentence at position {pos} carries id {labeled.sentence.id}; "
@@ -98,8 +101,12 @@ def parse_conll(text: str) -> CorpusDocument:
 
 
 def conll_block(labeled: LabeledSentence) -> str:
-    """One sentence's CoNLL block: a ``token tag`` line per token."""
-    tags = bio_encode(labeled.entities, len(labeled.sentence))
+    """One sentence's CoNLL block: a ``token tag`` line per token.
+
+    The entities were sorted and checked when ``labeled`` was built, so they
+    go straight to the tag writer that ``bio_encode`` uses after its checks.
+    """
+    tags = _bio_tags(labeled.entities, len(labeled.sentence))
     return "\n".join(map(" ".join, zip(labeled.sentence.tokens, tags))) + "\n"
 
 
@@ -113,15 +120,26 @@ def serialize_conll(doc: CorpusDocument) -> str:
 
 
 def parse_pharaoh(line: str) -> AlignmentSet:
-    """Parse one Pharaoh alignment line of whitespace-separated ``i-j`` pairs."""
-    pairs: set[tuple[int, int]] = set()
-    for token in line.split():
-        left, sep, right = token.partition("-")
-        # isascii: str.isdigit alone accepts '²' (int() rejects it) and '１' (read as 1)
-        if not sep or not token.isascii() or not left.isdigit() or not right.isdigit():
-            raise FormatError(f"alignment token {token!r} is not of the form <digits>-<digits>")
-        pairs.add((int(left), int(right)))
-    return AlignmentSet(frozenset(pairs))
+    """Parse one Pharaoh alignment line of whitespace-separated ``i-j`` pairs.
+
+    Tokens are parsed in line order, so the first bad one raises.
+    """
+    return AlignmentSet(frozenset(map(_pharaoh_pair, line.split())))
+
+
+@lru_cache(maxsize=4096)  # about 0.8 MB when full of short tokens
+def _pharaoh_pair(token: str) -> tuple[int, int]:
+    """One ``i-j`` token as an ``(i, j)`` pair.
+
+    A corpus repeats few distinct tokens, so the 4,096 most recent stay
+    cached. A raised FormatError is never cached: a bad token raises on
+    every call.
+    """
+    left, sep, right = token.partition("-")
+    # isascii: str.isdigit alone accepts '²' (int() rejects it) and '１' (read as 1)
+    if not sep or not token.isascii() or not left.isdigit() or not right.isdigit():
+        raise FormatError(f"alignment token {token!r} is not of the form <digits>-<digits>")
+    return int(left), int(right)
 
 
 def serialize_pharaoh(align: AlignmentSet) -> str:

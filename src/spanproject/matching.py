@@ -78,20 +78,20 @@ class MatchingProblem(_Value, derived=("positive",)):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        object.__setattr__(self, "sources", tuple(sources))
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "costs", tuple(tuple(row) for row in costs))
-        object.__setattr__(self, "mode", mode)
-        if len(self.costs) != len(self.sources):
-            raise DataError(
-                f"cost matrix has {len(self.costs)} rows for {len(self.sources)} sources"
-            )
+        set_sources, set_candidates, set_costs, set_mode, set_positive = self._setters
+        sources = tuple(sources)
+        costs = tuple(tuple(row) for row in costs)
+        set_sources(self, sources)
+        set_candidates(self, candidates)
+        set_costs(self, costs)
+        set_mode(self, mode)
+        if len(costs) != len(sources):
+            raise DataError(f"cost matrix has {len(costs)} rows for {len(sources)} sources")
         positive = []
-        for s, row in enumerate(self.costs):
-            if len(row) != len(self.candidates.spans):
+        for s, row in enumerate(costs):
+            if len(row) != len(candidates.spans):
                 raise DataError(
-                    f"cost row has {len(row)} entries for "
-                    f"{len(self.candidates.spans)} candidates"
+                    f"cost row has {len(row)} entries for {len(candidates.spans)} candidates"
                 )
             for t, cell in enumerate(row):
                 if not isinstance(cell, Rational):
@@ -105,7 +105,7 @@ class MatchingProblem(_Value, derived=("positive",)):
                     raise DataError(f"negative matching cost {cell}")
                 if num:
                     positive.append((num, cell.denominator, s, t))
-        object.__setattr__(self, "positive", tuple(positive))
+        set_positive(self, tuple(positive))
 
     @classmethod
     def _sparse(
@@ -120,19 +120,21 @@ class MatchingProblem(_Value, derived=("positive",)):
         Skips ``__init__``, which needs the dense matrix; only
         ``build_problem`` uses it.
         """
+        set_sources, set_candidates, _, set_mode, set_positive = cls._setters
         self = object.__new__(cls)
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "positive", positive)
+        set_sources(self, sources)
+        set_candidates(self, candidates)
+        set_mode(self, mode)
+        set_positive(self, positive)
         return self
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: ``costs`` of a sparse problem
         if name != "costs":
             raise AttributeError(name)
+        _, _, set_costs, _, _ = self._setters
         costs = _dense_costs(self)
-        object.__setattr__(self, "costs", costs)
+        set_costs(self, costs)
         return costs
 
     @property
@@ -152,8 +154,9 @@ class MatchingSolution(_Value):
     objective: Fraction
 
     def __init__(self, assignments: tuple[tuple[int, int], ...], objective: Fraction):
-        object.__setattr__(self, "assignments", tuple(sorted(assignments)))
-        object.__setattr__(self, "objective", objective)
+        set_assignments, set_objective = self._setters
+        set_assignments(self, tuple(sorted(assignments)))
+        set_objective(self, objective)
 
 
 def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:

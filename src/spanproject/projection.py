@@ -100,28 +100,29 @@ class ProjectionConfig(_Value):
         max_ngram_len: int | None = DEFAULT_MAX_NGRAM,
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "candidate_source", candidate_source)
-        object.__setattr__(self, "solver", solver)
-        object.__setattr__(self, "ratio_threshold", ratio_threshold)
-        object.__setattr__(self, "max_ngram_len", max_ngram_len)
-        object.__setattr__(self, "mode", mode)
-        if not 0 < self.ratio_threshold <= 1:
-            raise DataError(
-                f"ratio threshold must be in (0, 1], got {self.ratio_threshold}"
-            )
-        if self.max_ngram_len is not None and self.max_ngram_len < 1:
-            raise DataError(f"max n-gram length must be >= 1, got {self.max_ngram_len}")
+        set_method, set_candidate_source, set_solver, set_ratio, set_max_ngram, set_mode = (
+            self._setters
+        )
+        set_method(self, method)
+        set_candidate_source(self, candidate_source)
+        set_solver(self, solver)
+        set_ratio(self, ratio_threshold)
+        set_max_ngram(self, max_ngram_len)
+        set_mode(self, mode)
+        if not 0 < ratio_threshold <= 1:
+            raise DataError(f"ratio threshold must be in (0, 1], got {ratio_threshold}")
+        if max_ngram_len is not None and max_ngram_len < 1:
+            raise DataError(f"max n-gram length must be >= 1, got {max_ngram_len}")
         if (
-            self.method is Method.CANDIDATE_MATCHING
-            and self.solver is Solver.ASSIGNMENT
-            and self.candidate_source is not SourceKind.EXTERNAL_NER
+            method is Method.CANDIDATE_MATCHING
+            and solver is Solver.ASSIGNMENT
+            and candidate_source is not SourceKind.EXTERNAL_NER
         ):
             raise DataError("the assignment solver requires external (disjoint) candidates")
         if (
-            self.method is Method.CANDIDATE_MATCHING
-            and self.solver is Solver.GREEDY
-            and self.mode is MatchMode.REQUIRE_ALL
+            method is Method.CANDIDATE_MATCHING
+            and solver is Solver.GREEDY
+            and mode is MatchMode.REQUIRE_ALL
         ):
             raise DataError("greedy solving cannot guarantee REQUIRE_ALL coverage")
 

@@ -38,16 +38,19 @@ class MarkedSentence(_Value):
         bracket_spans: tuple[EntitySpan, ...] = (),
         entity_translations: tuple[tuple[str, str], ...] = (),
     ):
-        object.__setattr__(self, "tokens", tuple(tokens))
-        object.__setattr__(self, "bracket_spans", tuple(bracket_spans))
-        object.__setattr__(self, "entity_translations", tuple(entity_translations))
-        ordered = sorted(self.bracket_spans, key=EntitySpan.sort_key)
+        set_tokens, set_bracket_spans, set_entity_translations = self._setters
+        tokens = tuple(tokens)
+        bracket_spans = tuple(bracket_spans)
+        set_tokens(self, tokens)
+        set_bracket_spans(self, bracket_spans)
+        set_entity_translations(self, tuple(entity_translations))
+        ordered = sorted(bracket_spans, key=EntitySpan.sort_key)
         for prev, cur in zip(ordered, ordered[1:]):
             if spans_overlap(prev, cur):
                 raise DataError(f"bracket spans {prev} and {cur} overlap")
-        for span in self.bracket_spans:
-            if span.end > len(self.tokens):
-                raise DataError(f"bracket span {span} exceeds sentence length {len(self.tokens)}")
+        for span in bracket_spans:
+            if span.end > len(tokens):
+                raise DataError(f"bracket span {span} exceeds sentence length {len(tokens)}")
 
     def bracket_text(self, span: EntitySpan) -> str:
         return " ".join(self.tokens[span.start : span.end])

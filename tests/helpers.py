@@ -623,3 +623,34 @@ def parse_conll_reference(text: str) -> CorpusDocument:
         tokens.append(token)
     flush()
     return CorpusDocument(tuple(sentences))
+
+
+def parse_pharaoh_reference(line: str) -> AlignmentSet:
+    """The token-at-a-time Pharaoh parser that ``parse_pharaoh`` must agree with."""
+    pairs: set[tuple[int, int]] = set()
+    for token in line.split():
+        left, sep, right = token.partition("-")
+        if not sep or not token.isascii() or not left.isdigit() or not right.isdigit():
+            raise FormatError(f"alignment token {token!r} is not of the form <digits>-<digits>")
+        pairs.add((int(left), int(right)))
+    return AlignmentSet(frozenset(pairs))
+
+
+def labeled_sentence_reference(
+    sentence: Sentence, entities: tuple[EntitySpan, ...]
+) -> tuple[EntitySpan, ...]:
+    """The entities ``LabeledSentence`` must store, or its DataError: sort
+    every time, then check labels and bounds entity by entity, then overlap."""
+    ents = tuple(sorted(entities, key=EntitySpan.sort_key))
+    for ent in ents:
+        if ent.label is None:
+            raise DataError(f"entity {ent} in a labeled sentence must carry a label")
+        if ent.end > len(sentence):
+            raise DataError(
+                f"entity ({ent.start}, {ent.end}) exceeds sentence length "
+                f"{len(sentence)} (sentence id {sentence.id})"
+            )
+    for prev, cur in zip(ents, ents[1:]):
+        if overlap(prev, cur):
+            raise DataError(f"entities {prev} and {cur} overlap")
+    return ents

@@ -28,7 +28,14 @@ from spanproject import (
     bio_encode,
     spans_overlap,
 )
-from helpers import count_within, random_nonoverlapping_spans, targets_of, words
+from spanproject.core import _Value
+from helpers import (
+    count_within,
+    labeled_sentence_reference,
+    random_nonoverlapping_spans,
+    targets_of,
+    words,
+)
 
 
 def test_sentence_basics():
@@ -246,6 +253,187 @@ def test_value_type_semantics(cls, fields, text, change):
             assert getattr(clone, name) == getattr(value, name), name
 
 
+def _value_subclasses(cls=_Value):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_subclasses(sub)
+
+
+def test_every_value_type_is_covered_and_its_setters_are_its_slots():
+    assert set(_value_subclasses()) == {case[0] for case in VALUE_TYPES} | {Tagged}
+    for cls, fields, _, _ in VALUE_TYPES:
+        assert len(cls._setters) == len(cls.__slots__), cls
+        for setter, name in zip(cls._setters, cls.__slots__):
+            assert setter.__self__ is cls.__dict__[name], (cls, name)
+        # construction stores every slot, derived ones too
+        value = cls(**fields)
+        for name in cls.__slots__:
+            getattr(value, name)
+
+
+def test_a_sparse_problem_stores_its_costs_on_first_read():
+    problem = MatchingProblem(
+        (EntitySpan(0, 1, "PER"),), CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2))),
+        ((Fraction(1, 2), Fraction(0)),),
+    )
+    sparse = MatchingProblem._sparse(
+        problem.sources, problem.candidates, problem.mode, problem.positive
+    )
+    with pytest.raises(AttributeError):
+        sparse.no_such_field
+    costs = sparse.costs
+    assert costs == problem.costs and sparse.costs is costs and sparse == problem
+    with pytest.raises(AttributeError):
+        sparse.costs = costs
+
+
+class Tagged(EntitySpan):
+    """A value subclass with no ``__slots__`` of its own."""
+
+
+def test_a_subclass_without_slots_of_its_own_constructs_and_stays_immutable():
+    span = Tagged(1, 3, "LOC")
+    assert Tagged._setters == EntitySpan._setters
+    assert (span.start, span.end, span.label) == (1, 3, "LOC")
+    assert repr(span) == "Tagged(start=1, end=3, label='LOC')"
+    assert span != EntitySpan(1, 3, "LOC") and span == Tagged(1, 3, "LOC")
+    for name in ("start", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(span, name, 0)
+    with pytest.raises(AttributeError):
+        del span.label
+    assert span.__dict__ == {}
+    with pytest.raises(DataError) as info:
+        Tagged(3, 1)
+    assert str(info.value) == "invalid span (3, 1): need 0 <= start < end"
+
+
+_S = Sentence(("a", "b", "c"), id=4)
+
+# (constructor call, its exact DataError message); where several checks fail
+# at once, the message names the one that runs first
+CONSTRUCTOR_ERRORS = [
+    (lambda: Sentence(()), "sentence must contain at least one token"),
+    (lambda: Sentence(("a", "")), "invalid token '': empty or contains whitespace"),
+    (lambda: Sentence(("a b", "\t")), "invalid token 'a b': empty or contains whitespace"),
+    (lambda: Sentence(("a",), id=-1), "sentence id must be non-negative, got -1"),
+    (lambda: Sentence((" ",), id=-1), "invalid token ' ': empty or contains whitespace"),
+    (lambda: EntitySpan(2, 2), "invalid span (2, 2): need 0 <= start < end"),
+    (lambda: EntitySpan(-1, 2, "PER"), "invalid span (-1, 2): need 0 <= start < end"),
+    (lambda: AlignmentSet({(0, -1)}), "alignment pair (0, -1) has a negative index"),
+    (
+        lambda: LabeledSentence(_S, (EntitySpan(0, 2),)),
+        "entity EntitySpan(start=0, end=2, label=None) in a labeled sentence must carry a label",
+    ),
+    (
+        lambda: LabeledSentence(_S, (EntitySpan(1, 5, "X"),)),
+        "entity (1, 5) exceeds sentence length 3 (sentence id 4)",
+    ),
+    (
+        lambda: LabeledSentence(_S, (EntitySpan(1, 3, "B"), EntitySpan(0, 2, "A"))),
+        "entities EntitySpan(start=0, end=2, label='A') and "
+        "EntitySpan(start=1, end=3, label='B') overlap",
+    ),
+    (
+        lambda: LabeledSentence(_S, (EntitySpan(1, 3, "B"), EntitySpan(0, 2))),
+        "entity EntitySpan(start=0, end=2, label=None) in a labeled sentence must carry a label",
+    ),
+    (
+        lambda: LabeledSentence(_S, (EntitySpan(2, 9, "B"), EntitySpan(0, 3, "A"))),
+        "entity (2, 9) exceeds sentence length 3 (sentence id 4)",
+    ),
+    (
+        lambda: CorpusDocument((LabeledSentence(Sentence(("a",), id=1)),)),
+        "sentence at position 0 carries id 1; corpus ids must be consecutive from 0",
+    ),
+    (
+        lambda: CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2, "X"))),
+        "candidate EntitySpan(start=1, end=2, label='X') must not carry a label",
+    ),
+    (
+        lambda: MatchingProblem((EntitySpan(0, 1, "A"),), CandidateSet(()), ()),
+        "cost matrix has 0 rows for 1 sources",
+    ),
+    (
+        lambda: MatchingProblem(
+            (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), ((1, 0),)
+        ),
+        "cost row has 2 entries for 1 candidates",
+    ),
+    (
+        lambda: MatchingProblem(
+            (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), ((0.5,),)
+        ),
+        "matching cost 0.5 at (0, 0) is not a rational number",
+    ),
+    (
+        lambda: MatchingProblem(
+            (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), ((Fraction(-1, 2),),)
+        ),
+        "negative matching cost -1/2",
+    ),
+    (
+        lambda: ProjectionConfig(ratio_threshold=Fraction(0), max_ngram_len=0),
+        "ratio threshold must be in (0, 1], got 0",
+    ),
+    (
+        lambda: ProjectionConfig(ratio_threshold=Fraction(3, 2)),
+        "ratio threshold must be in (0, 1], got 3/2",
+    ),
+    (lambda: ProjectionConfig(max_ngram_len=0), "max n-gram length must be >= 1, got 0"),
+    (
+        lambda: ProjectionConfig(solver=Solver.ASSIGNMENT),
+        "the assignment solver requires external (disjoint) candidates",
+    ),
+    (
+        lambda: ProjectionConfig(mode=MatchMode.REQUIRE_ALL),
+        "greedy solving cannot guarantee REQUIRE_ALL coverage",
+    ),
+    (
+        lambda: MarkedSentence(("a", "b", "c"), (EntitySpan(1, 3), EntitySpan(0, 2))),
+        "bracket spans EntitySpan(start=0, end=2, label=None) and "
+        "EntitySpan(start=1, end=3, label=None) overlap",
+    ),
+    (
+        lambda: MarkedSentence(("a", "b", "c"), (EntitySpan(2, 4),)),
+        "bracket span EntitySpan(start=2, end=4, label=None) exceeds sentence length 3",
+    ),
+]
+
+
+@pytest.mark.parametrize(("build", "message"), CONSTRUCTOR_ERRORS)
+def test_constructor_error_messages_are_pinned(build, message):
+    with pytest.raises(DataError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_labeled_sentence_equals_sort_then_check_on_random_entities():
+    rng = Random(44)
+    kinds = {"ok": 0, "must carry a label": 0, "exceeds": 0, "overlap": 0}
+    for _ in range(10_000):
+        n = rng.randint(1, 8)
+        sentence = Sentence(words(n), id=rng.randrange(3))
+        entities = []
+        for _ in range(rng.randint(0, 4)):
+            start = rng.randrange(n)
+            label = None if rng.random() < 0.03 else rng.choice(("A", "B"))
+            entities.append(EntitySpan(start, start + rng.randint(1, 3), label))
+        if rng.random() < 0.5:
+            entities.sort(key=EntitySpan.sort_key)
+        try:
+            expected = labeled_sentence_reference(sentence, tuple(entities))
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                LabeledSentence(sentence, tuple(entities))
+            assert str(info.value) == str(exc)
+            kinds[next(kind for kind in kinds if kind in str(exc))] += 1
+        else:
+            assert LabeledSentence(sentence, tuple(entities)).entities == expected
+            kinds["ok"] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
 def test_bio_encode_basic():
     tags = bio_encode([EntitySpan(1, 3, "PER"), EntitySpan(4, 5, "LOC")], 6)
     assert tags == ["O", "B-PER", "I-PER", "O", "B-LOC", "O"]
@@ -258,12 +446,24 @@ def test_bio_encode_adjacent_same_label():
 
 
 def test_bio_encode_rejects_bad_input():
-    with pytest.raises(DataError):
-        bio_encode([EntitySpan(0, 2, "A"), EntitySpan(1, 3, "B")], 5)
-    with pytest.raises(DataError):
-        bio_encode([EntitySpan(0, 2)], 5)
-    with pytest.raises(DataError):
-        bio_encode([EntitySpan(0, 9, "A")], 5)
+    cases = [
+        (
+            [EntitySpan(1, 3, "B"), EntitySpan(0, 2, "A")],
+            "cannot BIO-encode overlapping entities EntitySpan(start=0, end=2, label='A') "
+            "and EntitySpan(start=1, end=3, label='B')",
+        ),
+        ([EntitySpan(0, 2)], "cannot BIO-encode unlabeled span EntitySpan(start=0, end=2, label=None)"),
+        ([EntitySpan(0, 9, "A")], "entity (0, 9) exceeds tag length 5"),
+        # overlap is checked before labels, labels before bounds, entity by entity
+        ([EntitySpan(0, 9), EntitySpan(1, 2, "A")], "cannot BIO-encode overlapping entities "
+         "EntitySpan(start=0, end=9, label=None) and EntitySpan(start=1, end=2, label='A')"),
+        ([EntitySpan(3, 9, "A"), EntitySpan(0, 1)],
+         "cannot BIO-encode unlabeled span EntitySpan(start=0, end=1, label=None)"),
+    ]
+    for entities, message in cases:
+        with pytest.raises(DataError) as info:
+            bio_encode(entities, 5)
+        assert str(info.value) == message
 
 
 def test_bio_decode_lenient_orphan_i_opens_span():

@@ -14,6 +14,7 @@ from spanproject import (
     LabeledSentence,
     Sentence,
     SpanProjectError,
+    bio_encode,
     parse_conll,
     parse_marked_sentence,
     parse_pharaoh,
@@ -23,7 +24,14 @@ from spanproject import (
     serialize_pharaoh,
     serialize_span_records,
 )
-from helpers import FIXTURES, parse_conll_reference, random_nonoverlapping_spans, words
+from spanproject.formats import _pharaoh_pair, conll_block
+from helpers import (
+    FIXTURES,
+    parse_conll_reference,
+    parse_pharaoh_reference,
+    random_nonoverlapping_spans,
+    words,
+)
 
 
 CONLL_SAMPLE = """Mark B-PER
@@ -162,6 +170,106 @@ def test_parse_pharaoh_rejects_malformed_tokens():
     for bad in ("1:2", "a-2", "1-", "-2", "1-2-3", "1--2", "1-²", "１-２"):
         with pytest.raises(FormatError):
             parse_pharaoh(bad)
+
+
+_PHARAOH_SEPARATORS = (" ", "  ", "\t", "\x0b", "\x1c", "\xa0", "\u3000", "\u2028", " \t ")
+_BAD_PHARAOH = ("1-²", "１-2", "3-１", "-1", "1-", "--", "-", "1--2", "1-2-3", "1:2", "a-2", "1-2x")
+
+
+def _random_pharaoh_line(rng: Random) -> str:
+    """A line of mostly small (so often repeated) pairs, now and then a bad token."""
+    tokens = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.015:
+            tokens.append(rng.choice(_BAD_PHARAOH))
+        elif roll < 0.05:
+            huge = rng.randrange(10 ** rng.randint(19, 60))
+            tokens.append(f"{huge}-{rng.randrange(40)}")
+        elif roll < 0.08:
+            tokens.append(f"{rng.randrange(3):0{rng.randint(1, 4)}d}-{rng.randrange(3)}")
+        else:
+            tokens.append(f"{rng.randrange(12)}-{rng.randrange(12)}")
+    line = "".join(rng.choice(_PHARAOH_SEPARATORS) + token for token in tokens)
+    return line + rng.choice(("", " ", "\t", "\u3000"))
+
+
+def test_parse_pharaoh_equals_the_token_loop_on_random_lines():
+    rng = Random(16)
+    kinds = {"pairs": 0, "empty": 0, "error": 0}
+    for _ in range(20_000):
+        line = _random_pharaoh_line(rng)
+        got = _parse_outcome(parse_pharaoh, line)
+        assert got == _parse_outcome(parse_pharaoh_reference, line), repr(line)
+        kind = "error" if isinstance(got, tuple) else "pairs" if got.pairs else "empty"
+        kinds[kind] += 1
+    assert min(kinds.values()) > 1_000, kinds
+
+
+def test_parse_pharaoh_first_bad_token_in_line_order_raises_every_time():
+    line = "0-0 1-² 2-2 --"
+    for _ in range(3):
+        with pytest.raises(FormatError) as info:
+            parse_pharaoh(line)
+        assert str(info.value) == (
+            "alignment token '1-²' is not of the form <digits>-<digits>"
+        )
+    # the good tokens before the bad one were cached; the bad one never is
+    assert _pharaoh_pair("0-0") == (0, 0)
+    for _ in range(2):
+        with pytest.raises(FormatError):
+            _pharaoh_pair("1-²")
+
+
+def test_parse_pharaoh_with_more_distinct_tokens_than_the_cache_holds():
+    size = _pharaoh_pair.cache_info().maxsize
+    tokens = [f"{i}-{i * 7 + 3}" for i in range(size + size // 2)]
+    lines = [" ".join(tokens[k : k + 10]) for k in range(0, len(tokens), 10)]
+    lines.append("7-0 " + tokens[0] + " ８-1")
+    for _ in range(2):
+        for line in lines:
+            assert _parse_outcome(parse_pharaoh, line) == _parse_outcome(
+                parse_pharaoh_reference, line
+            ), line
+        assert _pharaoh_pair.cache_info().currsize <= size
+    assert _parse_outcome(parse_pharaoh, lines[-1]) == (
+        FormatError, "alignment token '８-1' is not of the form <digits>-<digits>", None
+    )
+
+
+def _bio_encode_block(labeled: LabeledSentence) -> str:
+    tags = bio_encode(list(labeled.entities), len(labeled.sentence))
+    return "\n".join(map(" ".join, zip(labeled.sentence.tokens, tags))) + "\n"
+
+
+def test_conll_block_equals_the_bio_encode_rendering():
+    rng = Random(61)
+    adjacent = at_end = 0
+    for _ in range(3_000):
+        n = rng.randint(1, 12)
+        entities, pos = [], 0
+        while pos < n:
+            if rng.random() < 0.6:
+                end = rng.randint(pos + 1, min(n, pos + 4))
+                entities.append(EntitySpan(pos, end, rng.choice(("PER", "LOC"))))
+                pos = end
+            else:
+                pos += 1
+        rng.shuffle(entities)
+        labeled = LabeledSentence(Sentence(words(n)), tuple(entities))
+        assert conll_block(labeled) == _bio_encode_block(labeled), labeled
+        ents = labeled.entities
+        adjacent += any(
+            a.end == b.start and a.label == b.label for a, b in zip(ents, ents[1:])
+        )
+        at_end += bool(ents) and ents[-1].end == n
+    assert adjacent > 300 and at_end > 300, (adjacent, at_end)
+    # adjacent entities of one label start a new B- run each
+    labeled = LabeledSentence(
+        Sentence(("a", "b", "c", "d")),
+        (EntitySpan(2, 4, "LOC"), EntitySpan(0, 1, "LOC"), EntitySpan(1, 2, "LOC")),
+    )
+    assert conll_block(labeled) == "a B-LOC\nb B-LOC\nc B-LOC\nd I-LOC\n"
 
 
 def test_pharaoh_round_trip():
