@@ -11,23 +11,23 @@ leaves a partial file behind.
 
 Each command imports only what it runs: ``matching`` for matching runs and
 ``solve``, ``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for
-``evaluate``, and ``json`` where span records, worker payloads or the
-evaluation record are encoded or decoded. A round-trip run loads
-``roundtrip`` while it reads its inputs, and a matching run loads
+``evaluate``, and the JSON codec only for span records and ``evaluate``'s
+record (worker payloads go through the builtin ``marshal``). A round-trip
+run loads ``roundtrip`` while it reads its inputs, and a matching run loads
 ``matching`` before it forks, so no worker compiles either again.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import marshal
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import Callable
 
 from .candidates import SourceKind, ngram_candidates
 from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence
@@ -335,17 +335,13 @@ def _worker_count(n_sentences: int, jobs: int) -> int:
     return max(1, min(jobs, n_sentences, cpus or 1))
 
 
-def _fork_chunk(
-    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, a: int, b: int
-) -> tuple[int, BinaryIO] | None:
-    """Fork a child that projects sentences a..b-1 and sends the result through a pipe.
+def _fork_chunk(run: Callable[[int, int], tuple[str, list[str]]], a: int, b: int):
+    """Fork a child that sends ``run(a, b)`` through a pipe, marshalled.
 
     Returns the child's pid and the pipe's read end, or None when fork fails.
     The child prints nothing and always leaves through os._exit, with status
-    0 only after its whole JSON payload is written.
+    0 only after its whole payload is written.
     """
-    import json  # before the fork, so the child does not load it again
-
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -357,23 +353,13 @@ def _fork_chunk(
         status = 1
         try:
             os.close(r)
-            with os.fdopen(w, "w", encoding="utf-8") as pipe:
-                pipe.write(json.dumps(_project_range(cfg, corpus, inputs, skip_bad, a, b)))
+            with os.fdopen(w, "wb") as pipe:
+                marshal.dump(run(a, b), pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     return pid, os.fdopen(r, "rb")
-
-
-def _collect(pid: int, pipe: BinaryIO) -> tuple[str, list[str]] | None:
-    """A child's (text, warnings), read to the end and reaped; None when it failed."""
-    import json
-
-    with pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return tuple(json.loads(payload)) if status == 0 else None
 
 
 def _run_projection(
@@ -391,21 +377,26 @@ def _run_projection(
     workers = _worker_count(n, jobs)
     bounds = [n * k // workers for k in range(workers + 1)]
     chunks = list(zip(bounds, bounds[1:]))
-    children: dict[int, tuple[int, BinaryIO] | None] = {}
+    run = partial(_project_range, cfg, corpus, inputs, skip_bad)
+    children = {}
     if workers > 1:
         if cfg.method is Method.CANDIDATE_MATCHING:
             from . import matching  # noqa: F401
         sys.stdout.flush()
         sys.stderr.flush()
-        gc.freeze()  # the parent's objects stay out of the children's collections
     try:
         for k, chunk in enumerate(chunks[1:], start=1):
-            children[k] = _fork_chunk(cfg, corpus, inputs, skip_bad, *chunk)
-        results = [_project_range(cfg, corpus, inputs, skip_bad, *chunks[0])]
+            children[k] = _fork_chunk(run, *chunk)
+        results = [run(*chunks[0])]
         for k, chunk in enumerate(chunks[1:], start=1):
-            sent = children[k] and _collect(*children[k])
+            status = 1
+            if children[k] is not None:
+                pid, pipe = children[k]
+                with pipe:
+                    payload = pipe.read()
+                _, status = os.waitpid(pid, 0)
             del children[k]
-            results.append(sent or _project_range(cfg, corpus, inputs, skip_bad, *chunk))
+            results.append(marshal.loads(payload) if status == 0 else run(*chunk))
     finally:
         for pid, pipe in filter(None, children.values()):  # children not yet reaped
             import signal  # imported here: the serial path never needs it
@@ -413,8 +404,6 @@ def _run_projection(
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if workers > 1:
-            gc.unfreeze()
     for _, warnings in results:
         for line in warnings:
             print(line, file=sys.stderr)

@@ -53,9 +53,9 @@ class _Value:
 
     def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
-        # getattr, not cls.__dict__: a subclass without __slots__ of its own
-        # inherits its parent's slots, whose descriptors live on the parent
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if "__slots__" not in cls.__dict__:
+            return  # no fields of its own: it inherits its parent's
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         fields = tuple(name for name in cls.__slots__ if name not in derived)
         get = attrgetter(*fields)  # for a single name it returns the bare value, not a 1-tuple
         cls._fields = fields

@@ -139,7 +139,11 @@ def _pharaoh_pair(token: str) -> tuple[int, int]:
     # isascii: str.isdigit alone accepts '²' (int() rejects it) and '１' (read as 1)
     if not sep or not token.isascii() or not left.isdigit() or not right.isdigit():
         raise FormatError(f"alignment token {token!r} is not of the form <digits>-<digits>")
-    return int(left), int(right)
+    try:
+        return int(left), int(right)
+    except ValueError:  # more digits than int() converts from a string
+        digits = max(len(left), len(right))
+        raise FormatError(f"alignment index of {digits} digits is too long to read") from None
 
 
 def serialize_pharaoh(align: AlignmentSet) -> str:
@@ -165,6 +169,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON record: {exc.msg}", line=lineno) from exc
+        except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+            raise FormatError(f"invalid JSON record: {exc}", line=lineno) from exc
         if not isinstance(record, dict):
             raise FormatError("span record must be a JSON object", line=lineno)
         sentence_id = record.get("sentence_id")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .candidates import SourceKind, external_candidates, ngram_candidates
 from .core import (
@@ -51,24 +51,6 @@ class Solver(Enum):
     GREEDY = "greedy"
     EXACT = "exact"
     ASSIGNMENT = "assignment"
-
-
-# The one solver table; _solver_funcs fills it from matching on first use.
-_SOLVER_FUNCS: dict[Solver, Callable[[MatchingProblem], MatchingSolution]] = {}
-
-
-def _solver_funcs() -> dict[Solver, Callable[[MatchingProblem], MatchingSolution]]:
-    if not _SOLVER_FUNCS:
-        from .matching import solve_assignment_exact, solve_exact, solve_greedy
-
-        _SOLVER_FUNCS.update(
-            {
-                Solver.GREEDY: solve_greedy,
-                Solver.EXACT: solve_exact,
-                Solver.ASSIGNMENT: solve_assignment_exact,
-            }
-        )
-    return _SOLVER_FUNCS
 
 
 class ProjectionConfig(_Value):
@@ -211,9 +193,14 @@ def matching_problem(
 
 def solve(problem: MatchingProblem, solver: Solver) -> MatchingSolution:
     """Run the chosen solver and check its result; an invalid one raises DataError."""
-    from .matching import validate_solution
+    from .matching import solve_assignment_exact, solve_exact, solve_greedy, validate_solution
 
-    solution = _solver_funcs()[solver](problem)
+    solve_with = {
+        Solver.GREEDY: solve_greedy,
+        Solver.EXACT: solve_exact,
+        Solver.ASSIGNMENT: solve_assignment_exact,
+    }[solver]
+    solution = solve_with(problem)
     validate_solution(problem, solution)
     return solution
 

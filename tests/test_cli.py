@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanproject import MatchingSolution, Solver, parse_conll, projection, spans_overlap
+from spanproject import MatchingSolution, matching, parse_conll, spans_overlap
 from spanproject import cli
 from spanproject.cli import _worker_count, atomic_write, main
 from helpers import FIXTURES
@@ -220,6 +222,26 @@ def test_sentence_errors_name_their_sentence(tmp_path, capsys):
     assert (code, err) == (0, f"warning: sentence 2 skipped: {message}\n")
 
 
+def test_alignment_index_past_the_int_digit_limit_is_a_located_format_error(tmp_path, capsys):
+    align = tmp_path / "long.align"
+    lines = (FIXTURES / "clean.align").read_text(encoding="utf-8").splitlines()
+    lines[1] = "0-" + "9" * 5000
+    align.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = (
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", str(align),
+    )
+    message = f"{align}: line 2: alignment index of 5000 digits is too long to read"
+    out = tmp_path / "p.conll"
+    assert run(capsys, "project", *inputs, "--out", str(out)) == (
+        2, "", f"format error: sentence 1: {message}\n"
+    )
+    assert not out.exists() and list(tmp_path.glob("*.tmp")) == []
+    code, _, err = run(capsys, "project", *inputs, "--out", str(out), "--skip-bad-sentences")
+    assert (code, err) == (0, f"warning: sentence 1 skipped: {message}\n")
+
+
 @pytest.mark.parametrize(
     ("bad", "line", "message"),
     [
@@ -281,7 +303,7 @@ def test_project_rejects_invalid_solver_output(tmp_path, capsys, monkeypatch):
                     return MatchingSolution(((s, t), (s2, t2)), objective)
         return MatchingSolution((), Fraction(0))
 
-    monkeypatch.setitem(projection._solver_funcs(), Solver.GREEDY, overlapping)
+    monkeypatch.setattr(matching, "solve_greedy", overlapping)
     out = tmp_path / "p.conll"
     code, _, err = project(capsys, out)
     assert code == 2
@@ -839,6 +861,53 @@ def test_jobs_raise_an_unexpected_error_from_a_child(tmp_path, capsys, monkeypat
     assert_no_children()
 
 
+def serial_run(capsys, tmp_path, inputs) -> tuple[tuple[int, str, str], bytes]:
+    """The --jobs 1 run of inputs (sentence 5 bad and skipped): result and output bytes."""
+    out = tmp_path / "serial.conll"
+    result = run(capsys, "project", *inputs, "--out", str(out), "--jobs", "1")
+    assert result == (0, "", f"warning: sentence 5 skipped: {tmp_path / 'a.align'}: line 6: "
+                      "alignment token '2-x' is not of the form <digits>-<digits>\n")
+    return result, out.read_bytes()
+
+
+def test_jobs_recompute_a_chunk_whose_fork_fails(tmp_path, capsys, monkeypatch, eight_cpus):
+    inputs = (*eight_sentences(tmp_path, bad=5), "--skip-bad-sentences")
+    expected, serial = serial_run(capsys, tmp_path, inputs)
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(len(calls) + 1)
+        if len(calls) == 2:  # the chunk of sentences 4 and 5
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "p.conll"
+    assert run(capsys, "project", *inputs, "--out", str(out), "--jobs", "4") == expected
+    assert calls == [1, 2, 3]
+    assert out.read_bytes() == serial
+    assert_no_children()
+
+
+def test_jobs_recompute_a_chunk_whose_child_dies_unwritten(
+    tmp_path, capsys, monkeypatch, eight_cpus
+):
+    inputs = (*eight_sentences(tmp_path, bad=5), "--skip-bad-sentences")
+    expected, serial = serial_run(capsys, tmp_path, inputs)
+    parent, real = os.getpid(), cli._project_range
+
+    def dying(cfg, corpus, inputs, skip_bad, a, b):
+        if os.getpid() != parent and a == 4:  # the child of sentences 4 and 5
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg, corpus, inputs, skip_bad, a, b)
+
+    monkeypatch.setattr(cli, "_project_range", dying)
+    out = tmp_path / "p.conll"
+    assert run(capsys, "project", *inputs, "--out", str(out), "--jobs", "4") == expected
+    assert out.read_bytes() == serial
+    assert_no_children()
+
+
 def test_worker_count_caps_at_jobs_sentences_and_cpus(monkeypatch, eight_cpus):
     assert _worker_count(10**6, 3) == 3
     assert _worker_count(10**6, 16) == 8
@@ -993,6 +1062,26 @@ def test_span_record_past_the_corpus_is_a_data_error(tmp_path):
     assert _run_in(tmp_path, argv, contents) == (
         2, "", "data error: span record for sentence 5 but corpus has 4 sentences\n"
     )
+    assert not (tmp_path / "out.conll").exists()
+
+
+@pytest.mark.parametrize(
+    ("record", "cause"),
+    [
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"sentence_id": ' + b"1" * 5000 + b', "spans": []}', "Exceeds the limit"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_span_record_that_json_cannot_decode_is_a_located_format_error(
+    tmp_path, record, cause
+):
+    argv = ("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl")
+    contents = _input_files(argv)
+    contents["spans.jsonl"] = record + b"\n"
+    code, out, err = _run_in(tmp_path, argv, contents)
+    prefix = f"format error: {tmp_path / 'spans.jsonl'}: line 1: invalid JSON record: {cause}"
+    assert (code, out, err.startswith(prefix), err.count("\n")) == (2, "", True, 1)
     assert not (tmp_path / "out.conll").exists()
 
 

@@ -260,7 +260,9 @@ def _value_subclasses(cls=_Value):
 
 
 def test_every_value_type_is_covered_and_its_setters_are_its_slots():
-    assert set(_value_subclasses()) == {case[0] for case in VALUE_TYPES} | {Tagged}
+    assert set(_value_subclasses()) == (
+        {case[0] for case in VALUE_TYPES} | {Tagged, TaggedCandidates, TaggedProblem}
+    )
     for cls, fields, _, _ in VALUE_TYPES:
         assert len(cls._setters) == len(cls.__slots__), cls
         for setter, name in zip(cls._setters, cls.__slots__):
@@ -291,6 +293,14 @@ class Tagged(EntitySpan):
     """A value subclass with no ``__slots__`` of its own."""
 
 
+class TaggedCandidates(CandidateSet):
+    """As Tagged, for a value type with derived slots."""
+
+
+class TaggedProblem(MatchingProblem):
+    """As Tagged, for a value type with derived slots."""
+
+
 def test_a_subclass_without_slots_of_its_own_constructs_and_stays_immutable():
     span = Tagged(1, 3, "LOC")
     assert Tagged._setters == EntitySpan._setters
@@ -306,6 +316,20 @@ def test_a_subclass_without_slots_of_its_own_constructs_and_stays_immutable():
     with pytest.raises(DataError) as info:
         Tagged(3, 1)
     assert str(info.value) == "invalid span (3, 1): need 0 <= start < end"
+    # a subclass inherits its parent's fields, derived slots left out as there
+    for sub in (Tagged, TaggedCandidates, TaggedProblem):
+        parent = sub.__base__
+        [(fields, text)] = [(case[1], case[2]) for case in VALUE_TYPES if case[0] is parent]
+        text = text.replace(parent.__name__, sub.__name__, 1)
+        assert (sub._setters, sub._fields) == (parent._setters, parent._fields)
+        value = sub(**fields)
+        assert repr(value) == text
+        assert value == sub(**fields) and value != parent(**fields)
+        assert hash(value) == hash(parent(**fields))
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is sub and clone == value and repr(clone) == text
+            for name in parent.__slots__:
+                assert getattr(clone, name) == getattr(value, name), (sub, name)
 
 
 _S = Sentence(("a", "b", "c"), id=4)

@@ -167,7 +167,8 @@ def test_parse_pharaoh():
 
 
 def test_parse_pharaoh_rejects_malformed_tokens():
-    for bad in ("1:2", "a-2", "1-", "-2", "1-2-3", "1--2", "1-²", "１-２"):
+    # the last has more digits than int() converts from a string
+    for bad in ("1:2", "a-2", "1-", "-2", "1-2-3", "1--2", "1-²", "１-２", "1-" + "9" * 5000):
         with pytest.raises(FormatError):
             parse_pharaoh(bad)
 
@@ -313,6 +314,8 @@ def test_span_records_reject_bad_records():
         '{"sentence_id": 0, "spans": [{"start": false, "end": true}]}',
         '{"sentence_id": 0, "spans": [{"start": 0, "end": 2, "label": 7}]}',
         '{"sentence_id": 0, "spans": [{"start": 3, "end": 3}]}',
+        "[" * 100_000,  # nested deeper than json.loads recurses
+        '{"sentence_id": ' + "1" * 5000 + ', "spans": []}',  # more digits than int() reads
     ]
     for line in cases:
         with pytest.raises(FormatError, match="line 1"):

@@ -146,6 +146,16 @@ def test_matching_is_loaded_before_every_fork(tmp_path):
     assert modules & NEVER_LOADED == set()
 
 
+@pytest.mark.parametrize("method", ["heuristic", "matching"])
+def test_forked_workers_load_no_json(tmp_path, method):
+    # the workers' payloads are marshalled; json is only for span records and evaluate
+    first, modules = run_probe(
+        *clean_project(tmp_path / "p.conll", "--method", method, "--jobs", "2"), watch="json"
+    )
+    assert first == "0 [False]"
+    assert modules & ({"json"} | NEVER_LOADED) == set()
+
+
 def test_round_trip_is_loaded_before_every_fork(tmp_path):
     first, modules = run_probe(
         *round_trip_project(tmp_path, "--method", "heuristic", "--jobs", "2"),
