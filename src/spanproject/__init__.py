@@ -10,13 +10,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "candidates": ("CandidateSet", "SourceKind", "external_candidates", "ngram_candidates"),
+    "candidates": ("CandidateSet", "external_candidates", "ngram_candidates"),
     "core": (
         "AlignmentSet",
         "EntitySpan",
         "LabeledSentence",
         "MatchMode",
         "Sentence",
+        "SourceKind",
         "bio_decode",
         "bio_encode",
         "spans_overlap",

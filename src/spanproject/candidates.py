@@ -9,16 +9,11 @@ matching step assigns labels by pairing them with source entities.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from functools import lru_cache
 
 from .core import EntitySpan, Sentence, _Value, spans_overlap
+from .core import SourceKind  # noqa: F401  (re-exported; core defines it for option parsing)
 from .errors import DataError
-
-
-class SourceKind(Enum):
-    NGRAM = "ngram"
-    EXTERNAL_NER = "ner"
 
 
 class CandidateSet(_Value, derived=("ends", "runs")):

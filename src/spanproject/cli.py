@@ -9,17 +9,29 @@ or solver guard. Knobs resolve as command line over config file over
 defaults. Output files are written atomically, so a failing run never
 leaves a partial file behind.
 
-Each command imports only what it runs: ``matching`` for matching runs and
-``solve``, ``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for
-``evaluate``, and the JSON codec only for span records and ``evaluate``'s
-record (worker payloads go through the builtin ``marshal``). A round-trip
-run loads ``roundtrip`` while it reads its inputs, and a matching run loads
-``matching`` before it forks, so no worker compiles either again.
+Each command imports only what it runs: ``candidates`` and ``matching`` for
+matching runs and ``solve``, ``candidates`` for the ``candidates`` command,
+``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for ``evaluate``,
+and the JSON codec only for span records and ``evaluate``'s record (worker
+payloads go through the builtin ``marshal``). A heuristic run loads neither
+``candidates`` nor ``matching``. A round-trip run loads ``roundtrip`` while
+it reads its inputs, and a matching run loads ``matching`` (and with it
+``candidates``) before it forks, so no worker compiles either again.
+
+The console script and ``python -m spanproject.cli`` enter through
+``entrypoint``, which runs ``main`` with the cyclic garbage collector off and
+freezes every live object when ``main`` returns, so that the collections
+interpreter finalization runs skip them. Nothing is lost: a run's values are
+acyclic and reference counting frees them, so a run leaves the same cyclic
+garbage (the argument parser's own cycles) for one sentence as for
+thousands. Forked ``--jobs`` workers inherit the disabled collector.
+``main`` itself keeps the collector, for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import marshal
 import os
 import sys
@@ -29,8 +41,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .candidates import SourceKind, ngram_candidates
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, SourceKind
 from .errors import (
     DataError,
     FormatError,
@@ -419,6 +430,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_candidates(args: argparse.Namespace) -> int:
+    from .candidates import ngram_candidates
+
     config = resolve_config(args, unread=("method", "solver", "mode"))
     if config.candidate_source is not SourceKind.NGRAM:
         raise UsageError("the candidates subcommand only generates n-gram candidates")
@@ -567,7 +580,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """The process boundary: run main() with the cyclic garbage collector off.
+
+    A run's objects are acyclic values that reference counting frees, and
+    freezing what is alive when main() returns lets the collections of
+    interpreter finalization skip it.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

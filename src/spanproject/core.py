@@ -41,12 +41,25 @@ class MatchMode(Enum):
     REQUIRE_ALL = "all"
 
 
+class SourceKind(Enum):
+    """Where candidate spans come from: n-gram enumeration or an external NER model.
+
+    It lives here, not in ``candidates``, so that reading a run's options never
+    imports the candidate generators.
+    """
+
+    NGRAM = "ngram"
+    EXTERNAL_NER = "ner"
+
+
 class _Value:
     """Base of the immutable value types; see the module docstring.
 
     A subclass lists its fields as ``__slots__``. Slots named in the class
     keyword ``derived`` are set by ``__init__`` but left out of repr, == and
-    hash.
+    hash. A subclass of a class with fields inherits them and may not
+    declare slots of its own: its ``_setters`` would leave out the inherited
+    slots, so its parent's ``__init__`` could not fill them.
     """
 
     __slots__ = ()
@@ -55,6 +68,12 @@ class _Value:
         super().__init_subclass__(**kwargs)
         if "__slots__" not in cls.__dict__:
             return  # no fields of its own: it inherits its parent's
+        parent = next((base for base in cls.__mro__[1:] if "_setters" in base.__dict__), None)
+        if parent is not None:
+            raise TypeError(
+                f"value class {cls.__qualname__} declares __slots__ under "
+                f"{parent.__qualname__}, which has fields; it cannot add fields"
+            )
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         fields = tuple(name for name in cls.__slots__ if name not in derived)
         get = attrgetter(*fields)  # for a single name it returns the bare value, not a 1-tuple

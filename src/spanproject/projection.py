@@ -11,8 +11,8 @@ from bracket markers (``roundtrip``); after that the projected sentence flows
 through exactly the same code path, with the marker-labeled sentence as the
 labeled side.
 
-``matching`` is imported by the matching functions on first use, never here,
-so a heuristic run does not load it.
+``candidates`` and ``matching`` are imported by the matching functions on
+first use, never here, so a heuristic run loads neither.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .candidates import SourceKind, external_candidates, ngram_candidates
 from .core import (
     AlignmentSet,
     EntitySpan,
     LabeledSentence,
     MatchMode,
     Sentence,
+    SourceKind,
     _Value,
     spans_overlap,
 )
@@ -174,6 +174,7 @@ def matching_problem(
     external_spans: list[EntitySpan] | None = None,
 ) -> MatchingProblem:
     """Check the alignment against both sentences, pick candidates as cfg says, price them."""
+    from .candidates import external_candidates, ngram_candidates
     from .matching import build_problem
 
     align.check_bounds(len(labeled.sentence), len(target))

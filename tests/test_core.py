@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import re
 from fractions import Fraction
 from random import Random
 
@@ -330,6 +332,23 @@ def test_a_subclass_without_slots_of_its_own_constructs_and_stays_immutable():
             assert type(clone) is sub and clone == value and repr(clone) == text
             for name in parent.__slots__:
                 assert getattr(clone, name) == getattr(value, name), (sub, name)
+
+
+@pytest.mark.parametrize("slots", [("extra",), ()], ids=["one-slot", "empty"])
+@pytest.mark.parametrize("parent", [Sentence, Tagged, CandidateSet], ids=lambda c: c.__name__)
+def test_a_subclass_of_a_class_with_fields_cannot_declare_slots(parent, slots):
+    # its setters would cover its own slots only, so its parent's __init__ could not run
+    fields_at = "EntitySpan" if parent is Tagged else parent.__name__
+    message = (
+        f"value class Extended declares __slots__ under {fields_at}, "
+        "which has fields; it cannot add fields"
+    )
+    with pytest.raises(TypeError, match=re.escape(message)):
+        type("Extended", (parent,), {"__slots__": slots})
+    # the refused class is a cycle that its parent lists as a subclass until it
+    # is collected, and the coverage test above walks that list
+    gc.collect()
+    assert "Extended" not in {sub.__name__ for sub in parent.__subclasses__()}
 
 
 _S = Sentence(("a", "b", "c"), id=4)

@@ -97,7 +97,13 @@ def round_trip_project(tmp_path, *extra: str) -> tuple[str, ...]:
     [
         (
             ("--method", "heuristic"),
-            {"spanproject.matching", "spanproject.evaluation", "spanproject.roundtrip", "json"}
+            {
+                "spanproject.candidates",
+                "spanproject.matching",
+                "spanproject.evaluation",
+                "spanproject.roundtrip",
+                "json",
+            }
             | NEVER_LOADED,
         ),
         (
@@ -122,7 +128,9 @@ def test_evaluate_loads_neither_matcher_nor_round_trip():
     )
     assert first == "0 []"
     assert "spanproject.evaluation" in modules
-    assert modules & ({"spanproject.matching", "spanproject.roundtrip"} | NEVER_LOADED) == set()
+    assert modules & (
+        {"spanproject.candidates", "spanproject.matching", "spanproject.roundtrip"} | NEVER_LOADED
+    ) == set()
 
 
 @pytest.mark.parametrize("command", ["solve", "candidates"])
@@ -230,6 +238,12 @@ def test_match_mode_is_one_class():
     from spanproject import core, matching
 
     assert matching.MatchMode is core.MatchMode is spanproject.MatchMode
+
+
+def test_source_kind_is_one_class():
+    from spanproject import candidates, core
+
+    assert candidates.SourceKind is core.SourceKind is spanproject.SourceKind
 
 
 def test_readme_library_example_runs():
