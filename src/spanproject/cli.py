@@ -34,6 +34,7 @@ import argparse
 import gc
 import marshal
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -133,18 +134,34 @@ def _parse_line(path: Path, lines: list[str], i: int, parse_line):
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a partial file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    """Write via a sibling temp file and rename, so readers never see a partial file.
+
+    The file gets the mode ``open(path, "w")`` would leave: a replaced regular
+    file's permission bits, or 0o666 less the umask for a new file. An
+    OSError names path, not the temp file.
+    """
+    tmp = None
     try:
+        if path.is_file():
+            mode = stat.S_IMODE(path.stat().st_mode)
+        else:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def load_config_file(path: Path) -> dict[str, str]:
@@ -227,19 +244,9 @@ def resolve_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> Pr
         raise UsageError(str(exc)) from exc
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required")
-
-
 def checked_config(args: argparse.Namespace) -> ProjectionConfig:
     """Resolve a project or solve run's config, then check its flag combination."""
     config = resolve_config(args)
-    _require(args, "target", "align")
-    if args.command == "project":
-        _require(args, "out")
-
     if args.direction == "src2tgt":
         if args.labeled is None:
             raise UsageError("--labeled is required for --direction src2tgt")
@@ -259,10 +266,6 @@ def checked_config(args: argparse.Namespace) -> ProjectionConfig:
         raise UsageError("--spans is required when --candidates ner")
     if not wants_spans and args.spans is not None:
         raise UsageError("--spans is only used with --method matching --candidates ner")
-
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     return config
 
 
@@ -435,7 +438,6 @@ def cmd_candidates(args: argparse.Namespace) -> int:
     config = resolve_config(args, unread=("method", "solver", "mode"))
     if config.candidate_source is not SourceKind.NGRAM:
         raise UsageError("the candidates subcommand only generates n-gram candidates")
-    _require(args, "target", "out")
     doc = _parse_file(Path(args.target), parse_conll)
     records = {
         labeled.sentence.id: list(ngram_candidates(labeled.sentence, config.max_ngram_len).spans)
@@ -512,14 +514,14 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> No
     sub.add_argument("--max-ngram", dest="max_ngram", type=int)
     sub.add_argument("--direction", choices=["src2tgt", "tgt2tgt"], default="src2tgt")
     sub.add_argument("--labeled", metavar="PATH", type=_path)
-    sub.add_argument("--target", metavar="PATH", type=_path)
-    sub.add_argument("--align", metavar="PATH", type=_path)
+    sub.add_argument("--target", metavar="PATH", type=_path, required=True)
+    sub.add_argument("--align", metavar="PATH", type=_path, required=True)
     sub.add_argument("--spans", metavar="PATH", type=_path)
     sub.add_argument("--marked", metavar="PATH", type=_path)
     sub.add_argument("--translations", metavar="PATH", type=_path)
     sub.add_argument("--config", metavar="PATH", type=_path)
     if with_out:
-        sub.add_argument("--out", metavar="PATH", type=_path)
+        sub.add_argument("--out", metavar="PATH", type=_path, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,17 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
     project = commands.add_parser("project", help="label a target corpus")
     _add_common_flags(project)
     project.add_argument(
-        "--jobs", type=int, default=1, help="project sentence chunks in up to N forked "
-        "processes, at most one per usable CPU; output and stderr are those of --jobs 1",
+        "--jobs", type=partial(_as_positive_int, flag="--jobs"), default=1,
+        help="project sentence chunks in up to N forked processes, at most one per "
+        "usable CPU; output and stderr are those of --jobs 1",
     )
     project.add_argument("--skip-bad-sentences", action="store_true")
 
     candidates = commands.add_parser("candidates", help="dump n-gram candidate spans")
-    candidates.add_argument("--target", metavar="PATH", type=_path)
+    candidates.add_argument("--target", metavar="PATH", type=_path, required=True)
     candidates.add_argument("--max-ngram", dest="max_ngram", type=int)
     candidates.add_argument("--candidates", choices=[k.value for k in SourceKind])
     candidates.add_argument("--config", metavar="PATH", type=_path)
-    candidates.add_argument("--out", metavar="PATH", type=_path)
+    candidates.add_argument("--out", metavar="PATH", type=_path, required=True)
 
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
     _add_common_flags(solver, with_out=False)

@@ -20,6 +20,8 @@ contract, kept by the private base class ``_Value``:
   ``AttributeError``, so a value is safe to share across threads.
 * **Copying and pickling** rebuild a value from its field tuple through
   ``__init__``.
+* **Final**: a value type cannot be subclassed; defining a subclass raises
+  ``TypeError``.
 """
 
 from __future__ import annotations
@@ -57,23 +59,15 @@ class _Value:
 
     A subclass lists its fields as ``__slots__``. Slots named in the class
     keyword ``derived`` are set by ``__init__`` but left out of repr, == and
-    hash. A subclass of a class with fields inherits them and may not
-    declare slots of its own: its ``_setters`` would leave out the inherited
-    slots, so its parent's ``__init__`` could not fill them.
+    hash.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, derived: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
-        if "__slots__" not in cls.__dict__:
-            return  # no fields of its own: it inherits its parent's
-        parent = next((base for base in cls.__mro__[1:] if "_setters" in base.__dict__), None)
-        if parent is not None:
-            raise TypeError(
-                f"value class {cls.__qualname__} declares __slots__ under "
-                f"{parent.__qualname__}, which has fields; it cannot add fields"
-            )
+        if cls.__bases__ != (_Value,):
+            raise TypeError(f"value class {cls.__base__.__qualname__} cannot be subclassed")
         cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         fields = tuple(name for name in cls.__slots__ if name not in derived)
         get = attrgetter(*fields)  # for a single name it returns the bare value, not a 1-tuple

@@ -70,8 +70,6 @@ def evaluate(pred: CorpusDocument, gold: CorpusDocument) -> EvalReport:
         pred_set = set(pred_sent.entities)
         gold_set = set(gold_sent.entities)
         for e in pred_set | gold_set:
-            if e.label is None:
-                continue
             scores = per_label.setdefault(e.label, LabelScores())
             if e not in gold_set:
                 scores.fp += 1

@@ -948,9 +948,53 @@ def test_jobs_match_serial_through_the_console_process(tmp_path):
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):
-    code, _, err = project(capsys, tmp_path / "p.conll", "--jobs", "0")
-    assert code == 1
-    assert "--jobs" in err
+    assert project(capsys, tmp_path / "p.conll", "--jobs", "0") == (
+        1, "", "usage error: --jobs must be at least 1, got 0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_must_be_an_integer(tmp_path, capsys):
+    assert project(capsys, tmp_path / "p.conll", "--jobs", "x") == (
+        1, "", "usage error: invalid integer 'x' for --jobs\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+# the flags each command is given below, less the ones a case leaves out
+_FLAGS = {
+    "project": ("--labeled", "--target", "--align", "--out"),
+    "solve": ("--labeled", "--target", "--align"),
+    "candidates": ("--target", "--out"),
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "missing"),
+    [
+        ("project", ("--align",)),
+        ("project", ("--target", "--out")),
+        ("solve", ("--align",)),
+        ("solve", ("--target", "--align")),
+        ("candidates", ("--out",)),
+        ("candidates", ("--target", "--out")),
+    ],
+    ids=["project-one", "project-two", "solve-one", "solve-two", "candidates-one",
+         "candidates-two"],
+)
+def test_the_parser_names_every_missing_required_flag(tmp_path, capsys, command, missing):
+    values = {
+        "--labeled": fixture("clean_source.conll"),
+        "--target": fixture("clean_target.conll"),
+        "--align": fixture("clean.align"),
+        "--out": str(tmp_path / "out"),
+    }
+    argv = [part for flag in _FLAGS[command] if flag not in missing
+            for part in (flag, values[flag])]
+    assert run(capsys, command, *argv) == (
+        1, "", f"usage error: the following arguments are required: {', '.join(missing)}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_byte_order_mark_does_not_change_output(tmp_path, capsys):
@@ -1215,3 +1259,45 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     atomic_write(path, "new contents\n")
     assert path.read_text(encoding="utf-8") == "new contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@contextlib.contextmanager
+def _umask(mask: int):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
+def test_output_files_get_the_mode_open_would_leave(tmp_path, capsys, umask):
+    new, replaced = tmp_path / "new.conll", tmp_path / "replaced.conll"
+    replaced.write_text("old\n", encoding="utf-8")
+    replaced.chmod(0o604)
+    with _umask(umask):
+        assert project(capsys, new) == (0, "", "")
+        assert project(capsys, replaced) == (0, "", "")
+    # a new file is 0o666 less the umask; a replaced one keeps its mode
+    assert (new.stat().st_mode & 0o7777, replaced.stat().st_mode & 0o7777) == (
+        0o666 & ~umask, 0o604
+    )
+    assert replaced.read_bytes() == new.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("out", "error"),
+    [
+        ("missing/x.conll", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ],
+    ids=["missing-directory", "a-directory"],
+)
+def test_an_io_error_on_out_names_the_out_path(tmp_path, capsys, out, error):
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / out
+    expected = (2, "", f"io error: {error}: '{path}'\n")
+    assert project(capsys, path) == expected
+    assert project(capsys, path) == expected
+    assert list(tmp_path.iterdir()) == [tmp_path / "adir"]
+    assert list((tmp_path / "adir").iterdir()) == []

@@ -219,11 +219,14 @@ def test_every_exported_name_resolves():
 def test_dir_lists_every_name_before_any_is_resolved():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", "import spanproject; "
-         "print(set(spanproject.__all__) <= set(dir(spanproject)))"],
+        [sys.executable, "-c", "import sys, spanproject; "
+         "print(set(spanproject.__all__) <= set(dir(spanproject))); "
+         "print(*sorted(m for m in sys.modules if m.startswith('spanproject.')))"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert proc.stdout == "True\n"
+    # listing the names imports no submodule
+    assert proc.stdout == "True\n\n"
+    assert set(spanproject.__all__) <= set(dir(spanproject))
 
 
 def test_star_import_binds_every_name():
