@@ -5,9 +5,10 @@ n-gram candidate spans), ``solve`` (debug one sentence's matching problem),
 ``evaluate`` (score a prediction against gold).
 
 Exit codes: 0 success, 1 usage, 2 data or format problem, 3 infeasibility
-or solver guard. Knobs resolve as command line over config file over
-defaults. Output files are written atomically, so a failing run never
-leaves a partial file behind.
+or solver guard. Each command's options resolve as command line over config
+file over defaults; a command checks every config value but uses only the
+keys of its own flags. Output files are written atomically (through a
+symbolic link, as open would), so a failing run leaves no partial file.
 
 Each command imports only what it runs: ``candidates`` and ``matching`` for
 matching runs and ``solve``, ``candidates`` for the ``candidates`` command,
@@ -136,23 +137,28 @@ def _parse_line(path: Path, lines: list[str], i: int, parse_line):
 def atomic_write(path: Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a partial file.
 
-    The file gets the mode ``open(path, "w")`` would leave: a replaced regular
-    file's permission bits, or 0o666 less the umask for a new file. An
-    OSError names path, not the temp file.
+    As with ``open(path, "w")``, a symbolic link is written through: its
+    target is replaced (or created, for a dangling link) and the link stays.
+    The file gets the mode ``open`` would leave: a replaced regular file's
+    permission bits, or 0o666 less the umask for a new file. An OSError names
+    path, not the temp file or the link's target.
     """
     tmp = None
     try:
-        if path.is_file():
-            mode = stat.S_IMODE(path.stat().st_mode)
+        real = Path(os.path.realpath(path))
+        if real.is_symlink():
+            real.stat()  # realpath stops at a link loop: raise ELOOP, as open would
+        if real.is_file():
+            mode = stat.S_IMODE(real.stat().st_mode)
         else:
             umask = os.umask(0)  # reading the umask means setting it
             os.umask(umask)
             mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=real.parent, prefix=real.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fd, mode)
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
         tmp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
@@ -193,11 +199,14 @@ def _as_enum(enum_cls, raw, flag: str):
         raise UsageError(f"invalid value {raw!r} for {flag}; expected one of: {valid}") from None
 
 
-def _as_fraction(raw, flag: str) -> Fraction:
+def _as_ratio(raw, flag: str) -> Fraction:
     try:
-        return Fraction(str(raw))
+        value = Fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid rational {raw!r} for {flag}: {exc}") from exc
+    if not 0 < value <= 1:
+        raise UsageError(f"ratio threshold must be in (0, 1], got {value}")
+    return value
 
 
 def _as_positive_int(raw, flag: str) -> int:
@@ -217,16 +226,16 @@ _CONFIG = {
     "candidates": ("candidate_source", "--candidates", partial(_as_enum, SourceKind)),
     "solver": ("solver", "--solver", partial(_as_enum, Solver)),
     "mode": ("mode", "--mode", partial(_as_enum, MatchMode)),
-    "threshold": ("ratio_threshold", "--threshold", _as_fraction),
+    "threshold": ("ratio_threshold", "--threshold", _as_ratio),
     "max_ngram": ("max_ngram_len", "--max-ngram", _as_positive_int),
 }
 
 
-def resolve_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> ProjectionConfig:
+def resolve_config(args: argparse.Namespace) -> ProjectionConfig:
     """Merge flags over config-file values over defaults into a ProjectionConfig.
 
-    Every value is checked; the keys in unread then keep their defaults, so
-    the combinations they take part in are not checked.
+    Every value is checked; a key the command has no flag for keeps its
+    default, so the combinations it takes part in are not checked.
     """
     file_values = load_config_file(Path(args.config)) if args.config is not None else {}
     fields = {}
@@ -236,7 +245,7 @@ def resolve_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> Pr
             raw = file_values.get(key)
         if raw is not None:
             value = convert(raw, flag)
-            if key not in unread:
+            if hasattr(args, key):
                 fields[field] = value
     try:
         return ProjectionConfig(**fields)
@@ -435,9 +444,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 def cmd_candidates(args: argparse.Namespace) -> int:
     from .candidates import ngram_candidates
 
-    config = resolve_config(args, unread=("method", "solver", "mode"))
-    if config.candidate_source is not SourceKind.NGRAM:
-        raise UsageError("the candidates subcommand only generates n-gram candidates")
+    config = resolve_config(args)
     doc = _parse_file(Path(args.target), parse_conll)
     records = {
         labeled.sentence.id: list(ngram_candidates(labeled.sentence, config.max_ngram_len).spans)
@@ -505,13 +512,11 @@ def _path(raw: str) -> str:
     return raw
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
-    sub.add_argument("--method", choices=[m.value for m in Method])
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--candidates", choices=[k.value for k in SourceKind])
     sub.add_argument("--solver", choices=[s.value for s in Solver])
     sub.add_argument("--mode", choices=[m.value for m in MatchMode])
-    sub.add_argument("--threshold", metavar="RATIONAL")
-    sub.add_argument("--max-ngram", dest="max_ngram", type=int)
+    sub.add_argument("--max-ngram", dest="max_ngram")
     sub.add_argument("--direction", choices=["src2tgt", "tgt2tgt"], default="src2tgt")
     sub.add_argument("--labeled", metavar="PATH", type=_path)
     sub.add_argument("--target", metavar="PATH", type=_path, required=True)
@@ -520,8 +525,6 @@ def _add_common_flags(sub: argparse.ArgumentParser, with_out: bool = True) -> No
     sub.add_argument("--marked", metavar="PATH", type=_path)
     sub.add_argument("--translations", metavar="PATH", type=_path)
     sub.add_argument("--config", metavar="PATH", type=_path)
-    if with_out:
-        sub.add_argument("--out", metavar="PATH", type=_path, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,7 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     project = commands.add_parser("project", help="label a target corpus")
+    project.add_argument("--method", choices=[m.value for m in Method])
+    project.add_argument("--threshold", metavar="RATIONAL")
     _add_common_flags(project)
+    project.add_argument("--out", metavar="PATH", type=_path, required=True)
     project.add_argument(
         "--jobs", type=partial(_as_positive_int, flag="--jobs"), default=1,
         help="project sentence chunks in up to N forked processes, at most one per "
@@ -539,13 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     candidates = commands.add_parser("candidates", help="dump n-gram candidate spans")
     candidates.add_argument("--target", metavar="PATH", type=_path, required=True)
-    candidates.add_argument("--max-ngram", dest="max_ngram", type=int)
-    candidates.add_argument("--candidates", choices=[k.value for k in SourceKind])
+    candidates.add_argument("--max-ngram", dest="max_ngram")
     candidates.add_argument("--config", metavar="PATH", type=_path)
     candidates.add_argument("--out", metavar="PATH", type=_path, required=True)
 
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
-    _add_common_flags(solver, with_out=False)
+    _add_common_flags(solver)
     solver.add_argument("--sentence", type=int, default=0)
 
     ev = commands.add_parser("evaluate", help="score predictions against gold")

@@ -195,7 +195,8 @@ class AlignmentSet(_Value):
 class LabeledSentence(_Value):
     """A sentence together with its flat (non-overlapping) labeled entities.
 
-    Entities are normalized to start-index order on construction.
+    Entities are normalized to start-index order on construction. A label is
+    a non-empty string without whitespace, so that a CoNLL tag can hold it.
     """
 
     __slots__ = ("sentence", "entities")
@@ -217,6 +218,8 @@ class LabeledSentence(_Value):
         for ent in ents:
             if ent.label is None:
                 raise DataError(f"entity {ent} in a labeled sentence must carry a label")
+            if ent.label.split() != [ent.label]:
+                raise DataError(f"invalid label {ent.label!r}: empty or contains whitespace")
             if ent.end > length:
                 raise DataError(
                     f"entity ({ent.start}, {ent.end}) exceeds sentence length "

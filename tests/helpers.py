@@ -645,6 +645,8 @@ def labeled_sentence_reference(
     for ent in ents:
         if ent.label is None:
             raise DataError(f"entity {ent} in a labeled sentence must carry a label")
+        if not ent.label or any(ch.isspace() for ch in ent.label):
+            raise DataError(f"invalid label {ent.label!r}: empty or contains whitespace")
         if ent.end > len(sentence):
             raise DataError(
                 f"entity ({ent.start}, {ent.end}) exceeds sentence length "

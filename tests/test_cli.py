@@ -501,24 +501,68 @@ def test_candidates_subcommand_empty_corpus(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == ""
 
 
-def test_candidates_subcommand_rejects_external_source(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "candidates",
-        "--target", fixture("clean_target.conll"),
-        "--out", str(tmp_path / "c.jsonl"),
-        "--candidates", "ner",
+@pytest.mark.parametrize(
+    ("command", "flag", "value"),
+    [
+        ("solve", "--method", "heuristic"),
+        ("solve", "--threshold", "1/2"),
+        ("candidates", "--candidates", "ngram"),
+    ],
+    ids=["solve-method", "solve-threshold", "candidates-candidates"],
+)
+def test_a_flag_the_command_does_not_read_is_unrecognized(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "solve": ("--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")),
+        "candidates": ("--out", "c.jsonl"),
+    }[command]
+    assert run(
+        capsys, command, "--target", fixture("clean_target.conll"), *argv, flag, value
+    ) == (1, "", f"usage error: unrecognized arguments: {flag} {value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def solve_with_config(capsys, tmp_path, config_text: str, *extra: str) -> tuple[int, str, str]:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    return run(
+        capsys, "solve", "--sentence", "2", "--config", str(cfg),
+        "--labeled", fixture("noisy_source.conll"),
+        "--target", fixture("noisy_target.conll"),
+        "--align", fixture("noisy.align"),
+        *extra,
     )
-    assert code == 1
-    assert "n-gram" in err
+
+
+def test_solve_ignores_a_method_in_its_config_file(tmp_path, capsys):
+    spans = tmp_path / "spans.jsonl"
+    spans.write_text('{"sentence_id": 2, "spans": [{"start": 0, "end": 1}]}\n', encoding="utf-8")
+    for extra in ((), ("--candidates", "ner", "--spans", str(spans))):
+        plain = solve_with_config(capsys, tmp_path, "# no keys\n", *extra)
+        assert plain[0] == 0 and plain[2] == ""
+        assert solve_with_config(capsys, tmp_path, "method = heuristic\n", *extra) == plain
 
 
 @pytest.mark.parametrize(
-    "line", ["mode = all", "solver = assignment", "method = heuristic"],
-    ids=["mode", "solver", "method"],
+    ("line", "message"),
+    [
+        ("method = nope", "invalid value 'nope' for --method; expected one of: heuristic, matching"),
+        ("threshold = 2", "ratio threshold must be in (0, 1], got 2"),
+    ],
+    ids=["method", "threshold"],
+)
+def test_solve_config_still_checks_every_value(tmp_path, capsys, line, message):
+    assert solve_with_config(capsys, tmp_path, f"{line}\n") == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "line", ["mode = all", "solver = assignment", "method = heuristic", "candidates = ner"],
+    ids=["mode", "solver", "method", "candidates"],
 )
 def test_candidates_config_ignores_the_knobs_it_does_not_read(tmp_path, capsys, line):
-    """Mode, solver and method only combine with each other in project and solve."""
+    """Only max_ngram reaches candidates; the other keys are checked but not used."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n", encoding="utf-8")
     plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
@@ -647,18 +691,21 @@ def test_config_file_value_acts_like_its_flag(tmp_path, capsys, key, flag, value
     assert err.startswith("usage error: ") and flag in err
 
 
-@pytest.mark.parametrize("command", ["project", "candidates"])
+@pytest.mark.parametrize("command", ["project", "solve", "candidates"])
 def test_config_file_non_integer_max_ngram(tmp_path, capsys, command):
+    """The file value and the flag are converted once, by the same function."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_ngram = abc\n", encoding="utf-8")
     out = tmp_path / "p.conll"
-    if command == "project":
-        result = project_noisy(capsys, out, "--config", str(cfg))
-    else:
-        result = run(capsys, "candidates", "--target", fixture("clean_target.conll"),
-                     "--config", str(cfg), "--out", str(out))
-    assert result == (1, "", "usage error: invalid integer 'abc' for --max-ngram\n")
-    assert not out.exists()
+    argv = [command, "--target", fixture("clean_target.conll")]
+    if command != "candidates":
+        argv += ["--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
+    if command != "solve":
+        argv += ["--out", str(out)]
+    expected = (1, "", "usage error: invalid integer 'abc' for --max-ngram\n")
+    assert run(capsys, *argv, "--config", str(cfg)) == expected
+    assert run(capsys, *argv, "--max-ngram", "abc") == expected
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -731,7 +778,7 @@ def working_command_lines(inputs) -> list[list[str]]:
         "--target", fixture("backtrans_target.conll"),
         "--align", fixture("backtrans.align"),
     ]
-    ner = [*src2tgt, "--method", "matching", "--candidates", "ner", "--spans", str(spans)]
+    ner = [*src2tgt, "--candidates", "ner", "--spans", str(spans)]
     lines = []
     for command, out in (("project", ["--out", "out.conll"]), ("solve", [])):
         for flags in ([*src2tgt, "--config", str(config)], tgt2tgt, ner):
@@ -1259,6 +1306,43 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     atomic_write(path, "new contents\n")
     assert path.read_text(encoding="utf-8") == "new contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_an_out_that_is_a_symbolic_link_is_written_through(tmp_path, capsys):
+    data, links = tmp_path / "data", tmp_path / "links"
+    data.mkdir()
+    links.mkdir()
+    real, link, plain = data / "real.conll", links / "link.conll", tmp_path / "plain.conll"
+    real.write_text("old\n", encoding="utf-8")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    assert project(capsys, link) == (0, "", "")
+    assert project(capsys, plain) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == plain.read_bytes()
+    assert real.stat().st_mode & 0o7777 == 0o640
+    assert (list(data.iterdir()), list(links.iterdir())) == ([real], [link])
+
+
+def test_a_dangling_out_link_creates_its_target_and_errors_name_the_link(tmp_path, capsys):
+    dangling, broken = tmp_path / "dangling.conll", tmp_path / "broken.conll"
+    loop, back = tmp_path / "loop.conll", tmp_path / "back.conll"
+    dangling.symlink_to("made.conll")
+    broken.symlink_to("missing/x.conll")
+    loop.symlink_to(back.name)
+    back.symlink_to(loop.name)
+    assert project(capsys, dangling) == (0, "", "")
+    assert dangling.is_symlink() and (tmp_path / "made.conll").is_file()
+    assert project(capsys, broken) == (
+        2, "", f"io error: [Errno 2] No such file or directory: '{broken}'\n"
+    )
+    assert project(capsys, loop) == (
+        2, "", f"io error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: '{loop}'\n"
+    )
+    assert loop.is_symlink() and back.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "back.conll", "broken.conll", "dangling.conll", "loop.conll", "made.conll"
+    ]
 
 
 @contextlib.contextmanager

@@ -4,6 +4,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spanproject import (
     AlignmentSet,
@@ -151,6 +153,21 @@ def test_conll_round_trip_randomized():
             sentences.append(LabeledSentence(Sentence(words(n), id=sid), ents))
         doc = CorpusDocument(tuple(sentences))
         assert parse_conll(serialize_conll(doc)) == doc
+
+
+@given(st.text(max_size=6))
+@example("")
+@example("X Y")
+@example("PER\u2028")
+def test_an_entity_label_is_refused_or_round_trips_through_conll(label):
+    try:
+        labeled = LabeledSentence(Sentence(("a", "b")), (EntitySpan(0, 1, label),))
+    except DataError as exc:
+        assert label.split() != [label]
+        assert str(exc) == f"invalid label {label!r}: empty or contains whitespace"
+        return
+    doc = CorpusDocument((labeled,))
+    assert parse_conll(serialize_conll(doc)) == doc
 
 
 def test_corpus_document_requires_consecutive_ids():
