@@ -16,38 +16,42 @@ from .core import SourceKind  # noqa: F401  (re-exported; core defines it for op
 from .errors import DataError
 
 
-class CandidateSet(_Value, derived=("ends", "runs")):
+class CandidateSet(_Value, derived=("ends", "runs", "closed")):
     """Unlabeled candidate spans, deduplicated and sorted by (start, end).
 
     The set depends only on its spans, so one set can serve every sentence
-    it fits. ``ends`` and ``runs`` are the layout the cost kernel walks,
-    derived from the spans and left out of repr, == and hash: ``ends[t]`` is
-    span t's end, and ``runs`` holds one ``(start, first, past)`` per
-    distinct start, the spans ``first <= t < past`` sharing it, their ends
-    rising.
+    it fits. ``ends``, ``runs`` and ``closed`` are the layout the cost
+    kernel walks, derived from the spans and left out of repr, == and hash:
+    ``ends[t]`` is span t's end, and ``runs`` holds one ``(start, first,
+    past)`` per distinct start, the spans ``first <= t < past`` sharing it,
+    their ends rising. ``closed`` is None unless the set is closed under
+    sub-spans (every sub-span of a candidate is a candidate, as in every
+    n-gram set); then it maps each start to its run's ``(first, past)``,
+    and the span ``[start, start + k)`` is candidate ``first + k - 1``.
     """
 
-    __slots__ = ("spans", "ends", "runs")
+    __slots__ = ("spans", "ends", "runs", "closed")
     spans: tuple[EntitySpan, ...]
     ends: tuple[int, ...]
     runs: tuple[tuple[int, int, int], ...]
+    closed: dict[int, tuple[int, int]] | None
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
-        set_spans, set_ends, set_runs = self._setters
+        set_spans, set_ends, set_runs, set_closed = self._setters
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
         for span in spans:
             if span.label is not None:
                 raise DataError(f"candidate {span} must not carry a label")
         starts = [span.start for span in spans]
-        set_ends(self, tuple(span.end for span in spans))
-        set_runs(
-            self,
-            tuple(
-                (start, bisect_left(starts, start), bisect_right(starts, start))
-                for start in dict.fromkeys(starts)
-            ),
+        ends = tuple(span.end for span in spans)
+        runs = tuple(
+            (start, bisect_left(starts, start), bisect_right(starts, start))
+            for start in dict.fromkeys(starts)
         )
+        set_ends(self, ends)
+        set_runs(self, runs)
+        set_closed(self, _closed_runs(ends, runs))
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -61,6 +65,31 @@ class CandidateSet(_Value, derived=("ends", "runs")):
         return all(
             not spans_overlap(a, b) for a, b in zip(self.spans, self.spans[1:])
         )
+
+
+def _closed_runs(
+    ends: tuple[int, ...], runs: tuple[tuple[int, int, int], ...]
+) -> dict[int, tuple[int, int]] | None:
+    """``CandidateSet.closed`` from the set's layout, in one pass over its runs.
+
+    The set is closed under sub-spans exactly when each run's ends are
+    contiguous, ``start + 1`` up to ``start + (past - first)``, and a run of
+    k >= 2 spans is followed by a run at ``start + 1`` of at least k - 1
+    spans: then dropping the last word of a candidate stays in its run, and
+    dropping the first lands in the next run, so every sub-span follows by
+    induction.
+    """
+    for k, (start, first, past) in enumerate(runs):
+        length = past - first
+        if ends[past - 1] - start != length:
+            return None
+        if length > 1:
+            if k + 1 == len(runs):
+                return None
+            after, after_first, after_past = runs[k + 1]
+            if after != start + 1 or after_past - after_first < length - 1:
+                return None
+    return {start: (first, past) for start, first, past in runs}
 
 
 def ngram_candidates(sentence: Sentence, max_len: int | None = 8) -> CandidateSet:

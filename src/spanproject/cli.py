@@ -209,13 +209,13 @@ def _as_ratio(raw, flag: str) -> Fraction:
     return value
 
 
-def _as_positive_int(raw, flag: str) -> int:
+def _as_int(raw, flag: str, least: int = 1) -> int:
     try:
         value = int(raw)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid integer {raw!r} for {flag}") from exc
-    if value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
     return value
 
 
@@ -227,7 +227,7 @@ _CONFIG = {
     "solver": ("solver", "--solver", partial(_as_enum, Solver)),
     "mode": ("mode", "--mode", partial(_as_enum, MatchMode)),
     "threshold": ("ratio_threshold", "--threshold", _as_ratio),
-    "max_ngram": ("max_ngram_len", "--max-ngram", _as_positive_int),
+    "max_ngram": ("max_ngram_len", "--max-ngram", _as_int),
 }
 
 
@@ -458,7 +458,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
     corpus, inputs = load_inputs(args)
     i = args.sentence
-    if not 0 <= i < len(corpus):
+    if i >= len(corpus):
         raise UsageError(f"--sentence {i} out of range for corpus of {len(corpus)}")
 
     from .matching import EXACT_MAX_SOURCES, render_problem
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(project)
     project.add_argument("--out", metavar="PATH", type=_path, required=True)
     project.add_argument(
-        "--jobs", type=partial(_as_positive_int, flag="--jobs"), default=1,
+        "--jobs", type=partial(_as_int, flag="--jobs"), default=1,
         help="project sentence chunks in up to N forked processes, at most one per "
         "usable CPU; output and stderr are those of --jobs 1",
     )
@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
     _add_common_flags(solver)
-    solver.add_argument("--sentence", type=int, default=0)
+    solver.add_argument("--sentence", type=partial(_as_int, flag="--sentence", least=0), default=0)
 
     ev = commands.add_parser("evaluate", help="score predictions against gold")
     ev.add_argument("pred", metavar="PRED", type=_path)

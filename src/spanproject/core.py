@@ -192,6 +192,12 @@ class AlignmentSet(_Value):
                 )
 
 
+def _check_label(label: str) -> None:
+    """Raise unless ``label`` is non-empty and free of whitespace, so a BIO tag can hold it."""
+    if label.split() != [label]:
+        raise DataError(f"invalid label {label!r}: empty or contains whitespace")
+
+
 class LabeledSentence(_Value):
     """A sentence together with its flat (non-overlapping) labeled entities.
 
@@ -218,8 +224,7 @@ class LabeledSentence(_Value):
         for ent in ents:
             if ent.label is None:
                 raise DataError(f"entity {ent} in a labeled sentence must carry a label")
-            if ent.label.split() != [ent.label]:
-                raise DataError(f"invalid label {ent.label!r}: empty or contains whitespace")
+            _check_label(ent.label)
             if ent.end > length:
                 raise DataError(
                     f"entity ({ent.start}, {ent.end}) exceeds sentence length "
@@ -240,6 +245,7 @@ def bio_encode(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int)
     for ent in seen:
         if ent.label is None:
             raise DataError(f"cannot BIO-encode unlabeled span {ent}")
+        _check_label(ent.label)
         if ent.end > length:
             raise DataError(f"entity ({ent.start}, {ent.end}) exceeds tag length {length}")
     return _bio_tags(seen, length)

@@ -19,15 +19,39 @@ nothing here ever rounds, so identical inputs give identical solutions on any
 platform.
 
 ``build_problem`` is the cost kernel. A cell is the number of alignment
-pairs inside source x candidate, over the two spans' summed lengths. It
-counts them from one prefix-count array per source entity, visits only the
-positive cells and stores only those: ``MatchingProblem.positive`` lists
-them as reduced integer ``(numerator, denominator, s, t)`` tuples in
-row-major order. Every solver and ``validate_solution`` read that list, so
-their work grows with the positive cells, not the matrix. The dense
-``costs`` matrix of such a problem is built from the list on first read and
-then kept; only ``render_problem`` and the problem's repr, == and hash read
-it.
+pairs inside source x candidate, over the two spans' summed lengths.
+
+**Dominance.** Take a positive cell (s, t) and its aligned hull h, the
+tightest span around the words of t aligned to source s. When h is a
+candidate other than t, it has the same count over fewer words, so
+cost(s, h) > cost(s, t), and no solver ever picks (s, t):
+
+* Greedy pops h first. Then h is taken, by s (which uses s up) or by
+  another source (and h overlaps t); or h is passed over, because s is used
+  or h overlaps a chosen span, and each of those rules out t too.
+* An optimum that used (s, t) would strictly improve by taking h instead,
+  since h lies inside t. So dropping (s, t) leaves the set of optimal
+  solutions, and the exact solvers' tie rule among them, as it was, under
+  either mode.
+
+**Frontier.** ``MatchingProblem.frontier`` lists the cells that this rule
+keeps, as reduced integer ``(numerator, denominator, s, t)`` tuples in
+row-major order. When the candidate set is closed under sub-spans (every
+n-gram set is), every hull is a candidate, so the frontier is the cells
+whose first and last target words are both aligned to the source:
+``build_problem`` prices them from the source's aligned words alone,
+without visiting any other cell. For any other set, such as disjoint NER
+spans, the frontier is the whole positive list. Every positive row keeps a
+frontier cell (its one-word cells are their own hulls). Every solver reads
+only the frontier, and ``validate_solution`` finds each chosen cell in it
+by bisection, so their work grows with the frontier, not the matrix.
+
+**What builds the rest.** The full ``positive`` list, in the same form,
+and the dense ``costs`` matrix built from it are priced on first read and
+then kept. Only ``render_problem`` (the ``solve`` command's printout), the
+problem's repr, ==, hash, copy and pickle, and ``validate_solution`` given
+a cell outside the frontier read them. So a ``project`` run never builds the
+dense matrix, nor, over n-gram candidates, the positive list.
 """
 
 from __future__ import annotations
@@ -51,25 +75,32 @@ _ZERO = Fraction(0)
 _CELL = itemgetter(2, 3)  # the (s, t) of a positive entry
 
 
-class MatchingProblem(_Value, derived=("positive",)):
+class MatchingProblem(_Value, derived=("positive", "frontier", "links")):
     """A cost matrix between labeled source entities and unlabeled candidates.
 
     ``positive`` holds one reduced ``(numerator, denominator, s, t)`` entry
-    per positive cell, in row-major order; it is left out of repr, == and
-    hash. The constructor derives it from ``costs``, whose cells must be
-    rational (``Fraction`` or ``int``) and non-negative. A problem from
-    ``build_problem`` stores only ``positive``: its ``costs`` are built on
-    first read, ``Fraction(0)`` in the zero cells, and then kept.
+    per positive cell, in row-major order, and ``frontier`` the entries of
+    that list a solver can ever pick (see the module docstring); both are
+    left out of repr, == and hash. The constructor derives ``positive`` from
+    ``costs``, whose cells must be rational (``Fraction`` or ``int``) and
+    non-negative, and its ``frontier`` is that same list. A problem from
+    ``build_problem`` stores its ``frontier`` and, per source, its alignment
+    pairs counted by target index (``links``); its ``positive`` list is
+    priced from them on first read, its ``costs`` are built from that list
+    on first read, ``Fraction(0)`` in the zero cells, and both are then
+    kept; ``links`` is None on a problem from the constructor.
     ``candidates`` holds spans only, so the problems of every n-gram target
     of one length share one set.
     """
 
-    __slots__ = ("sources", "candidates", "costs", "mode", "positive")
+    __slots__ = ("sources", "candidates", "costs", "mode", "positive", "frontier", "links")
     sources: tuple[EntitySpan, ...]
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
     mode: MatchMode
     positive: tuple[tuple[int, int, int, int], ...]
+    frontier: tuple[tuple[int, int, int, int], ...]
+    links: list[dict[int, int]] | None
 
     def __init__(
         self,
@@ -78,13 +109,16 @@ class MatchingProblem(_Value, derived=("positive",)):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        set_sources, set_candidates, set_costs, set_mode, set_positive = self._setters
+        set_sources, set_candidates, set_costs, set_mode, set_positive, set_frontier, set_links = (
+            self._setters
+        )
         sources = tuple(sources)
         costs = tuple(tuple(row) for row in costs)
         set_sources(self, sources)
         set_candidates(self, candidates)
         set_costs(self, costs)
         set_mode(self, mode)
+        set_links(self, None)
         if len(costs) != len(sources):
             raise DataError(f"cost matrix has {len(costs)} rows for {len(sources)} sources")
         positive = []
@@ -105,37 +139,21 @@ class MatchingProblem(_Value, derived=("positive",)):
                     raise DataError(f"negative matching cost {cell}")
                 if num:
                     positive.append((num, cell.denominator, s, t))
-        set_positive(self, tuple(positive))
-
-    @classmethod
-    def _sparse(
-        cls,
-        sources: tuple[EntitySpan, ...],
-        candidates: CandidateSet,
-        mode: MatchMode,
-        positive: tuple[tuple[int, int, int, int], ...],
-    ) -> "MatchingProblem":
-        """Wrap the positive cells a caller has just priced; ``costs`` stays unset.
-
-        Skips ``__init__``, which needs the dense matrix; only
-        ``build_problem`` uses it.
-        """
-        set_sources, set_candidates, _, set_mode, set_positive = cls._setters
-        self = object.__new__(cls)
-        set_sources(self, sources)
-        set_candidates(self, candidates)
-        set_mode(self, mode)
+        positive = tuple(positive)
         set_positive(self, positive)
-        return self
+        set_frontier(self, positive)
 
     def __getattr__(self, name: str):
-        # reached only when a slot is unset: ``costs`` of a sparse problem
-        if name != "costs":
+        # reached only when a slot is unset: ``positive`` or ``costs`` of a
+        # problem from build_problem
+        if name == "positive":
+            value = _positive_cells(self)
+        elif name == "costs":
+            value = _dense_costs(self)
+        else:
             raise AttributeError(name)
-        _, _, set_costs, _, _ = self._setters
-        costs = _dense_costs(self)
-        set_costs(self, costs)
-        return costs
+        self._setters[self.__slots__.index(name)](self, value)
+        return value
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -168,61 +186,43 @@ def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def _positive_cell(p: MatchingProblem, s: int, t: int) -> tuple[int, int] | None:
-    """Cell (s, t)'s ``(numerator, denominator)``, found by bisection; None if zero."""
-    k = bisect_left(p.positive, (s, t), key=_CELL)
-    if k < len(p.positive) and _CELL(p.positive[k]) == (s, t):
-        return p.positive[k][:2]
+def _find_cell(
+    cells: tuple[tuple[int, int, int, int], ...], s: int, t: int
+) -> tuple[int, int] | None:
+    """Cell (s, t)'s ``(numerator, denominator)`` in row-major ``cells`` by bisection, or None."""
+    k = bisect_left(cells, (s, t), key=_CELL)
+    if k < len(cells) and _CELL(cells[k]) == (s, t):
+        return cells[k][:2]
     return None
 
 
-def build_problem(
-    labeled: LabeledSentence,
-    cands: CandidateSet,
-    align: AlignmentSet,
-    mode: MatchMode = MatchMode.AT_MOST_ONE,
-) -> MatchingProblem:
-    """Price every positive cell of one sentence pair.
+def _positive_cells(p: MatchingProblem) -> tuple[tuple[int, int, int, int], ...]:
+    """Every positive cell of a problem from ``build_problem``, in row-major order.
 
-    Alignment indices are checked against the labeled sentence only; the
-    target side is checked by callers such as ``matching_problem``.
-
-    Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
-    len(tgt)``. The pairs are grouped by labeled-side index once. For each
-    source entity, ``prefix[j]`` counts its alignment pairs with target
-    index below ``j``, so a cell's count is ``prefix[tgt.end] -
+    For each source entity, ``prefix[j]`` counts its ``links`` with
+    target index below ``j``, so a cell's count is ``prefix[tgt.end] -
     prefix[tgt.start]``. The array runs to the largest candidate end: target
     indices past it fall in no candidate.
 
     Only positive cells are visited. The candidate set's ``runs`` group the
     candidates sharing a start, ends rising, so the positive ones are the
     run's tail whose end passes the first aligned index at or after the
-    start; one bisection per run finds it. Each cell is reduced by its gcd
-    into the positive list, the problem's only storage; a count is never
-    negative and the lengths are positive, so nothing needs re-checking.
+    start; one bisection per run finds it. Each cell is reduced by its gcd;
+    a count is never negative and the lengths are positive, so nothing needs
+    re-checking.
     """
-    n = len(labeled.sentence)
-    targets_by_source: dict[int, list[int]] = {}
-    for i, j in align.pairs:
-        if i >= n:
-            raise DataError(
-                f"alignment index {i} out of bounds for labeled sentence "
-                f"{labeled.sentence.id} of length {n}"
-            )
-        targets_by_source.setdefault(i, []).append(j)
-    ends = cands.ends
+    ends = p.candidates.ends
     width = max(ends, default=0)
     positive = []
-    for s, src in enumerate(labeled.entities):
+    for s, (src, counts) in enumerate(zip(p.sources, p.links)):
         hits = [0] * (width + 1)
-        for i in range(src.start, src.end):
-            for j in targets_by_source.get(i, ()):
-                if j < width:
-                    hits[j + 1] += 1
+        for j, count in counts.items():
+            if j < width:
+                hits[j + 1] += count
         prefix = list(accumulate(hits))
         total = prefix[-1]
         src_len = src.end - src.start
-        for start, first, past in cands.runs:
+        for start, first, past in p.candidates.runs:
             before = prefix[start]
             if before == total:
                 break  # no aligned index at or after this start, nor any later one
@@ -235,7 +235,89 @@ def build_problem(
                 length = src_len + end - start
                 g = gcd(count, length)
                 positive.append((count // g, length // g, s, t))
-    return MatchingProblem._sparse(labeled.entities, cands, mode, tuple(positive))
+    return tuple(positive)
+
+
+def build_problem(
+    labeled: LabeledSentence,
+    cands: CandidateSet,
+    align: AlignmentSet,
+    mode: MatchMode = MatchMode.AT_MOST_ONE,
+) -> MatchingProblem:
+    """Price the frontier of one sentence pair: the cells a solver can ever pick.
+
+    Alignment indices are checked against the labeled sentence only; the
+    target side is checked by callers such as ``matching_problem``.
+
+    Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
+    len(tgt)``. One pass over the alignment pairs counts each source's pairs
+    by target index, and the problem keeps those counts (``links``) to price
+    its ``positive`` list if that is ever read.
+
+    Over a candidate set closed under sub-spans, a source's frontier cells
+    are its pairs of aligned target words ``first <= last`` that one
+    candidate spans: for k aligned words, at most k(k+1)/2 cells, however
+    many positive cells the source has. Prefix counts over the sorted
+    aligned words give each cell's count, and the set's ``closed`` map gives
+    the candidate index. Over any other set the frontier is the positive
+    list, priced here by ``_positive_cells``. Each cell is reduced by its
+    gcd; a count is positive and the lengths are positive, so nothing needs
+    re-checking. See the module docstring for why no other cell is needed.
+    """
+    n = len(labeled.sentence)
+    entities = labeled.entities
+    # links[s][j]: source s's alignment pairs with target index j; the
+    # entities of a labeled sentence are disjoint, so each word has one owner
+    links: list[dict[int, int]] = [{} for _ in entities]
+    owner: list[dict[int, int] | None] = [None] * n
+    for src, counts in zip(entities, links):
+        owner[src.start : src.end] = [counts] * (src.end - src.start)
+    for i, j in align.pairs:
+        if i >= n:
+            raise DataError(
+                f"alignment index {i} out of bounds for labeled sentence "
+                f"{labeled.sentence.id} of length {n}"
+            )
+        counts = owner[i]
+        if counts is not None:
+            counts[j] = counts.get(j, 0) + 1
+    set_sources, set_candidates, _, set_mode, set_positive, set_frontier, set_links = (
+        MatchingProblem._setters
+    )
+    p = object.__new__(MatchingProblem)  # __init__ needs the dense matrix
+    set_sources(p, entities)
+    set_candidates(p, cands)
+    set_mode(p, mode)
+    set_links(p, links)
+    closed = cands.closed
+    if closed is None:
+        positive = _positive_cells(p)
+        set_positive(p, positive)
+        set_frontier(p, positive)
+        return p
+    frontier = []
+    for s, (src, counts) in enumerate(zip(entities, links)):
+        aligned = sorted(counts)
+        # below[x]: the source's pairs with target index below aligned[x]
+        below = list(accumulate(map(counts.__getitem__, aligned), initial=0))
+        src_len = src.end - src.start
+        for x, start in enumerate(aligned):
+            run = closed.get(start)
+            if run is None:
+                continue  # no candidate starts here, so none contains this word
+            first, past = run
+            reach = start + past - first  # the run's ends: start + 1 .. reach
+            before = below[x]
+            for y in range(x, len(aligned)):
+                last = aligned[y]
+                if last >= reach:
+                    break
+                count = below[y + 1] - before
+                length = src_len + last + 1 - start
+                g = gcd(count, length)
+                frontier.append((count // g, length // g, s, first + last - start))
+    set_frontier(p, tuple(frontier))
+    return p
 
 
 def solve_greedy(p: MatchingProblem) -> MatchingSolution:
@@ -246,23 +328,24 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
     lower candidate start, then the shorter candidate. Only AT_MOST_ONE is
     supported; greedy cannot promise full source coverage.
 
-    Only the problem's positive-cell list is read, and it is ordered on an
-    exact integer key: with ``scale`` the least common multiple of the
-    positive cells' denominators, ``cost * scale`` is an integer for every
-    cell, so the order is the same as on the Fraction costs. Candidates are
-    distinct and sorted by (start, end), so the candidate index orders them
-    as (start, end) does, and a source index breaks the remaining ties
-    (overlapping sources sharing a start) in row-major order. The scan stops
-    once every source is used, usually after a few cells, so the cells are
-    heapified and popped in order rather than sorted. The objective is the
-    chosen cells' summed integer keys over ``scale``.
+    Only the problem's frontier is read: the other positive cells would be
+    passed over (see the module docstring). It is ordered on an exact
+    integer key: with ``scale`` the least common multiple of the frontier's
+    denominators, ``cost * scale`` is an integer for every cell, so the
+    order is the same as on the Fraction costs. Candidates are distinct and
+    sorted by (start, end), so the candidate index orders them as (start,
+    end) does, and a source index breaks the remaining ties (overlapping
+    sources sharing a start) in row-major order. The scan stops once every
+    source is used, so the cells are heapified and popped in order rather
+    than sorted. The objective is the chosen cells' summed integer keys over
+    ``scale``.
     """
     if p.mode is MatchMode.REQUIRE_ALL:
         raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
     spans = p.candidates.spans
     starts = [src.start for src in p.sources]
-    scale = lcm(*{den for _, den, _, _ in p.positive})
-    heap = [(-num * (scale // den), starts[s], t, s) for num, den, s, t in p.positive]
+    scale = lcm(*{den for _, den, _, _ in p.frontier})
+    heap = [(-num * (scale // den), starts[s], t, s) for num, den, s, t in p.frontier]
     heapify(heap)
     used_sources: set[int] = set()
     chosen_spans: list[EntitySpan] = []
@@ -283,8 +366,11 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
 
 
 def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
-    """Sources with no positive cost against any candidate."""
-    covered = {s for _, _, s, _ in p.positive}
+    """Sources with no positive cost against any candidate.
+
+    A positive row keeps at least one frontier cell, so the frontier tells.
+    """
+    covered = {s for _, _, s, _ in p.frontier}
     return tuple(s for s in range(len(p.sources)) if s not in covered)
 
 
@@ -351,8 +437,9 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     "unassigned"; forbidden pairs (zero cost, or source-to-dummy under
     REQUIRE_ALL) get a cost large enough that the optimum avoids them
     whenever avoiding them is feasible. The matrix is filled from the
-    positive cells; every other source-candidate cell is forbidden. Costs
-    are integers under greedy's lcm scale, so the solver never rounds.
+    frontier; every other source-candidate cell is forbidden, which changes
+    no optimum (see the module docstring). Costs are integers under greedy's
+    lcm scale, so the solver never rounds.
     """
     if not p.candidates.is_disjoint():
         raise DataError(
@@ -370,8 +457,8 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
             )
         return MatchingSolution((), Fraction(0))
 
-    scale = lcm(*{den for _, den, _, _ in p.positive})
-    gains = {(s, t): num * (scale // den) for num, den, s, t in p.positive}
+    scale = lcm(*{den for _, den, _, _ in p.frontier})
+    gains = {(s, t): num * (scale // den) for num, den, s, t in p.frontier}
     big = n_src * max(gains.values(), default=0) + scale
     unassigned = big if require_all else 0
     matrix = [[big] * n_cand + [unassigned] * n_src for _ in range(n_src)]
@@ -402,10 +489,11 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
     sources used so far. It moves on one position, or takes a positive cell
     whose candidate starts there: that jumps to the candidate's end and sets
     the source's bit, so candidates never overlap and the mask caps each
-    source. Each state keeps the largest value (an integer under greedy's lcm
-    scale), then the lexicographically smallest sorted assignment tuple: all
-    cells are positive, so a common extension never reverses that choice.
-    Under REQUIRE_ALL only the full mask counts.
+    source. Only frontier cells are moves: no optimum uses another cell
+    (see the module docstring). Each state keeps the largest value (an
+    integer under greedy's lcm scale), then the lexicographically smallest
+    sorted assignment tuple: all cells are positive, so a common extension
+    never reverses that choice. Under REQUIRE_ALL only the full mask counts.
     """
     if len(p.sources) > EXACT_MAX_SOURCES:
         raise GuardError(
@@ -413,10 +501,10 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
             f"({EXACT_MAX_SOURCES} sources)"
         )
     spans = p.candidates.spans
-    scale = lcm(*{den for _, den, _, _ in p.positive})
+    scale = lcm(*{den for _, den, _, _ in p.frontier})
     width = max((span.end for span in spans), default=0)
     moves = [[] for _ in range(width)]
-    for num, den, s, t in p.positive:
+    for num, den, s, t in p.frontier:
         moves[spans[t].start].append((spans[t].end, 1 << s, num * (scale // den), (s, t)))
     # layers[j][mask] = (-value, assignments in target order); sorted only on ties
     layers = [{} for _ in range(width + 1)]
@@ -448,8 +536,9 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
 def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
     """Independently check a solution's feasibility; raises on any violation.
 
-    Each assigned cell is looked up in the positive list by bisection, so
-    the dense matrix is never built.
+    Each assigned cell is looked up in the frontier by bisection, and only
+    a cell outside it in the positive list, so a valid choice that no
+    solver would make is still accepted. The dense matrix is never built.
     """
     n_src, n_cand = p.shape
     spans = p.candidates.spans
@@ -463,7 +552,7 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
             raise DataError(f"candidate {t} assigned twice")
         if s in seen_sources:
             raise DataError(f"source {s} assigned twice")
-        cell = _positive_cell(p, s, t)
+        cell = _find_cell(p.frontier, s, t) or _find_cell(p.positive, s, t)
         if cell is None:
             raise DataError(f"assignment ({s}, {t}) has zero cost")
         seen_sources.add(s)

@@ -146,11 +146,31 @@ def test_candidate_layout_is_derived_from_the_spans():
         sets.append(CandidateSet(random_intervals(rng, n, rng.randint(0, 8))))
         ner = random_nonoverlapping_spans(rng, n, rng.randint(0, 4), labeled=False)
         sets.append(external_candidates(Sentence(words(n)), list(ner)))
+    # closed under sub-spans or one span short of it, with gaps between words
+    for pairs in (
+        [(0, 1), (0, 2), (1, 2), (4, 5)],
+        [(0, 2), (1, 2)],
+        [(0, 1), (0, 2)],
+        [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)],
+        [(2, 3), (2, 4), (3, 4), (6, 7)],
+    ):
+        sets.append(CandidateSet(tuple(EntitySpan(a, b) for a, b in pairs)))
     for cs in sets:
         assert (cs.ends, cs.runs) == recomputed_layout(cs.spans)
+        spans = {(span.start, span.end) for span in cs.spans}
+        closed = all(
+            (a, b) in spans for start, end in spans
+            for a in range(start, end) for b in range(a + 1, end + 1)
+        )
+        if closed:
+            assert cs.closed == {start: (first, past) for start, first, past in cs.runs}
+        else:
+            assert cs.closed is None
         # the layout is left out of repr, == and hash
         assert repr(cs) == f"CandidateSet(spans={cs.spans!r})"
         assert hash(cs) == hash((cs.spans,))
         for clone in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert clone == cs
-            assert (clone.ends, clone.runs) == (cs.ends, cs.runs)
+            assert (clone.ends, clone.runs, clone.closed) == (cs.ends, cs.runs, cs.closed)

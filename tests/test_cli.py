@@ -339,26 +339,44 @@ def test_exact_guard_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_only_solve_builds_the_dense_cost_matrix(tmp_path, capsys, monkeypatch):
-    from spanproject import matching
+def test_only_solve_builds_the_positive_list_and_the_dense_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(p):
+        raise AssertionError("a project run read the positive list or the dense matrix")
 
-    built = []
-    dense_costs = matching._dense_costs
-    monkeypatch.setattr(matching, "_dense_costs", lambda p: built.append(p) or dense_costs(p))
-    for solver in ("greedy", "exact"):
+    for builder in ("_positive_cells", "_dense_costs"):
+        monkeypatch.setattr(matching, builder, refuse)
+    solvers = (("--solver", "greedy"), ("--solver", "exact"), ("--solver", "exact", "--mode", "all"))
+    for extra in solvers:
         code, _, err = project_noisy(
-            capsys, tmp_path / f"{solver}.conll", "--solver", solver, "--skip-bad-sentences"
+            capsys, tmp_path / "p.conll", "--method", "matching", "--candidates", "ngram",
+            *extra, "--skip-bad-sentences",
         )
         assert code == 0, err
-    assert built == []
+    monkeypatch.undo()
+
+    built = {"_positive_cells": [], "_dense_costs": []}
+    for builder, calls in built.items():
+        real = getattr(matching, builder)
+        monkeypatch.setattr(
+            matching, builder, lambda p, real=real, calls=calls: calls.append(p) or real(p)
+        )
     code, out, _ = run(
         capsys, "solve", "--sentence", "0",
         "--labeled", fixture("clean_source.conll"),
         "--target", fixture("clean_target.conll"),
         "--align", fixture("clean.align"),
     )
-    assert code == 0 and out.startswith("mode=atmost shape=")
-    assert len(built) == 1
+    # one problem, each builder run once for it
+    [problem] = built["_positive_cells"]
+    assert built["_dense_costs"] == [problem]
+    n_src, n_cand = problem.shape
+    assert code == 0 and out.startswith(f"mode=atmost shape={n_src}x{n_cand}\n")
+    # the printout holds every cell, the ones no solver would pick too
+    assert len(problem.positive) > len(problem.frontier)
+    rows = out.splitlines()[2 : 2 + n_src]
+    assert [row.split()[1:] for row in rows] == [list(map(str, row)) for row in problem.costs]
 
 
 def test_solve_prints_matrix_and_oracle(capsys):
@@ -444,6 +462,27 @@ def test_solve_sentence_out_of_range(capsys):
     )
     assert code == 1
     assert "out of range" in err
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        ("x", "invalid integer 'x' for --sentence"),
+        ("1.0", "invalid integer '1.0' for --sentence"),
+        ("", "invalid integer '' for --sentence"),
+        ("-1", "--sentence must be at least 0, got -1"),
+    ],
+)
+def test_solve_sentence_is_read_like_the_other_integer_flags(capsys, value, message):
+    code, out, err = run(
+        capsys,
+        "solve",
+        "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"),
+        "--align", fixture("clean.align"),
+        "--sentence", value,
+    )
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_solve_checks_target_alignment_bounds_like_project(tmp_path, capsys):

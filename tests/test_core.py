@@ -274,19 +274,26 @@ def test_every_value_type_is_covered_and_its_setters_are_its_slots():
 
 
 def test_a_sparse_problem_stores_its_costs_on_first_read():
+    from spanproject import build_problem, ngram_candidates
+
+    labeled = LabeledSentence(Sentence(("a",)), (EntitySpan(0, 1, "PER"),))
+    cands = ngram_candidates(Sentence(("x", "y")), None)  # [0,1) [0,2) [1,2)
+    sparse = build_problem(labeled, cands, AlignmentSet(frozenset({(0, 0)})))
     problem = MatchingProblem(
-        (EntitySpan(0, 1, "PER"),), CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2))),
-        ((Fraction(1, 2), Fraction(0)),),
+        labeled.entities, cands, ((Fraction(1, 2), Fraction(1, 3), Fraction(0)),)
     )
-    sparse = MatchingProblem._sparse(
-        problem.sources, problem.candidates, problem.mode, problem.positive
-    )
+    # [0,2) is dominated by its aligned hull [0,1), so only the dense problem lists it
+    assert sparse.frontier == ((1, 2, 0, 0),)
+    assert problem.frontier == problem.positive == ((1, 2, 0, 0), (1, 3, 0, 1))
     with pytest.raises(AttributeError):
         sparse.no_such_field
+    positive = sparse.positive
+    assert positive == problem.positive and sparse.positive is positive
     costs = sparse.costs
     assert costs == problem.costs and sparse.costs is costs and sparse == problem
-    with pytest.raises(AttributeError):
-        sparse.costs = costs
+    for name, value in (("costs", costs), ("positive", positive)):
+        with pytest.raises(AttributeError):
+            setattr(sparse, name, value)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +467,19 @@ def test_bio_encode_rejects_bad_input():
         with pytest.raises(DataError) as info:
             bio_encode(entities, 5)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("label", ["", " ", "X Y", "X\tY", "X\n", " X", "X "])
+def test_bio_encode_refuses_labels_a_tag_cannot_hold(label):
+    # the same rule and message as a LabeledSentence, checked before bounds
+    message = f"invalid label {label!r}: empty or contains whitespace"
+    bad = EntitySpan(1, 9, label)  # past the tags too: the label is checked first
+    for entities in ([EntitySpan(0, 1, label)], [EntitySpan(0, 1, "A"), bad]):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            bio_encode(entities, 2)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        LabeledSentence(Sentence(("a", "b")), (EntitySpan(0, 1, label),))
+    assert bio_encode([EntitySpan(0, 1, "X-Y.z")], 2) == ["B-X-Y.z", "O"]
 
 
 def test_bio_decode_lenient_orphan_i_opens_span():

@@ -216,6 +216,89 @@ def test_build_problem_equals_matching_cost_on_every_cell():
         assert [validation_outcome(rebuilt, sol) for sol in probes] == sparse_outcomes, trial
 
 
+def solver_outcome(solver, p):
+    """A solver's solution, or the type, message and uncoverable sources of its error."""
+    try:
+        return solver(p)
+    except (DataError, GuardError, InfeasibleError) as exc:
+        return type(exc), str(exc), getattr(exc, "uncoverable", None)
+
+
+def test_solvers_read_a_frontier_that_changes_no_solution():
+    rng = Random(29)
+    for trial in range(1500):
+        kind = ("ngram", "ner", "nested")[trial % 3]
+        n_src, n_tgt = rng.randint(1, 8), rng.randint(1, 7)
+        entities = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
+        labeled = LabeledSentence(Sentence(words(n_src)), entities)
+        target = Sentence(words(n_tgt))
+        if kind == "ngram":
+            cands = ngram_candidates(target, rng.choice((*range(1, n_tgt + 1), None)))
+        elif kind == "ner":
+            ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False)
+            cands = external_candidates(target, list(ner))
+        else:
+            cands = CandidateSet(random_intervals(rng, n_tgt, rng.randint(0, 9)))
+        reach = n_tgt + rng.randint(0, 2)
+        if rng.random() < 0.3:
+            align = random_one_to_one_alignment(rng, n_src, reach)
+        else:
+            align = random_alignment(rng, n_src, reach, density=rng.choice((0.2, 0.4, 0.7)))
+        mode = MatchMode.REQUIRE_ALL if rng.random() < 0.3 else MatchMode.AT_MOST_ONE
+        p = build_problem(labeled, cands, align, mode)
+        frontier = p.frontier  # read before the positive list exists
+        spans = cands.spans
+
+        # a row-major subset of the positive list
+        assert set(frontier) <= set(p.positive), trial
+        cells = [(s, t) for _, _, s, t in frontier]
+        assert cells == sorted(set(cells)), trial
+        if cands.closed is None:
+            assert frontier == p.positive, trial
+        else:
+            # the cells whose first and last target words are aligned to the source
+            want = {
+                (s, t)
+                for s, src in enumerate(entities)
+                for t, span in enumerate(spans)
+                if {span.start, span.end - 1} <= helpers.targets_of(align, src)
+            }
+            assert set(cells) == want, trial
+        # a left-out cell has a nested candidate of strictly higher cost in its row
+        for num, den, s, t in set(p.positive) - set(frontier):
+            cost, outer = Fraction(num, den), spans[t]
+            assert any(
+                outer.start <= span.start and span.end <= outer.end and p.costs[s][u] > cost
+                for u, span in enumerate(spans)
+            ), (trial, s, t)
+            if mode is MatchMode.AT_MOST_ONE:
+                # still a valid choice, though no solver makes it
+                validate_solution(p, MatchingSolution(((s, t),), cost))
+
+        dense = MatchingProblem(p.sources, cands, p.costs, mode)
+        assert dense.frontier == dense.positive == p.positive, trial
+        solvers = [solve_exact]
+        if mode is MatchMode.AT_MOST_ONE:
+            solvers.append(solve_greedy)
+            assert solve_greedy(p) == greedy_oracle(dense), trial
+        if cands.is_disjoint():
+            solvers.append(solve_assignment_exact)
+        for solver in solvers:
+            got = solver_outcome(solver, p)
+            assert got == solver_outcome(solver, dense), (trial, solver.__name__)
+            if isinstance(got, MatchingSolution):
+                validate_solution(p, got)
+        brute = solver_outcome(lambda q: solve_bruteforce(q, unsafe=True), dense)
+        assert solver_outcome(solve_exact, p) == brute, trial
+        if cands.is_disjoint():
+            assignment = solver_outcome(solve_assignment_exact, p)
+            if isinstance(brute, MatchingSolution):
+                # ties between optima may break another way in the Hungarian method
+                assert assignment.objective == brute.objective, trial
+            else:
+                assert type(assignment) is tuple and assignment[0] is brute[0], trial
+
+
 # every positive value ties with others; some differ only far past the decimal point
 COST_POOL = (
     0, 0, 0, Fraction(0), 1, Fraction(1), Fraction(1, 2), Fraction(2, 4), Fraction(1, 3),
