@@ -27,6 +27,7 @@ contract, kept by the private base class ``_Value``:
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 
 from .errors import DataError, FormatError
@@ -110,10 +111,12 @@ class Sentence(_Value):
         set_id(self, id)
         if not tokens:
             raise DataError("sentence must contain at least one token")
-        # splitting the space-joined tokens gives them back exactly when none
-        # is empty or holds a character for which str.isspace() holds; only
-        # then is each token split on its own, to name the first bad one
-        if " ".join(tokens).split() != list(tokens):
+        # the join raises its TypeError for a token that is not a str; the
+        # tokens are good exactly when none is empty and their concatenation
+        # holds no character for which str.isspace() holds; only otherwise is
+        # each token split on its own, to name the first bad one
+        joined = "".join(tokens)
+        if not all(tokens) or joined.split() != [joined]:
             for tok in tokens:
                 if tok.split() != [tok]:
                     raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
@@ -192,8 +195,14 @@ class AlignmentSet(_Value):
                 )
 
 
+@lru_cache(maxsize=1024)
 def _check_label(label: str) -> None:
-    """Raise unless ``label`` is non-empty and free of whitespace, so a BIO tag can hold it."""
+    """Raise unless ``label`` is non-empty and free of whitespace, so a BIO tag can hold it.
+
+    Memoised, as a corpus has few distinct labels: a label that passed is
+    not split again, and a raised error is never cached, so a bad label
+    raises the same message every time.
+    """
     if label.split() != [label]:
         raise DataError(f"invalid label {label!r}: empty or contains whitespace")
 
@@ -216,7 +225,13 @@ class LabeledSentence(_Value):
         # entities that each end at or before the next one's start are in
         # sorted order already and cannot overlap, so they skip the sort and
         # the overlap scan; the parsers yield entities this way
-        disjoint_in_order = all(a.end <= b.start for a, b in zip(ents, ents[1:]))
+        disjoint_in_order = True
+        prev_end = 0
+        for ent in ents:
+            if ent.start < prev_end:
+                disjoint_in_order = False
+                break
+            prev_end = ent.end
         if not disjoint_in_order:
             ents = tuple(sorted(ents, key=EntitySpan.sort_key))
         set_entities(self, ents)
@@ -234,6 +249,32 @@ class LabeledSentence(_Value):
             for prev, cur in zip(ents, ents[1:]):
                 if spans_overlap(prev, cur):
                     raise DataError(f"entities {prev} and {cur} overlap")
+
+
+def _entity_links(labeled: LabeledSentence, align: AlignmentSet) -> list[dict[int, int]]:
+    """Each entity's alignment pairs counted by target index, in entity order.
+
+    The entities of a labeled sentence are disjoint, so each word has at
+    most one owning entity, and one pass over the pairs groups them all.
+    Only the labeled side is checked: a labeled-side index past the sentence
+    raises a located ``DataError``.
+    """
+    n = len(labeled.sentence)
+    entities = labeled.entities
+    links: list[dict[int, int]] = [{} for _ in entities]
+    owner: list[dict[int, int] | None] = [None] * n
+    for ent, counts in zip(entities, links):
+        owner[ent.start : ent.end] = [counts] * (ent.end - ent.start)
+    for i, j in align.pairs:
+        if i >= n:
+            raise DataError(
+                f"alignment index {i} out of bounds for labeled sentence "
+                f"{labeled.sentence.id} of length {n}"
+            )
+        counts = owner[i]
+        if counts is not None:
+            counts[j] = counts.get(j, 0) + 1
+    return links
 
 
 def bio_encode(entities: list[EntitySpan] | tuple[EntitySpan, ...], length: int) -> list[str]:

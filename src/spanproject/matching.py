@@ -65,7 +65,15 @@ from numbers import Rational
 from operator import itemgetter
 
 from .candidates import CandidateSet
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, _Value, spans_overlap
+from .core import (
+    AlignmentSet,
+    EntitySpan,
+    LabeledSentence,
+    MatchMode,
+    _entity_links,
+    _Value,
+    spans_overlap,
+)
 from .errors import DataError, GuardError, InfeasibleError
 from .formats import render_table
 
@@ -250,9 +258,10 @@ def build_problem(
     target side is checked by callers such as ``matching_problem``.
 
     Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
-    len(tgt)``. One pass over the alignment pairs counts each source's pairs
-    by target index, and the problem keeps those counts (``links``) to price
-    its ``positive`` list if that is ever read.
+    len(tgt)``. ``core._entity_links``, the grouping the heuristic shares,
+    counts each source's pairs by target index in one pass over the pairs,
+    and the problem keeps those counts (``links``) to price its ``positive``
+    list if that is ever read.
 
     Over a candidate set closed under sub-spans, a source's frontier cells
     are its pairs of aligned target words ``first <= last`` that one
@@ -264,23 +273,8 @@ def build_problem(
     gcd; a count is positive and the lengths are positive, so nothing needs
     re-checking. See the module docstring for why no other cell is needed.
     """
-    n = len(labeled.sentence)
     entities = labeled.entities
-    # links[s][j]: source s's alignment pairs with target index j; the
-    # entities of a labeled sentence are disjoint, so each word has one owner
-    links: list[dict[int, int]] = [{} for _ in entities]
-    owner: list[dict[int, int] | None] = [None] * n
-    for src, counts in zip(entities, links):
-        owner[src.start : src.end] = [counts] * (src.end - src.start)
-    for i, j in align.pairs:
-        if i >= n:
-            raise DataError(
-                f"alignment index {i} out of bounds for labeled sentence "
-                f"{labeled.sentence.id} of length {n}"
-            )
-        counts = owner[i]
-        if counts is not None:
-            counts[j] = counts.get(j, 0) + 1
+    links = _entity_links(labeled, align)  # links[s][j]: source s's pairs with target j
     set_sources, set_candidates, _, set_mode, set_positive, set_frontier, set_links = (
         MatchingProblem._setters
     )

@@ -28,8 +28,8 @@ from .core import (
     MatchMode,
     Sentence,
     SourceKind,
+    _entity_links,
     _Value,
-    spans_overlap,
 )
 from .errors import DataError
 
@@ -136,33 +136,25 @@ def project_heuristic(
     cuts off stray long-distance alignments. Projected spans that collide
     keep the earlier entity.
 
-    The pairs are grouped by labeled-side index in one pass, and the
-    coverage test ``len / hull < threshold`` is cross-multiplied (both
-    denominators are positive), so no ``Fraction`` is built per entity.
+    The pairs are grouped per entity by ``core._entity_links``, the one pass
+    that ``matching.build_problem`` shares, and an entity's aligned words are
+    its sorted target indices. The coverage test ``len / hull < threshold``
+    is cross-multiplied (both denominators are positive), so no ``Fraction``
+    is built per entity, and a span is built only once it is kept.
     """
     align.check_bounds(len(labeled.sentence), len(target))
-    targets_by_source: dict[int, list[int]] = {}
-    for i, j in align.pairs:
-        targets_by_source.setdefault(i, []).append(j)
     num, den = threshold.numerator, threshold.denominator
     projected: list[EntitySpan] = []
-    for entity in labeled.entities:
-        aligned = sorted(
-            {
-                j
-                for i in range(entity.start, entity.end)
-                for j in targets_by_source.get(i, ())
-            }
-        )
-        if not aligned:
+    for entity, counts in zip(labeled.entities, _entity_links(labeled, align)):
+        if not counts:
             continue
+        aligned = sorted(counts)
         start, end = aligned[0], aligned[-1] + 1
         if len(aligned) * den < num * (end - start):
             start, end = _longest_run(aligned)
-        span = EntitySpan(start, end, entity.label)
-        if any(spans_overlap(span, prior) for prior in projected):
+        if any(start < prior.end and prior.start < end for prior in projected):
             continue
-        projected.append(span)
+        projected.append(EntitySpan(start, end, entity.label))
     return LabeledSentence(target, tuple(projected))
 
 

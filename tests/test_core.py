@@ -55,6 +55,15 @@ def test_sentence_rejects_empty_and_whitespace_tokens():
         Sentence(("ok", "two words"))
     with pytest.raises(DataError):
         Sentence(("a",), id=-1)
+    # a token that is not a str fails in str.join, before any whitespace check
+    for tokens, message in [
+        (("a", 0), "sequence item 1: expected str instance, int found"),
+        ((b"a",), "sequence item 0: expected str instance, bytes found"),
+        (("a", "b c", None), "sequence item 2: expected str instance, NoneType found"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            Sentence(tokens)
+        assert str(info.value) == message
     # every code point: a token holding it is rejected exactly when str.isspace()
     # says so, and the error names the first bad token wherever it stands
     chars = [chr(code) for code in range(0x110000)]
@@ -413,14 +422,23 @@ def test_constructor_error_messages_are_pinned(build, message):
 
 def test_labeled_sentence_equals_sort_then_check_on_random_entities():
     rng = Random(44)
-    kinds = {"ok": 0, "must carry a label": 0, "exceeds": 0, "overlap": 0}
+    kinds = {"ok": 0, "must carry a label": 0, "invalid label": 0, "exceeds": 0, "overlap": 0}
+    # the label check is memoised: a bad label must raise its exact message
+    # every time it is met, so failures are never cached
+    bad_labels = ("", "A B", "A\u00a0", "A ")
     for _ in range(10_000):
         n = rng.randint(1, 8)
         sentence = Sentence(words(n), id=rng.randrange(3))
         entities = []
         for _ in range(rng.randint(0, 4)):
             start = rng.randrange(n)
-            label = None if rng.random() < 0.03 else rng.choice(("A", "B"))
+            draw = rng.random()
+            if draw < 0.03:
+                label = None
+            elif draw < 0.06:
+                label = rng.choice(bad_labels)
+            else:
+                label = rng.choice(("A", "B"))
             entities.append(EntitySpan(start, start + rng.randint(1, 3), label))
         if rng.random() < 0.5:
             entities.sort(key=EntitySpan.sort_key)

@@ -22,6 +22,7 @@ from spanproject import (
     build_problem,
     external_candidates,
     ngram_candidates,
+    project_heuristic,
     render_problem,
     solve_assignment_exact,
     solve_exact,
@@ -115,10 +116,18 @@ def test_build_problem_degenerate_shapes():
 
 
 def test_build_problem_checks_labeled_bounds():
-    labeled = LabeledSentence(Sentence(words(3)), (EntitySpan(0, 1, "A"),))
+    labeled = LabeledSentence(Sentence(words(3), id=5), (EntitySpan(0, 1, "A"),))
     cands = CandidateSet((EntitySpan(0, 1),))
-    with pytest.raises(DataError, match="out of bounds"):
-        build_problem(labeled, cands, AlignmentSet(frozenset({(3, 0)})))
+    align = AlignmentSet(frozenset({(3, 0)}))
+    with pytest.raises(DataError) as info:
+        build_problem(labeled, cands, align)
+    assert str(info.value) == "alignment index 3 out of bounds for labeled sentence 5 of length 3"
+    # the heuristic groups pairs with the same helper, but checks both sides first
+    with pytest.raises(DataError) as info:
+        project_heuristic(labeled, Sentence(words(2), id=5), align)
+    assert str(info.value) == (
+        "alignment pair (3, 0) out of bounds for sentence pair of lengths (3, 2)"
+    )
 
 
 def test_matching_problem_validates_dimensions():
