@@ -16,42 +16,37 @@ from .core import SourceKind  # noqa: F401  (re-exported; core defines it for op
 from .errors import DataError
 
 
-class CandidateSet(_Value, derived=("ends", "runs", "closed")):
+class CandidateSet(_Value, derived=("closed",)):
     """Unlabeled candidate spans, deduplicated and sorted by (start, end).
 
     The set depends only on its spans, so one set can serve every sentence
-    it fits. ``ends``, ``runs`` and ``closed`` are the layout the cost
-    kernel walks, derived from the spans and left out of repr, == and hash:
-    ``ends[t]`` is span t's end, and ``runs`` holds one ``(start, first,
-    past)`` per distinct start, the spans ``first <= t < past`` sharing it,
-    their ends rising. ``closed`` is None unless the set is closed under
-    sub-spans (every sub-span of a candidate is a candidate, as in every
-    n-gram set); then it maps each start to its run's ``(first, past)``,
-    and the span ``[start, start + k)`` is candidate ``first + k - 1``.
+    it fits. ``closed``, derived from the spans and left out of repr, == and
+    hash, is None unless the set is closed under sub-spans (every sub-span
+    of a candidate is a candidate, as in every n-gram set); then it maps
+    each start to the run of spans sharing it, ``first <= t < past``, their
+    ends rising, and the span ``[start, start + k)`` is candidate ``first +
+    k - 1``; ``build_problem`` prices the frontier through that map.
     """
 
-    __slots__ = ("spans", "ends", "runs", "closed")
+    __slots__ = ("spans", "closed")
     spans: tuple[EntitySpan, ...]
-    ends: tuple[int, ...]
-    runs: tuple[tuple[int, int, int], ...]
     closed: dict[int, tuple[int, int]] | None
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
-        set_spans, set_ends, set_runs, set_closed = self._setters
+        set_spans, set_closed = self._setters
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
         for span in spans:
             if span.label is not None:
                 raise DataError(f"candidate {span} must not carry a label")
+        # runs: one (start, first, past) per distinct start, the spans
+        # first <= t < past sharing it
         starts = [span.start for span in spans]
-        ends = tuple(span.end for span in spans)
-        runs = tuple(
+        runs = [
             (start, bisect_left(starts, start), bisect_right(starts, start))
             for start in dict.fromkeys(starts)
-        )
-        set_ends(self, ends)
-        set_runs(self, runs)
-        set_closed(self, _closed_runs(ends, runs))
+        ]
+        set_closed(self, _closed_runs([span.end for span in spans], runs))
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -68,9 +63,9 @@ class CandidateSet(_Value, derived=("ends", "runs", "closed")):
 
 
 def _closed_runs(
-    ends: tuple[int, ...], runs: tuple[tuple[int, int, int], ...]
+    ends: list[int], runs: list[tuple[int, int, int]]
 ) -> dict[int, tuple[int, int]] | None:
-    """``CandidateSet.closed`` from the set's layout, in one pass over its runs.
+    """``CandidateSet.closed`` from the spans' ends and runs, in one pass over the runs.
 
     The set is closed under sub-spans exactly when each run's ends are
     contiguous, ``start + 1`` up to ``start + (past - first)``, and a run of

@@ -142,6 +142,8 @@ class EntitySpan(_Value):
         set_label(self, label)
         if not 0 <= start < end:
             raise DataError(f"invalid span ({start}, {end}): need 0 <= start < end")
+        if label is not None and not isinstance(label, str):
+            raise DataError(f"span label {label!r} is not a string")
 
     # Candidate sets, span records and evaluation hash spans in bulk, so ==
     # and hash spell out the field tuple: a slot read is cheaper than attrgetter.

@@ -41,22 +41,21 @@ n-gram set is), every hull is a candidate, so the frontier is the cells
 whose first and last target words are both aligned to the source:
 ``build_problem`` prices them from the source's aligned words alone,
 without visiting any other cell. For any other set, such as disjoint NER
-spans, the frontier is the whole positive list. Every positive row keeps a
+spans, the frontier is every positive cell. Every positive row keeps a
 frontier cell (its one-word cells are their own hulls). Every solver reads
 only the frontier, and ``validate_solution`` finds each chosen cell in it
 by bisection, so their work grows with the frontier, not the matrix.
 
-**What builds the rest.** The full ``positive`` list, in the same form,
-and the dense ``costs`` matrix built from it are priced on first read and
-then kept. Only ``render_problem`` (the ``solve`` command's printout), the
-problem's repr, ==, hash, copy and pickle, and ``validate_solution`` given
-a cell outside the frontier read them. So a ``project`` run never builds the
-dense matrix, nor, over n-gram candidates, the positive list.
+**The dense view.** The ``costs`` matrix of a ``build_problem`` problem is
+priced on first read and then kept. Only ``render_problem`` (the ``solve``
+command's printout), the problem's repr, ==, hash, copy and pickle, and
+``validate_solution`` given a cell outside the frontier read it, so a
+``project`` run never builds it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop
 from itertools import accumulate
@@ -80,33 +79,30 @@ from .formats import render_table
 EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
-_CELL = itemgetter(2, 3)  # the (s, t) of a positive entry
+_CELL = itemgetter(2, 3)  # the (s, t) of a frontier entry
 
 
-class MatchingProblem(_Value, derived=("positive", "frontier", "links")):
+class MatchingProblem(_Value, derived=("frontier", "links")):
     """A cost matrix between labeled source entities and unlabeled candidates.
 
-    ``positive`` holds one reduced ``(numerator, denominator, s, t)`` entry
-    per positive cell, in row-major order, and ``frontier`` the entries of
-    that list a solver can ever pick (see the module docstring); both are
-    left out of repr, == and hash. The constructor derives ``positive`` from
-    ``costs``, whose cells must be rational (``Fraction`` or ``int``) and
-    non-negative, and its ``frontier`` is that same list. A problem from
-    ``build_problem`` stores its ``frontier`` and, per source, its alignment
-    pairs counted by target index (``links``); its ``positive`` list is
-    priced from them on first read, its ``costs`` are built from that list
-    on first read, ``Fraction(0)`` in the zero cells, and both are then
-    kept; ``links`` is None on a problem from the constructor.
+    ``frontier`` holds one reduced ``(numerator, denominator, s, t)`` entry
+    per positive cell a solver can ever pick (see the module docstring), in
+    row-major order; it is left out of repr, == and hash. The constructor
+    takes ``costs``, whose cells must be rational (``Fraction`` or ``int``)
+    and non-negative, and its ``frontier`` is every positive cell. A problem
+    from ``build_problem`` stores its ``frontier`` and, per source, its
+    alignment pairs counted by target index (``links``); its ``costs`` are
+    priced from those on first read, ``Fraction(0)`` in the zero cells, and
+    then kept; ``links`` is None on a problem from the constructor.
     ``candidates`` holds spans only, so the problems of every n-gram target
     of one length share one set.
     """
 
-    __slots__ = ("sources", "candidates", "costs", "mode", "positive", "frontier", "links")
+    __slots__ = ("sources", "candidates", "costs", "mode", "frontier", "links")
     sources: tuple[EntitySpan, ...]
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
     mode: MatchMode
-    positive: tuple[tuple[int, int, int, int], ...]
     frontier: tuple[tuple[int, int, int, int], ...]
     links: list[dict[int, int]] | None
 
@@ -117,9 +113,7 @@ class MatchingProblem(_Value, derived=("positive", "frontier", "links")):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        set_sources, set_candidates, set_costs, set_mode, set_positive, set_frontier, set_links = (
-            self._setters
-        )
+        set_sources, set_candidates, set_costs, set_mode, set_frontier, set_links = self._setters
         sources = tuple(sources)
         costs = tuple(tuple(row) for row in costs)
         set_sources(self, sources)
@@ -147,21 +141,17 @@ class MatchingProblem(_Value, derived=("positive", "frontier", "links")):
                     raise DataError(f"negative matching cost {cell}")
                 if num:
                     positive.append((num, cell.denominator, s, t))
-        positive = tuple(positive)
-        set_positive(self, positive)
-        set_frontier(self, positive)
+        set_frontier(self, tuple(positive))
 
     def __getattr__(self, name: str):
-        # reached only when a slot is unset: ``positive`` or ``costs`` of a
-        # problem from build_problem
-        if name == "positive":
-            value = _positive_cells(self)
-        elif name == "costs":
-            value = _dense_costs(self)
-        else:
+        # reached only when a slot is unset: ``costs`` of a problem from
+        # build_problem
+        if name != "costs":
             raise AttributeError(name)
-        self._setters[self.__slots__.index(name)](self, value)
-        return value
+        _, _, set_costs, *_ = self._setters
+        costs = _dense_costs(self)
+        set_costs(self, costs)
+        return costs
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -185,65 +175,33 @@ class MatchingSolution(_Value):
         set_objective(self, objective)
 
 
-def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:
-    """The full cost matrix of ``p``, rebuilt from its positive cells."""
-    n_src, n_cand = p.shape
-    rows = [[_ZERO] * n_cand for _ in range(n_src)]
-    for num, den, s, t in p.positive:
-        rows[s][t] = Fraction(num, den)
-    return tuple(map(tuple, rows))
+def _cell_counts(p: MatchingProblem):
+    """Per source of a problem from ``build_problem``, every candidate's ``(count, length)``.
 
-
-def _find_cell(
-    cells: tuple[tuple[int, int, int, int], ...], s: int, t: int
-) -> tuple[int, int] | None:
-    """Cell (s, t)'s ``(numerator, denominator)`` in row-major ``cells`` by bisection, or None."""
-    k = bisect_left(cells, (s, t), key=_CELL)
-    if k < len(cells) and _CELL(cells[k]) == (s, t):
-        return cells[k][:2]
-    return None
-
-
-def _positive_cells(p: MatchingProblem) -> tuple[tuple[int, int, int, int], ...]:
-    """Every positive cell of a problem from ``build_problem``, in row-major order.
-
-    For each source entity, ``prefix[j]`` counts its ``links`` with
-    target index below ``j``, so a cell's count is ``prefix[tgt.end] -
-    prefix[tgt.start]``. The array runs to the largest candidate end: target
-    indices past it fall in no candidate.
-
-    Only positive cells are visited. The candidate set's ``runs`` group the
-    candidates sharing a start, ends rising, so the positive ones are the
-    run's tail whose end passes the first aligned index at or after the
-    start; one bisection per run finds it. Each cell is reduced by its gcd;
-    a count is never negative and the lengths are positive, so nothing needs
-    re-checking.
+    ``prefix[j]`` counts the source's ``links`` with target index below
+    ``j``, so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``, and
+    its length is ``len(src) + len(tgt)``. The array runs to the largest
+    candidate end: target indices past it fall in no candidate.
     """
-    ends = p.candidates.ends
-    width = max(ends, default=0)
-    positive = []
-    for s, (src, counts) in enumerate(zip(p.sources, p.links)):
+    spans = p.candidates.spans
+    bounds = [(span.start, span.end) for span in spans]
+    width = max([span.end for span in spans], default=0)
+    for src, counts in zip(p.sources, p.links):
         hits = [0] * (width + 1)
         for j, count in counts.items():
             if j < width:
                 hits[j + 1] += count
         prefix = list(accumulate(hits))
-        total = prefix[-1]
         src_len = src.end - src.start
-        for start, first, past in p.candidates.runs:
-            before = prefix[start]
-            if before == total:
-                break  # no aligned index at or after this start, nor any later one
-            # a candidate is positive once its end passes the first target
-            # index whose prefix count exceeds `before`
-            reach = bisect_right(prefix, before, start)
-            for t in range(bisect_left(ends, reach, first, past), past):
-                end = ends[t]
-                count = prefix[end] - before
-                length = src_len + end - start
-                g = gcd(count, length)
-                positive.append((count // g, length // g, s, t))
-    return tuple(positive)
+        yield [(prefix[end] - prefix[start], src_len + end - start) for start, end in bounds]
+
+
+def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:
+    """The full cost matrix of a problem from ``build_problem``; zero cells share one Fraction."""
+    return tuple(
+        tuple(Fraction(count, length) if count else _ZERO for count, length in row)
+        for row in _cell_counts(p)
+    )
 
 
 def build_problem(
@@ -260,36 +218,37 @@ def build_problem(
     Each cell counts the alignment pairs inside src x tgt, over ``len(src) +
     len(tgt)``. ``core._entity_links``, the grouping the heuristic shares,
     counts each source's pairs by target index in one pass over the pairs,
-    and the problem keeps those counts (``links``) to price its ``positive``
-    list if that is ever read.
+    and the problem keeps those counts (``links``) to price its dense
+    ``costs`` if they are ever read.
 
     Over a candidate set closed under sub-spans, a source's frontier cells
     are its pairs of aligned target words ``first <= last`` that one
     candidate spans: for k aligned words, at most k(k+1)/2 cells, however
     many positive cells the source has. Prefix counts over the sorted
     aligned words give each cell's count, and the set's ``closed`` map gives
-    the candidate index. Over any other set the frontier is the positive
-    list, priced here by ``_positive_cells``. Each cell is reduced by its
-    gcd; a count is positive and the lengths are positive, so nothing needs
+    the candidate index. Over any other set the frontier is every positive
+    cell, counted by ``_cell_counts``. Each cell is reduced by its gcd; a
+    count is positive and the lengths are positive, so nothing needs
     re-checking. See the module docstring for why no other cell is needed.
     """
     entities = labeled.entities
     links = _entity_links(labeled, align)  # links[s][j]: source s's pairs with target j
-    set_sources, set_candidates, _, set_mode, set_positive, set_frontier, set_links = (
-        MatchingProblem._setters
-    )
+    set_sources, set_candidates, _, set_mode, set_frontier, set_links = MatchingProblem._setters
     p = object.__new__(MatchingProblem)  # __init__ needs the dense matrix
     set_sources(p, entities)
     set_candidates(p, cands)
     set_mode(p, mode)
     set_links(p, links)
     closed = cands.closed
-    if closed is None:
-        positive = _positive_cells(p)
-        set_positive(p, positive)
-        set_frontier(p, positive)
-        return p
     frontier = []
+    if closed is None:
+        for s, row in enumerate(_cell_counts(p)):
+            for t, (count, length) in enumerate(row):
+                if count:
+                    g = gcd(count, length)
+                    frontier.append((count // g, length // g, s, t))
+        set_frontier(p, tuple(frontier))
+        return p
     for s, (src, counts) in enumerate(zip(entities, links)):
         aligned = sorted(counts)
         # below[x]: the source's pairs with target index below aligned[x]
@@ -530,14 +489,16 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
 def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
     """Independently check a solution's feasibility; raises on any violation.
 
-    Each assigned cell is looked up in the frontier by bisection, and only
-    a cell outside it in the positive list, so a valid choice that no
-    solver would make is still accepted. The dense matrix is never built.
+    Each assigned cell is looked up in the frontier by bisection. Only a
+    cell outside it, which no solver returns, is read from the dense
+    ``costs``, so a valid choice that no solver would make is still
+    accepted.
     """
     n_src, n_cand = p.shape
     spans = p.candidates.spans
     seen_sources: set[int] = set()
     seen_cands: set[int] = set()
+    frontier = p.frontier
     num_sum, den_sum = 0, 1  # the recomputed objective, as one unreduced fraction
     for s, t in sol.assignments:
         if not (0 <= s < n_src and 0 <= t < n_cand):
@@ -546,12 +507,16 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
             raise DataError(f"candidate {t} assigned twice")
         if s in seen_sources:
             raise DataError(f"source {s} assigned twice")
-        cell = _find_cell(p.frontier, s, t) or _find_cell(p.positive, s, t)
-        if cell is None:
-            raise DataError(f"assignment ({s}, {t}) has zero cost")
+        k = bisect_left(frontier, (s, t), key=_CELL)
+        if k < len(frontier) and _CELL(frontier[k]) == (s, t):
+            num, den, _, _ = frontier[k]
+        else:
+            cost = p.costs[s][t]
+            num, den = cost.numerator, cost.denominator
+            if not num:
+                raise DataError(f"assignment ({s}, {t}) has zero cost")
         seen_sources.add(s)
         seen_cands.add(t)
-        num, den = cell
         num_sum, den_sum = num_sum * den + num * den_sum, den_sum * den
     chosen = sorted(seen_cands)
     for a_pos, a in enumerate(chosen):

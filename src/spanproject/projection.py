@@ -3,8 +3,9 @@
 Two projection methods are implemented. The heuristic baseline copies each
 source entity onto the hull of its aligned target words, shrinking to the
 longest contiguous run when the alignment looks scattered. The matching
-method generates candidate spans, prices every source-candidate pair, and
-lets a solver pick the assignment.
+method generates candidate spans, prices the source-candidate pairs a
+solver can ever pick (the frontier, see ``matching``), and lets a solver
+pick the assignment.
 
 Back-translated input (the same-language direction) first gets its labels
 from bracket markers (``roundtrip``); after that the projected sentence flows

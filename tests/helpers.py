@@ -194,6 +194,16 @@ def matching_cost(src: EntitySpan, tgt: EntitySpan, align: AlignmentSet) -> Frac
     return Fraction(count_within(align, src, tgt), len(src) + len(tgt))
 
 
+def positive_cells(p: MatchingProblem) -> list[tuple[int, int, int, int]]:
+    """Every positive cell of ``p.costs`` as ``(numerator, denominator, s, t)``, row-major."""
+    return [
+        (c.numerator, c.denominator, s, t)
+        for s, row in enumerate(p.costs)
+        for t, c in enumerate(row)
+        if c > 0
+    ]
+
+
 BRUTE_FORCE_MAX_SOURCES = 6
 BRUTE_FORCE_MAX_CANDIDATES = 12
 
@@ -272,8 +282,10 @@ def solve_relaxed_mwis(p: MatchingProblem) -> MatchingSolution:
     spans = p.candidates.spans
     width = max((span.end for span in spans), default=0)
     moves = [[] for _ in range(width)]
-    for num, den, s, t in p.positive:
-        moves[spans[t].start].append((spans[t].end, Fraction(num, den), (s, t)))
+    for s, row in enumerate(p.costs):
+        for t, cost in enumerate(row):
+            if cost > 0:
+                moves[spans[t].start].append((spans[t].end, cost, (s, t)))
     # best[j] = (value, assignments in target order) of the best way to reach j
     best: list = [None] * (width + 1)
     best[0] = (Fraction(0), ())

@@ -124,15 +124,15 @@ def test_is_disjoint_catches_nonadjacent_overlap():
         assert cs.is_disjoint() == expected
 
 
-def recomputed_layout(spans):
-    """The (ends, runs) layout of sorted spans, by a plain scan over them."""
+def recomputed_runs(spans):
+    """One (start, first, past) per distinct start of sorted spans, by a plain scan over them."""
     runs = []
     for t, span in enumerate(spans):
         if runs and runs[-1][0] == span.start:
             runs[-1][2] = t + 1
         else:
             runs.append([span.start, t, t + 1])
-    return tuple(span.end for span in spans), tuple(map(tuple, runs))
+    return tuple(map(tuple, runs))
 
 
 def test_candidate_layout_is_derived_from_the_spans():
@@ -158,19 +158,19 @@ def test_candidate_layout_is_derived_from_the_spans():
     ):
         sets.append(CandidateSet(tuple(EntitySpan(a, b) for a, b in pairs)))
     for cs in sets:
-        assert (cs.ends, cs.runs) == recomputed_layout(cs.spans)
+        runs = recomputed_runs(cs.spans)
         spans = {(span.start, span.end) for span in cs.spans}
         closed = all(
             (a, b) in spans for start, end in spans
             for a in range(start, end) for b in range(a + 1, end + 1)
         )
         if closed:
-            assert cs.closed == {start: (first, past) for start, first, past in cs.runs}
+            assert cs.closed == {start: (first, past) for start, first, past in runs}
         else:
             assert cs.closed is None
-        # the layout is left out of repr, == and hash
+        # the closed map is left out of repr, == and hash
         assert repr(cs) == f"CandidateSet(spans={cs.spans!r})"
         assert hash(cs) == hash((cs.spans,))
         for clone in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert clone == cs
-            assert (clone.ends, clone.runs, clone.closed) == (cs.ends, cs.runs, cs.closed)
+            assert clone.closed == cs.closed

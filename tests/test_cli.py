@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from spanproject import MatchingSolution, matching, parse_conll, spans_overlap
 from spanproject import cli
 from spanproject.cli import _worker_count, atomic_write, main
-from helpers import FIXTURES
+from helpers import FIXTURES, positive_cells
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -339,13 +339,13 @@ def test_exact_guard_is_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_only_solve_builds_the_positive_list_and_the_dense_matrix(
+def test_only_solve_prices_every_cell_and_builds_the_dense_matrix(
     tmp_path, capsys, monkeypatch
 ):
     def refuse(p):
-        raise AssertionError("a project run read the positive list or the dense matrix")
+        raise AssertionError("a project run priced every cell or built the dense matrix")
 
-    for builder in ("_positive_cells", "_dense_costs"):
+    for builder in ("_cell_counts", "_dense_costs"):
         monkeypatch.setattr(matching, builder, refuse)
     solvers = (("--solver", "greedy"), ("--solver", "exact"), ("--solver", "exact", "--mode", "all"))
     for extra in solvers:
@@ -356,7 +356,7 @@ def test_only_solve_builds_the_positive_list_and_the_dense_matrix(
         assert code == 0, err
     monkeypatch.undo()
 
-    built = {"_positive_cells": [], "_dense_costs": []}
+    built = {"_cell_counts": [], "_dense_costs": []}
     for builder, calls in built.items():
         real = getattr(matching, builder)
         monkeypatch.setattr(
@@ -369,12 +369,12 @@ def test_only_solve_builds_the_positive_list_and_the_dense_matrix(
         "--align", fixture("clean.align"),
     )
     # one problem, each builder run once for it
-    [problem] = built["_positive_cells"]
+    [problem] = built["_cell_counts"]
     assert built["_dense_costs"] == [problem]
     n_src, n_cand = problem.shape
     assert code == 0 and out.startswith(f"mode=atmost shape={n_src}x{n_cand}\n")
     # the printout holds every cell, the ones no solver would pick too
-    assert len(problem.positive) > len(problem.frontier)
+    assert len(positive_cells(problem)) > len(problem.frontier)
     rows = out.splitlines()[2 : 2 + n_src]
     assert [row.split()[1:] for row in rows] == [list(map(str, row)) for row in problem.costs]
 

@@ -34,6 +34,7 @@ from spanproject.core import _Value
 from helpers import (
     count_within,
     labeled_sentence_reference,
+    positive_cells,
     random_nonoverlapping_spans,
     targets_of,
     words,
@@ -94,6 +95,21 @@ def test_entity_span_validation():
         EntitySpan(-1, 2)
     with pytest.raises(DataError):
         EntitySpan(4, 2)
+
+
+@pytest.mark.parametrize("label", [5, ["A"], b"A"], ids=["int", "list", "bytes"])
+def test_a_span_label_must_be_a_string(label):
+    # refused where the span is built, so a labeled sentence, a BIO encoding
+    # or a CoNLL tag never meets it
+    message = f"span label {label!r} is not a string"
+    for build in (
+        lambda: EntitySpan(0, 1, label),
+        lambda: EntitySpan(0, 1).with_label(label),
+        lambda: LabeledSentence(Sentence(("a", "b")), (EntitySpan(0, 1, label),)),
+        lambda: bio_encode([EntitySpan(0, 1, label)], 2),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_spans_overlap_touching_is_disjoint():
@@ -259,7 +275,7 @@ def test_value_type_semantics(cls, fields, text, change):
     assert tuple(getattr(value, name) for name in fields) == values
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value and repr(clone) == text
-        # derived slots (a problem's positive cells, a candidate set's layout) are rebuilt
+        # derived slots (a problem's frontier, a candidate set's closed map) are rebuilt
         for name in cls.__slots__:
             assert getattr(clone, name) == getattr(value, name), name
 
@@ -293,14 +309,14 @@ def test_a_sparse_problem_stores_its_costs_on_first_read():
     )
     # [0,2) is dominated by its aligned hull [0,1), so only the dense problem lists it
     assert sparse.frontier == ((1, 2, 0, 0),)
-    assert problem.frontier == problem.positive == ((1, 2, 0, 0), (1, 3, 0, 1))
-    with pytest.raises(AttributeError):
-        sparse.no_such_field
-    positive = sparse.positive
-    assert positive == problem.positive and sparse.positive is positive
+    assert problem.frontier == ((1, 2, 0, 0), (1, 3, 0, 1))
+    for name in ("no_such_field", "positive"):
+        with pytest.raises(AttributeError):
+            getattr(sparse, name)
     costs = sparse.costs
     assert costs == problem.costs and sparse.costs is costs and sparse == problem
-    for name, value in (("costs", costs), ("positive", positive)):
+    assert positive_cells(sparse) == list(problem.frontier)
+    for name, value in (("costs", costs), ("frontier", sparse.frontier)):
         with pytest.raises(AttributeError):
             setattr(sparse, name, value)
 

@@ -162,6 +162,28 @@ def test_round_trip_output_bytes_hold_in_forked_workers(round_trip, tmp_path, ca
     assert sha256(out.read_bytes()) == ROUND_TRIP_DIGEST
 
 
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        (22, "4c1c6ea3d3d6ae6120a57fec0a6c824f2a672184def3f90f5acd1ba2d1354ef4"),
+        (25, "dc25eb0c0194fb787087a2448de9d70f840aaea7f1181a84b1fe0d87be534ad5"),
+        (31, "f477d72c7bc69b7d81a67a293984cf81b190186edda3a2c0bcd53876ec297772"),
+        (92, "a11a5c721ca9b5bc8cb41d3b0794d761a180a6cea059bd3b72a4fea400d135bb"),
+    ],
+)
+def test_round_trip_solve_stdout_is_pinned(round_trip, capsys, k, digest):
+    # NER spans are not closed under sub-spans: the frontier is every
+    # positive cell, and the printout reads the dense matrix
+    files = ("marked", "translations", "target", "align", "spans")
+    code = main([
+        "solve", "--direction", "tgt2tgt", "--candidates", "ner", "--solver", "assignment",
+        *(f"--{role}={round_trip[role]}" for role in files), "--sentence", str(k),
+    ])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert sha256(captured.out.encode()) == digest
+
+
 def test_round_trip_overlapping_span_record_is_skipped_with_its_sentence(
     round_trip, tmp_path, capsys
 ):

@@ -204,7 +204,7 @@ def test_build_problem_equals_matching_cost_on_every_cell():
         else:
             align = random_alignment(rng, n_src, reach, density=rng.choice((0.1, 0.3, 0.6)))
         p = build_problem(labeled, cands, align)
-        # judged from the positive cells alone, before the dense view exists
+        # judged on the problem as build_problem left it, then on the rebuilt one
         probes = probe_solutions(rng, p)
         sparse_outcomes = [validation_outcome(p, sol) for sol in probes]
         assert p.shape == (len(entities), len(cands.spans))
@@ -212,13 +212,13 @@ def test_build_problem_equals_matching_cost_on_every_cell():
             for t, tgt in enumerate(cands.spans):
                 assert p.costs[s][t] == matching_cost(src, tgt, align), (trial, s, t)
         assert all(type(c) is Fraction for row in p.costs for c in row), trial
-        # the positive list is the row-major positive cells, whichever constructor ran
-        want = [
-            (c.numerator, c.denominator, s, t)
-            for s, row in enumerate(p.costs) for t, c in enumerate(row) if c > 0
-        ]
+        # the constructor's frontier is the row-major positive cells, and so is
+        # build_problem's over a set not closed under sub-spans
+        want = helpers.positive_cells(p)
         rebuilt = MatchingProblem(p.sources, p.candidates, p.costs, p.mode)
-        assert list(p.positive) == list(rebuilt.positive) == want, trial
+        assert list(rebuilt.frontier) == want, trial
+        if cands.closed is None:
+            assert list(p.frontier) == want, trial
         assert rebuilt == p
         assert (hash(rebuilt), repr(rebuilt)) == (hash(p), repr(p)), trial
         assert solve_greedy(p) == solve_greedy(rebuilt), trial
@@ -255,15 +255,16 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
             align = random_alignment(rng, n_src, reach, density=rng.choice((0.2, 0.4, 0.7)))
         mode = MatchMode.REQUIRE_ALL if rng.random() < 0.3 else MatchMode.AT_MOST_ONE
         p = build_problem(labeled, cands, align, mode)
-        frontier = p.frontier  # read before the positive list exists
+        frontier = p.frontier  # read before the dense view exists
+        positive = helpers.positive_cells(p)
         spans = cands.spans
 
-        # a row-major subset of the positive list
-        assert set(frontier) <= set(p.positive), trial
+        # a row-major subset of the positive cells
+        assert set(frontier) <= set(positive), trial
         cells = [(s, t) for _, _, s, t in frontier]
         assert cells == sorted(set(cells)), trial
         if cands.closed is None:
-            assert frontier == p.positive, trial
+            assert list(frontier) == positive, trial
         else:
             # the cells whose first and last target words are aligned to the source
             want = {
@@ -274,7 +275,7 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
             }
             assert set(cells) == want, trial
         # a left-out cell has a nested candidate of strictly higher cost in its row
-        for num, den, s, t in set(p.positive) - set(frontier):
+        for num, den, s, t in set(positive) - set(frontier):
             cost, outer = Fraction(num, den), spans[t]
             assert any(
                 outer.start <= span.start and span.end <= outer.end and p.costs[s][u] > cost
@@ -285,7 +286,7 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
                 validate_solution(p, MatchingSolution(((s, t),), cost))
 
         dense = MatchingProblem(p.sources, cands, p.costs, mode)
-        assert dense.frontier == dense.positive == p.positive, trial
+        assert list(dense.frontier) == positive, trial
         solvers = [solve_exact]
         if mode is MatchMode.AT_MOST_ONE:
             solvers.append(solve_greedy)
@@ -675,7 +676,7 @@ def test_assignment_solver_past_the_float_range():
     cands = CandidateSet(tuple(EntitySpan(t, t + 1) for t in range(10)))
     for mode in MatchMode:
         p = MatchingProblem(sources, cands, prime_fractions(rng, 10, 10, low=0), mode)
-        assert lcm(*(den for _, den, _, _ in p.positive)) > 10**400
+        assert lcm(*(den for _, den, _, _ in helpers.positive_cells(p))) > 10**400
         assert solve_assignment_exact(p) == assignment_oracle(p)
 
 

@@ -215,7 +215,7 @@ def test_matching_path_never_builds_the_dense_matrix(monkeypatch):
             problems.append(problem)
     assert built == []
     # printing the matrix, as the `solve` command does, builds the view once and keeps it
-    problem = max(problems, key=lambda p: len(p.positive))
+    problem = max(problems, key=lambda p: len(p.frontier))
     text = render_problem(problem)
     assert render_problem(problem) == text
     assert built == [problem]
