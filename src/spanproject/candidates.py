@@ -8,7 +8,6 @@ matching step assigns labels by pairing them with source entities.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .core import EntitySpan, Sentence, _Value, spans_overlap
@@ -23,9 +22,14 @@ class CandidateSet(_Value, derived=("closed",)):
     it fits. ``closed``, derived from the spans and left out of repr, == and
     hash, is None unless the set is closed under sub-spans (every sub-span
     of a candidate is a candidate, as in every n-gram set); then it maps
-    each start to the run of spans sharing it, ``first <= t < past``, their
-    ends rising, and the span ``[start, start + k)`` is candidate ``first +
-    k - 1``; ``build_problem`` prices the frontier through that map.
+    each start to the run of spans sharing it, ``first <= t < past``, and
+    the span ``[start, start + k)`` is candidate ``first + k - 1``;
+    ``build_problem`` prices the frontier through that map. The set is
+    closed exactly when, for each start with a run of k spans, those spans
+    end at ``start + 1`` up to ``start + k`` (dropping a candidate's last
+    word leaves a candidate) and the run at ``start + 1`` has at least
+    k - 1 spans (dropping its first word does too); every sub-span then
+    follows by induction.
     """
 
     __slots__ = ("spans", "closed")
@@ -36,17 +40,26 @@ class CandidateSet(_Value, derived=("closed",)):
         set_spans, set_closed = self._setters
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
-        for span in spans:
+        runs: dict[int, tuple[int, int]] = {}
+        start = first = -1
+        for t, span in enumerate(spans):
             if span.label is not None:
                 raise DataError(f"candidate {span} must not carry a label")
-        # runs: one (start, first, past) per distinct start, the spans
-        # first <= t < past sharing it
-        starts = [span.start for span in spans]
-        runs = [
-            (start, bisect_left(starts, start), bisect_right(starts, start))
-            for start in dict.fromkeys(starts)
-        ]
-        set_closed(self, _closed_runs([span.end for span in spans], runs))
+            if span.start != start:
+                start, first = span.start, t
+            runs[start] = (first, t + 1)
+        # the closure rule of the docstring, per start of a run of k spans:
+        # its ends rise, so they are start + 1 .. start + k when the last
+        # one is; a start with no run after it may hold one span
+        for start, (first, past) in runs.items():
+            after_first, after_past = runs.get(start + 1, (0, 0))
+            if (
+                spans[past - 1].end - start != past - first
+                or after_past - after_first < past - first - 1
+            ):
+                set_closed(self, None)
+                return
+        set_closed(self, runs)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -60,31 +73,6 @@ class CandidateSet(_Value, derived=("closed",)):
         return all(
             not spans_overlap(a, b) for a, b in zip(self.spans, self.spans[1:])
         )
-
-
-def _closed_runs(
-    ends: list[int], runs: list[tuple[int, int, int]]
-) -> dict[int, tuple[int, int]] | None:
-    """``CandidateSet.closed`` from the spans' ends and runs, in one pass over the runs.
-
-    The set is closed under sub-spans exactly when each run's ends are
-    contiguous, ``start + 1`` up to ``start + (past - first)``, and a run of
-    k >= 2 spans is followed by a run at ``start + 1`` of at least k - 1
-    spans: then dropping the last word of a candidate stays in its run, and
-    dropping the first lands in the next run, so every sub-span follows by
-    induction.
-    """
-    for k, (start, first, past) in enumerate(runs):
-        length = past - first
-        if ends[past - 1] - start != length:
-            return None
-        if length > 1:
-            if k + 1 == len(runs):
-                return None
-            after, after_first, after_past = runs[k + 1]
-            if after != start + 1 or after_past - after_first < length - 1:
-                return None
-    return {start: (first, past) for start, first, past in runs}
 
 
 def ngram_candidates(sentence: Sentence, max_len: int | None = 8) -> CandidateSet:

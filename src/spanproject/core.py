@@ -140,10 +140,17 @@ class EntitySpan(_Value):
         set_start(self, start)
         set_end(self, end)
         set_label(self, label)
+        if type(start) is not int or type(end) is not int:
+            raise DataError(
+                "invalid span: start and end must be integers, got "
+                f"{type(start).__name__} and {type(end).__name__}"
+            )
         if not 0 <= start < end:
             raise DataError(f"invalid span ({start}, {end}): need 0 <= start < end")
         if label is not None and not isinstance(label, str):
-            raise DataError(f"span label {label!r} is not a string")
+            from reprlib import repr as short_repr  # a span record's label may be huge
+
+            raise DataError(f"span label {short_repr(label)} is not a string")
 
     # Candidate sets, span records and evaluation hash spans in bulk, so ==
     # and hash spell out the field tuple: a slot read is cheaper than attrgetter.

@@ -183,14 +183,8 @@ def parse_span_records(text: str) -> dict[int, list[EntitySpan]]:
         for raw in raw_spans:
             if not isinstance(raw, dict):
                 raise FormatError("each span must be an object", line=lineno)
-            start, end = raw.get("start"), raw.get("end")
-            label = raw.get("label")
-            if any(not isinstance(v, int) or isinstance(v, bool) for v in (start, end)):
-                raise FormatError("span 'start' and 'end' must be integers", line=lineno)
-            if label is not None and not isinstance(label, str):
-                raise FormatError("span 'label' must be a string when present", line=lineno)
             try:
-                span = EntitySpan(start, end, label)
+                span = EntitySpan(raw.get("start"), raw.get("end"), raw.get("label"))
             except DataError as exc:
                 raise FormatError(str(exc), line=lineno) from exc
             spans[span] = None

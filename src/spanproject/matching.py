@@ -88,14 +88,14 @@ class MatchingProblem(_Value, derived=("frontier", "links")):
     ``frontier`` holds one reduced ``(numerator, denominator, s, t)`` entry
     per positive cell a solver can ever pick (see the module docstring), in
     row-major order; it is left out of repr, == and hash. The constructor
-    takes ``costs``, whose cells must be rational (``Fraction`` or ``int``)
-    and non-negative, and its ``frontier`` is every positive cell. A problem
-    from ``build_problem`` stores its ``frontier`` and, per source, its
-    alignment pairs counted by target index (``links``); its ``costs`` are
-    priced from those on first read, ``Fraction(0)`` in the zero cells, and
-    then kept; ``links`` is None on a problem from the constructor.
-    ``candidates`` holds spans only, so the problems of every n-gram target
-    of one length share one set.
+    takes ``costs``, whose cells must be rational (``Fraction`` or ``int``,
+    not ``bool``) and non-negative, and its ``frontier`` is every positive
+    cell. A problem from ``build_problem`` stores its ``frontier`` and, per
+    source, its alignment pairs counted by target index (``links``); its
+    ``costs`` are priced from those on first read, ``Fraction(0)`` in the
+    zero cells, and then kept; ``links`` is None on a problem from the
+    constructor. ``candidates`` holds spans only, so the problems of every
+    n-gram target of one length share one set.
     """
 
     __slots__ = ("sources", "candidates", "costs", "mode", "frontier", "links")
@@ -130,7 +130,7 @@ class MatchingProblem(_Value, derived=("frontier", "links")):
                     f"cost row has {len(row)} entries for {len(candidates.spans)} candidates"
                 )
             for t, cell in enumerate(row):
-                if not isinstance(cell, Rational):
+                if not isinstance(cell, Rational) or cell.__class__ is bool:
                     raise DataError(
                         f"matching cost {cell!r} at ({s}, {t}) is not a rational number"
                     )

@@ -112,6 +112,28 @@ def test_a_span_label_must_be_a_string(label):
             build()
 
 
+@pytest.mark.parametrize(
+    ("start", "end"),
+    [(0.5, 2), (0, 2.0), (False, True), ("0", 2), (None, 2)],
+    ids=["float-start", "float-end", "bool", "str", "none"],
+)
+def test_span_bounds_must_be_ints(start, end):
+    # refused before the range test, so a float never reaches a BIO tag
+    # list, a bool never encodes as B-A, and a str or None never meets a
+    # comparison's TypeError
+    message = (
+        "invalid span: start and end must be integers, got "
+        f"{type(start).__name__} and {type(end).__name__}"
+    )
+    for build in (
+        lambda: EntitySpan(start, end, "A"),
+        lambda: LabeledSentence(Sentence(("a", "b", "c")), (EntitySpan(start, end, "A"),)),
+        lambda: bio_encode([EntitySpan(start, end, "A")], 3),
+    ):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_spans_overlap_touching_is_disjoint():
     assert spans_overlap(EntitySpan(0, 3), EntitySpan(2, 4))
     assert not spans_overlap(EntitySpan(0, 2), EntitySpan(2, 4))
@@ -393,6 +415,12 @@ CONSTRUCTOR_ERRORS = [
             (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), ((0.5,),)
         ),
         "matching cost 0.5 at (0, 0) is not a rational number",
+    ),
+    (
+        lambda: MatchingProblem(
+            (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), ((True,),)
+        ),
+        "matching cost True at (0, 0) is not a rational number",
     ),
     (
         lambda: MatchingProblem(

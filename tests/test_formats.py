@@ -339,6 +339,13 @@ def test_span_records_reject_bad_records():
             parse_span_records(line + "\n")
 
 
+def test_a_span_record_error_does_not_echo_a_huge_value():
+    spans = [{"start": 0, "end": 1, "label": list(range(20_000))}]
+    with pytest.raises(FormatError) as info:
+        parse_span_records(json.dumps({"sentence_id": 0, "spans": spans}) + "\n")
+    assert str(info.value) == "line 1: span label [0, 1, 2, 3, 4, 5, ...] is not a string"
+
+
 def test_parse_marked_sentence_worked_example():
     marked = parse_marked_sentence(
         "Die Bundeshauptstadt der [Vereinigten Staaten] ist [Washington]"

@@ -236,13 +236,32 @@ def solver_outcome(solver, p):
 def test_solvers_read_a_frontier_that_changes_no_solution():
     rng = Random(29)
     for trial in range(1500):
-        kind = ("ngram", "ner", "nested")[trial % 3]
+        kind = ("ngram", "ner", "nested", "blocks")[trial % 4]
         n_src, n_tgt = rng.randint(1, 8), rng.randint(1, 7)
         entities = random_nonoverlapping_spans(rng, n_src, rng.randint(0, 4))
         labeled = LabeledSentence(Sentence(words(n_src)), entities)
         target = Sentence(words(n_tgt))
         if kind == "ngram":
             cands = ngram_candidates(target, rng.choice((*range(1, n_tgt + 1), None)))
+            # a set wrongly marked as not closed would lose the pruning and
+            # still pass every check below
+            assert cands.closed is not None, trial
+        elif kind == "blocks":
+            # n-gram blocks with gaps between them: closed under sub-spans,
+            # yet no n-gram set
+            block_spans = []
+            start = rng.randint(0, 1)
+            while start < n_tgt:
+                end = rng.randint(start + 1, n_tgt)
+                cap = rng.randint(1, end - start)
+                block_spans += [
+                    EntitySpan(a, b)
+                    for a in range(start, end)
+                    for b in range(a + 1, min(a + cap, end) + 1)
+                ]
+                start = end + rng.randint(1, 2)
+            cands = CandidateSet(tuple(block_spans))
+            assert cands.closed is not None, trial
         elif kind == "ner":
             ner = random_nonoverlapping_spans(rng, n_tgt, rng.randint(0, 4), labeled=False)
             cands = external_candidates(target, list(ner))

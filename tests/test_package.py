@@ -144,6 +144,17 @@ def test_solve_and_candidates_load_neither_dataclasses_nor_inspect(tmp_path, com
     first, modules = run_probe(command, *argv)
     assert first == "0 []"
     assert modules & NEVER_LOADED == set()
+    # the footprints README states: solve adds candidates and matching, the
+    # candidates command adds candidates alone
+    loaded, absent = {
+        "solve": ("spanproject.matching", {"spanproject.roundtrip", "spanproject.evaluation"}),
+        "candidates": (
+            "spanproject.candidates",
+            {"spanproject.matching", "spanproject.roundtrip", "spanproject.evaluation"},
+        ),
+    }[command]
+    assert loaded in modules
+    assert modules & absent == set()
 
 
 def test_matching_is_loaded_before_every_fork(tmp_path):
