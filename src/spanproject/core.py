@@ -120,6 +120,8 @@ class Sentence(_Value):
             for tok in tokens:
                 if tok.split() != [tok]:
                     raise DataError(f"invalid token {tok!r}: empty or contains whitespace")
+        if type(id) is not int:
+            raise DataError(f"sentence id must be an integer, got {type(id).__name__}")
         if id < 0:
             raise DataError(f"sentence id must be non-negative, got {id}")
 
@@ -319,7 +321,8 @@ def parse_bio_tag(tag: str, line: int | None = None) -> tuple[str, str | None]:
     """Split a BIO tag into (prefix, label); raises FormatError (at `line`) otherwise."""
     if tag == "O":
         return "O", None
-    if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "I"):
+    # the label is what _check_label accepts: non-empty and free of whitespace
+    if len(tag) > 2 and tag[1] == "-" and tag[0] in ("B", "I") and tag.split() == [tag]:
         return tag[0], tag[2:]
     raise FormatError(f"tag {tag!r} does not match the BIO grammar", line=line)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from spanproject import MatchingSolution, matching, parse_conll, spans_overlap
 from spanproject import cli
 from spanproject.cli import _worker_count, atomic_write, main
-from helpers import FIXTURES, positive_cells
+from helpers import FIXTURES, positive_cells, write_round_trip_corpus
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -214,7 +214,7 @@ def test_sentence_errors_name_their_sentence(tmp_path, capsys):
     assert run(capsys, "project", *inputs, "--out", str(out)) == (
         2, "", f"format error: sentence 2: {message}\n"
     )
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [align]  # no output and no temp file
     assert run(capsys, "solve", *inputs, "--sentence", "2") == (
         2, "", f"format error: sentence 2: {message}\n"
     )
@@ -1010,14 +1010,33 @@ def test_worker_count_caps_at_jobs_sentences_and_cpus(monkeypatch, eight_cpus):
     assert _worker_count(10**6, 16) == 1
 
 
-def test_jobs_match_serial_through_the_console_process(tmp_path):
+@pytest.mark.parametrize(
+    ("flags", "warnings"),
+    [
+        (("--solver", "exact", "--mode", "all"),
+         "warning: sentence 2 skipped: no assignment covers every source "
+         "(uncoverable sources: [0])\n"),
+        (("--method", "matching", "--candidates", "ngram", "--solver", "greedy"), ""),
+        (("--method", "matching", "--candidates", "ngram", "--solver", "exact",
+          "--mode", "atmost"), ""),
+        (("--method", "heuristic"), ""),
+        (("--direction", "tgt2tgt", "--candidates", "ner", "--solver", "assignment"), ""),
+    ],
+    ids=["exact-all", "greedy-ngram", "exact-atmost", "heuristic", "round-trip"],
+)
+def test_jobs_match_serial_through_the_console_process(tmp_path, flags, warnings):
     """Real file descriptors: no line printed twice, the same bytes and stderr."""
-    inputs = (
-        "--labeled", fixture("noisy_source.conll"),
-        "--target", fixture("noisy_target.conll"),
-        "--align", fixture("noisy.align"),
-        "--solver", "exact", "--mode", "all", "--skip-bad-sentences",
-    )
+    if "tgt2tgt" in flags:
+        paths = write_round_trip_corpus(tmp_path, seed=3, n_sentences=40)
+        roles = ("marked", "translations", "target", "align", "spans")
+        inputs = (*flags, *(f"--{role}={paths[role]}" for role in roles))
+    else:
+        inputs = (
+            "--labeled", fixture("noisy_source.conll"),
+            "--target", fixture("noisy_target.conll"),
+            "--align", fixture("noisy.align"),
+            *flags, "--skip-bad-sentences",
+        )
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1] / "src"))
     runs = []
     for jobs in ("1", "2"):
@@ -1028,8 +1047,7 @@ def test_jobs_match_serial_through_the_console_process(tmp_path):
             capture_output=True, text=True, env=env, timeout=60,
         )
         runs.append((proc.returncode, proc.stdout, proc.stderr, out.read_bytes()))
-    assert runs[0][:3] == (0, "", "warning: sentence 2 skipped: no assignment covers every "
-                           "source (uncoverable sources: [0])\n")
+    assert runs[0][:3] == (0, "", warnings)
     assert runs[1] == runs[0]
 
 
@@ -1249,30 +1267,35 @@ def test_invalid_utf8_is_a_located_error(tmp_path, argv, bad):
     assert not (tmp_path / "out.conll").exists()
 
 
+_BAD_TAG = (b"x B_PER", "tag 'B_PER' does not match the BIO grammar")
+
+
 @pytest.mark.parametrize(
-    ("argv", "bad"),
+    ("argv", "bad", "line", "message"),
     [
-        (("project", *_CLEAN), "clean_target.conll"),
-        (("project", *_CLEAN), "clean_source.conll"),
-        (("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl"),
-        (("candidates", "--target", "clean_target.conll"), "clean_target.conll"),
-        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_gold.conll"),
-        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_source.conll"),
+        (("project", *_CLEAN), "clean_target.conll", *_BAD_TAG),
+        (("project", *_CLEAN), "clean_source.conll", *_BAD_TAG),
+        (("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl",
+         b"[]", "span record must be a JSON object"),
+        (("candidates", "--target", "clean_target.conll"), "clean_target.conll", *_BAD_TAG),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_gold.conll", *_BAD_TAG),
+        (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_source.conll",
+         *_BAD_TAG),
+        (("project", "--method", "heuristic", *_CLEAN), "clean_target.conll",
+         b"New York City", "expected 'token' or 'token tag', got 3 fields"),
     ],
-    ids=["target", "labeled", "spans", "candidates-target", "pred", "gold"],
+    ids=["target", "labeled", "spans", "candidates-target", "pred", "gold", "target-three-fields"],
 )
-def test_whole_file_format_errors_name_their_file(tmp_path, argv, bad):
+def test_whole_file_format_errors_name_their_file(tmp_path, argv, bad, line, message):
     contents = _input_files(argv)
     lines = contents[bad].split(b"\n")
-    if bad == "spans.jsonl":
-        lines[1], message = b"[]", "span record must be a JSON object"
-    else:
-        lines[1], message = b"x B_PER", "tag 'B_PER' does not match the BIO grammar"
+    lines[1] = line
     contents[bad] = b"\n".join(lines)
 
     code, out, err = _run_in(tmp_path, argv, contents)
     assert (code, out, err) == (2, "", f"format error: {tmp_path / bad}: line 2: {message}\n")
-    assert not (tmp_path / "out.conll").exists()
+    # no output and no temp file: the directory holds the inputs alone
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(contents)
 
 
 # Fragments of every input grammar, so that joined runs of them get past the
@@ -1361,6 +1384,7 @@ def test_an_out_that_is_a_symbolic_link_is_written_through(tmp_path, capsys):
     assert real.read_bytes() == plain.read_bytes()
     assert real.stat().st_mode & 0o7777 == 0o640
     assert (list(data.iterdir()), list(links.iterdir())) == ([real], [link])
+    assert sorted(tmp_path.iterdir()) == sorted([data, links, plain])  # no temp file
 
 
 def test_a_dangling_out_link_creates_its_target_and_errors_name_the_link(tmp_path, capsys):
@@ -1396,16 +1420,22 @@ def _umask(mask: int):
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
 def test_output_files_get_the_mode_open_would_leave(tmp_path, capsys, umask):
     new, replaced = tmp_path / "new.conll", tmp_path / "replaced.conll"
+    candidates = tmp_path / "c.jsonl"
     replaced.write_text("old\n", encoding="utf-8")
     replaced.chmod(0o604)
     with _umask(umask):
         assert project(capsys, new) == (0, "", "")
         assert project(capsys, replaced) == (0, "", "")
+        assert run(
+            capsys, "candidates", "--target", fixture("clean_target.conll"),
+            "--out", str(candidates),
+        ) == (0, "", "")
     # a new file is 0o666 less the umask; a replaced one keeps its mode
-    assert (new.stat().st_mode & 0o7777, replaced.stat().st_mode & 0o7777) == (
-        0o666 & ~umask, 0o604
+    assert tuple(path.stat().st_mode & 0o7777 for path in (new, candidates, replaced)) == (
+        0o666 & ~umask, 0o666 & ~umask, 0o604
     )
     assert replaced.read_bytes() == new.read_bytes()
+    assert sorted(tmp_path.iterdir()) == sorted([new, replaced, candidates])  # no temp file
 
 
 @pytest.mark.parametrize(

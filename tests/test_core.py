@@ -367,6 +367,12 @@ CONSTRUCTOR_ERRORS = [
     (lambda: Sentence(("a", "")), "invalid token '': empty or contains whitespace"),
     (lambda: Sentence(("a b", "\t")), "invalid token 'a b': empty or contains whitespace"),
     (lambda: Sentence(("a",), id=-1), "sentence id must be non-negative, got -1"),
+    # refused before the sign test: a str or None never meets a comparison's
+    # TypeError, and a float or bool is never taken for an id
+    (lambda: Sentence(("a",), id="0"), "sentence id must be an integer, got str"),
+    (lambda: Sentence(("a",), id=None), "sentence id must be an integer, got NoneType"),
+    (lambda: Sentence(("a",), id=1.5), "sentence id must be an integer, got float"),
+    (lambda: Sentence(("a",), id=True), "sentence id must be an integer, got bool"),
     (lambda: Sentence((" ",), id=-1), "invalid token ' ': empty or contains whitespace"),
     (lambda: EntitySpan(2, 2), "invalid span (2, 2): need 0 <= start < end"),
     (lambda: EntitySpan(-1, 2, "PER"), "invalid span (-1, 2): need 0 <= start < end"),
@@ -553,8 +559,9 @@ def test_bio_decode_lenient_orphan_i_opens_span():
 
 
 def test_bio_decode_rejects_malformed_tags():
-    for bad in ("B", "X-PER", "B-", "b-PER", "I"):
-        with pytest.raises(FormatError):
+    # a label holding whitespace could never be encoded or serialized back
+    for bad in ("B", "X-PER", "B-", "b-PER", "I", "B-X Y", "I-\t"):
+        with pytest.raises(FormatError, match="does not match the BIO grammar"):
             bio_decode([bad])
 
 
