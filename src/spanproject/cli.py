@@ -512,10 +512,15 @@ def _path(raw: str) -> str:
     return raw
 
 
+def _enum_metavar(enum_cls) -> str:
+    """An enum option's metavar, ``{a,b}``; its value is converted by ``resolve_config``."""
+    return "{" + ",".join(member.value for member in enum_cls) + "}"
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--candidates", choices=[k.value for k in SourceKind])
-    sub.add_argument("--solver", choices=[s.value for s in Solver])
-    sub.add_argument("--mode", choices=[m.value for m in MatchMode])
+    sub.add_argument("--candidates", metavar=_enum_metavar(SourceKind))
+    sub.add_argument("--solver", metavar=_enum_metavar(Solver))
+    sub.add_argument("--mode", metavar=_enum_metavar(MatchMode))
     sub.add_argument("--max-ngram", dest="max_ngram")
     sub.add_argument("--direction", choices=["src2tgt", "tgt2tgt"], default="src2tgt")
     sub.add_argument("--labeled", metavar="PATH", type=_path)
@@ -532,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     project = commands.add_parser("project", help="label a target corpus")
-    project.add_argument("--method", choices=[m.value for m in Method])
+    project.add_argument("--method", metavar=_enum_metavar(Method))
     project.add_argument("--threshold", metavar="RATIONAL")
     _add_common_flags(project)
     project.add_argument("--out", metavar="PATH", type=_path, required=True)

@@ -190,6 +190,11 @@ class AlignmentSet(_Value):
         pairs = frozenset(pairs)
         set_pairs(self, pairs)
         for i, j in pairs:
+            if type(i) is not int or type(j) is not int:
+                raise DataError(
+                    "invalid alignment pair: indices must be integers, got "
+                    f"{type(i).__name__} and {type(j).__name__}"
+                )
             if i < 0 or j < 0:
                 raise DataError(f"alignment pair ({i}, {j}) has a negative index")
 
@@ -232,6 +237,8 @@ class LabeledSentence(_Value):
     def __init__(self, sentence: Sentence, entities: tuple[EntitySpan, ...] = ()):
         set_sentence, set_entities = self._setters
         set_sentence(self, sentence)
+        if type(sentence) is not Sentence:
+            raise DataError(f"a labeled sentence needs a Sentence, got {type(sentence).__name__}")
         ents = tuple(entities)
         # entities that each end at or before the next one's start are in
         # sorted order already and cannot overlap, so they skip the sort and

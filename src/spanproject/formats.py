@@ -43,6 +43,11 @@ class CorpusDocument(_Value):
         sentences = tuple(sentences)
         set_sentences(self, sentences)
         for pos, labeled in enumerate(sentences):
+            if type(labeled) is not LabeledSentence:
+                raise DataError(
+                    f"corpus element at position {pos} is a {type(labeled).__name__}, "
+                    "not a LabeledSentence"
+                )
             if labeled.sentence.id != pos:
                 raise DataError(
                     f"sentence at position {pos} carries id {labeled.sentence.id}; "

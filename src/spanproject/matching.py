@@ -13,10 +13,10 @@ and (b) each source entity used at most once (AT_MOST_ONE) or exactly once
   tracks the set of sources used.
 
 A pair with zero cost (no alignment evidence) is never assigned, by any
-solver. All arithmetic is exact: costs are ``fractions.Fraction``, and every
-solver works on them as integers scaled by the lcm of their denominators;
-nothing here ever rounds, so identical inputs give identical solutions on any
-platform.
+solver. All arithmetic is exact: costs are ``fractions.Fraction``, and a
+problem stores the cells its solvers read as integer gains over one
+``scale`` per problem; nothing here ever rounds, so identical inputs give
+identical solutions on any platform.
 
 ``build_problem`` is the cost kernel. A cell is the number of alignment
 pairs inside source x candidate, over the two spans' summed lengths.
@@ -34,17 +34,18 @@ cost(s, h) > cost(s, t), and no solver ever picks (s, t):
   solutions, and the exact solvers' tie rule among them, as it was, under
   either mode.
 
-**Frontier.** ``MatchingProblem.frontier`` lists the cells that this rule
-keeps, as reduced integer ``(numerator, denominator, s, t)`` tuples in
-row-major order. When the candidate set is closed under sub-spans (every
-n-gram set is), every hull is a candidate, so the frontier is the cells
-whose first and last target words are both aligned to the source:
-``build_problem`` prices them from the source's aligned words alone,
-without visiting any other cell. For any other set, such as disjoint NER
-spans, the frontier is every positive cell. Every positive row keeps a
-frontier cell (its one-word cells are their own hulls). Every solver reads
-only the frontier, and ``validate_solution`` finds each chosen cell in it
-by bisection, so their work grows with the frontier, not the matrix.
+**Frontier.** ``MatchingProblem.frontier`` maps each cell that this rule
+keeps, ``(s, t)`` in row-major order, to an integer gain: the cell costs
+exactly ``gain / scale``, one ``scale`` per problem. When the candidate set
+is closed under sub-spans (every n-gram set is), every hull is a candidate,
+so the frontier is the cells whose first and last target words are both
+aligned to the source: ``build_problem`` prices them from the source's
+aligned words alone, without visiting any other cell. For any other set,
+such as disjoint NER spans, the frontier is every positive cell. Every
+positive row keeps a frontier cell (its one-word cells are their own
+hulls). Every solver reads only the frontier's gains, and
+``validate_solution`` looks each chosen cell up in it, so their work grows
+with the frontier, not the matrix.
 
 **The dense view.** The ``costs`` matrix of a ``build_problem`` problem is
 priced on first read and then kept. Only ``render_problem`` (the ``solve``
@@ -55,13 +56,11 @@ command's printout), the problem's repr, ==, hash, copy and pickle, and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
-from operator import itemgetter
 
 from .candidates import CandidateSet
 from .core import (
@@ -79,18 +78,18 @@ from .formats import render_table
 EXACT_MAX_SOURCES = 10
 
 _ZERO = Fraction(0)
-_CELL = itemgetter(2, 3)  # the (s, t) of a frontier entry
 
 
-class MatchingProblem(_Value, derived=("frontier", "links")):
+class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
     """A cost matrix between labeled source entities and unlabeled candidates.
 
-    ``frontier`` holds one reduced ``(numerator, denominator, s, t)`` entry
-    per positive cell a solver can ever pick (see the module docstring), in
-    row-major order; it is left out of repr, == and hash. The constructor
-    takes ``costs``, whose cells must be rational (``Fraction`` or ``int``,
-    not ``bool``) and non-negative, and its ``frontier`` is every positive
-    cell. A problem from ``build_problem`` stores its ``frontier`` and, per
+    ``frontier`` maps each positive cell a solver can ever pick (see the
+    module docstring), ``(s, t)`` in row-major order, to its integer gain;
+    the cell's cost is exactly ``gain / scale``. Both are left out of repr,
+    == and hash. The constructor takes ``costs``, whose cells must be
+    rational (``Fraction`` or ``int``, not ``bool``) and non-negative, and
+    its ``frontier`` is every positive cell. A problem from
+    ``build_problem`` stores its ``frontier`` and ``scale`` and, per
     source, its alignment pairs counted by target index (``links``); its
     ``costs`` are priced from those on first read, ``Fraction(0)`` in the
     zero cells, and then kept; ``links`` is None on a problem from the
@@ -98,12 +97,13 @@ class MatchingProblem(_Value, derived=("frontier", "links")):
     n-gram target of one length share one set.
     """
 
-    __slots__ = ("sources", "candidates", "costs", "mode", "frontier", "links")
+    __slots__ = ("sources", "candidates", "costs", "mode", "frontier", "scale", "links")
     sources: tuple[EntitySpan, ...]
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
     mode: MatchMode
-    frontier: tuple[tuple[int, int, int, int], ...]
+    frontier: dict[tuple[int, int], int]
+    scale: int
     links: list[dict[int, int]] | None
 
     def __init__(
@@ -113,7 +113,7 @@ class MatchingProblem(_Value, derived=("frontier", "links")):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        set_sources, set_candidates, set_costs, set_mode, set_frontier, set_links = self._setters
+        set_sources, set_candidates, set_costs, set_mode, _, _, set_links = self._setters
         sources = tuple(sources)
         costs = tuple(tuple(row) for row in costs)
         set_sources(self, sources)
@@ -140,8 +140,8 @@ class MatchingProblem(_Value, derived=("frontier", "links")):
                 if num < 0:
                     raise DataError(f"negative matching cost {cell}")
                 if num:
-                    positive.append((num, cell.denominator, s, t))
-        set_frontier(self, tuple(positive))
+                    positive.append((s, t, num, cell.denominator))
+        _set_frontier(self, positive)
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: ``costs`` of a problem from
@@ -173,6 +173,14 @@ class MatchingSolution(_Value):
         set_assignments, set_objective = self._setters
         set_assignments(self, tuple(sorted(assignments)))
         set_objective(self, objective)
+
+
+def _set_frontier(p: MatchingProblem, cells: list[tuple[int, int, int, int]]) -> None:
+    """Store row-major ``(s, t, num, den)`` cells as ``p.frontier`` gains over ``p.scale``."""
+    *_, set_frontier, set_scale, _ = MatchingProblem._setters
+    scale = lcm(*{den for _, _, _, den in cells})  # each gain / scale is exactly num / den
+    set_frontier(p, {(s, t): num * (scale // den) for s, t, num, den in cells})
+    set_scale(p, scale)
 
 
 def _cell_counts(p: MatchingProblem):
@@ -227,13 +235,14 @@ def build_problem(
     many positive cells the source has. Prefix counts over the sorted
     aligned words give each cell's count, and the set's ``closed`` map gives
     the candidate index. Over any other set the frontier is every positive
-    cell, counted by ``_cell_counts``. Each cell is reduced by its gcd; a
-    count is positive and the lengths are positive, so nothing needs
-    re-checking. See the module docstring for why no other cell is needed.
+    cell, counted by ``_cell_counts``. Each cell is stored unreduced, as
+    ``count / length``; a count is positive and the lengths are positive, so
+    nothing needs re-checking. See the module docstring for why no other
+    cell is needed.
     """
     entities = labeled.entities
     links = _entity_links(labeled, align)  # links[s][j]: source s's pairs with target j
-    set_sources, set_candidates, _, set_mode, set_frontier, set_links = MatchingProblem._setters
+    set_sources, set_candidates, _, set_mode, _, _, set_links = MatchingProblem._setters
     p = object.__new__(MatchingProblem)  # __init__ needs the dense matrix
     set_sources(p, entities)
     set_candidates(p, cands)
@@ -245,9 +254,8 @@ def build_problem(
         for s, row in enumerate(_cell_counts(p)):
             for t, (count, length) in enumerate(row):
                 if count:
-                    g = gcd(count, length)
-                    frontier.append((count // g, length // g, s, t))
-        set_frontier(p, tuple(frontier))
+                    frontier.append((s, t, count, length))
+        _set_frontier(p, frontier)
         return p
     for s, (src, counts) in enumerate(zip(entities, links)):
         aligned = sorted(counts)
@@ -266,10 +274,8 @@ def build_problem(
                 if last >= reach:
                     break
                 count = below[y + 1] - before
-                length = src_len + last + 1 - start
-                g = gcd(count, length)
-                frontier.append((count // g, length // g, s, first + last - start))
-    set_frontier(p, tuple(frontier))
+                frontier.append((s, first + last - start, count, src_len + last + 1 - start))
+    _set_frontier(p, frontier)
     return p
 
 
@@ -282,23 +288,20 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
     supported; greedy cannot promise full source coverage.
 
     Only the problem's frontier is read: the other positive cells would be
-    passed over (see the module docstring). It is ordered on an exact
-    integer key: with ``scale`` the least common multiple of the frontier's
-    denominators, ``cost * scale`` is an integer for every cell, so the
-    order is the same as on the Fraction costs. Candidates are distinct and
-    sorted by (start, end), so the candidate index orders them as (start,
-    end) does, and a source index breaks the remaining ties (overlapping
-    sources sharing a start) in row-major order. The scan stops once every
-    source is used, so the cells are heapified and popped in order rather
-    than sorted. The objective is the chosen cells' summed integer keys over
-    ``scale``.
+    passed over (see the module docstring). It is ordered on its integer
+    gains, each ``cost * scale``, so the order is the same as on the
+    Fraction costs. Candidates are distinct and sorted by (start, end), so
+    the candidate index orders them as (start, end) does, and a source index
+    breaks the remaining ties (overlapping sources sharing a start) in
+    row-major order. The scan stops once every source is used, so the cells
+    are heapified and popped in order rather than sorted. The objective is
+    the chosen cells' summed gains over ``scale``.
     """
     if p.mode is MatchMode.REQUIRE_ALL:
         raise DataError("greedy solving cannot guarantee REQUIRE_ALL; use an exact solver")
     spans = p.candidates.spans
     starts = [src.start for src in p.sources]
-    scale = lcm(*{den for _, den, _, _ in p.frontier})
-    heap = [(-num * (scale // den), starts[s], t, s) for num, den, s, t in p.frontier]
+    heap = [(-gain, starts[s], t, s) for (s, t), gain in p.frontier.items()]
     heapify(heap)
     used_sources: set[int] = set()
     chosen_spans: list[EntitySpan] = []
@@ -315,7 +318,7 @@ def solve_greedy(p: MatchingProblem) -> MatchingSolution:
         used_sources.add(s)
         chosen_spans.append(span)
         neg_total += neg
-    return MatchingSolution(tuple(assignments), Fraction(-neg_total, scale))
+    return MatchingSolution(tuple(assignments), Fraction(-neg_total, p.scale))
 
 
 def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
@@ -323,7 +326,7 @@ def _statically_uncoverable(p: MatchingProblem) -> tuple[int, ...]:
 
     A positive row keeps at least one frontier cell, so the frontier tells.
     """
-    covered = {s for _, _, s, _ in p.frontier}
+    covered = {s for s, _ in p.frontier}
     return tuple(s for s in range(len(p.sources)) if s not in covered)
 
 
@@ -391,8 +394,8 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
     REQUIRE_ALL) get a cost large enough that the optimum avoids them
     whenever avoiding them is feasible. The matrix is filled from the
     frontier; every other source-candidate cell is forbidden, which changes
-    no optimum (see the module docstring). Costs are integers under greedy's
-    lcm scale, so the solver never rounds.
+    no optimum (see the module docstring). Costs are the frontier's integer
+    gains, so the solver never rounds.
     """
     if not p.candidates.is_disjoint():
         raise DataError(
@@ -410,9 +413,8 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
             )
         return MatchingSolution((), Fraction(0))
 
-    scale = lcm(*{den for _, den, _, _ in p.frontier})
-    gains = {(s, t): num * (scale // den) for num, den, s, t in p.frontier}
-    big = n_src * max(gains.values(), default=0) + scale
+    gains = p.frontier
+    big = n_src * max(gains.values(), default=0) + p.scale
     unassigned = big if require_all else 0
     matrix = [[big] * n_cand + [unassigned] * n_src for _ in range(n_src)]
     matrix += [[0] * (n_src + n_cand) for _ in range(n_cand)]
@@ -432,7 +434,7 @@ def solve_assignment_exact(p: MatchingProblem) -> MatchingSolution:
                 "no full positive-cost assignment exists",
                 uncoverable=_statically_uncoverable(p),
             )
-    return MatchingSolution(tuple(assignments), Fraction(total, scale))
+    return MatchingSolution(tuple(assignments), Fraction(total, p.scale))
 
 
 def solve_exact(p: MatchingProblem) -> MatchingSolution:
@@ -443,8 +445,8 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
     whose candidate starts there: that jumps to the candidate's end and sets
     the source's bit, so candidates never overlap and the mask caps each
     source. Only frontier cells are moves: no optimum uses another cell
-    (see the module docstring). Each state keeps the largest value (an
-    integer under greedy's lcm scale), then the lexicographically smallest
+    (see the module docstring). Each state keeps the largest value (a sum
+    of the frontier's integer gains), then the lexicographically smallest
     sorted assignment tuple: all cells are positive, so a common extension
     never reverses that choice. Under REQUIRE_ALL only the full mask counts.
     """
@@ -454,11 +456,10 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
             f"({EXACT_MAX_SOURCES} sources)"
         )
     spans = p.candidates.spans
-    scale = lcm(*{den for _, den, _, _ in p.frontier})
     width = max((span.end for span in spans), default=0)
     moves = [[] for _ in range(width)]
-    for num, den, s, t in p.frontier:
-        moves[spans[t].start].append((spans[t].end, 1 << s, num * (scale // den), (s, t)))
+    for (s, t), gain in p.frontier.items():
+        moves[spans[t].start].append((spans[t].end, 1 << s, gain, (s, t)))
     # layers[j][mask] = (-value, assignments in target order); sorted only on ties
     layers = [{} for _ in range(width + 1)]
     layers[0][0] = (0, ())
@@ -483,23 +484,21 @@ def solve_exact(p: MatchingProblem) -> MatchingSolution:
             "no assignment covers every source", uncoverable=_statically_uncoverable(p)
         )
     neg, chosen = min(final.values(), key=lambda entry: (entry[0], sorted(entry[1])))
-    return MatchingSolution(chosen, Fraction(-neg, scale))
+    return MatchingSolution(chosen, Fraction(-neg, p.scale))
 
 
 def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
     """Independently check a solution's feasibility; raises on any violation.
 
-    Each assigned cell is looked up in the frontier by bisection. Only a
-    cell outside it, which no solver returns, is read from the dense
-    ``costs``, so a valid choice that no solver would make is still
-    accepted.
+    Each assigned cell's gain is looked up in the frontier. Only a cell
+    outside it, which no solver returns, is read from the dense ``costs``,
+    so a valid choice that no solver would make is still accepted.
     """
     n_src, n_cand = p.shape
     spans = p.candidates.spans
     seen_sources: set[int] = set()
     seen_cands: set[int] = set()
-    frontier = p.frontier
-    num_sum, den_sum = 0, 1  # the recomputed objective, as one unreduced fraction
+    gain_sum, off_frontier = 0, _ZERO  # the recomputed objective: gain_sum / scale + off_frontier
     for s, t in sol.assignments:
         if not (0 <= s < n_src and 0 <= t < n_cand):
             raise DataError(f"assignment ({s}, {t}) out of range for shape {p.shape}")
@@ -507,23 +506,22 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
             raise DataError(f"candidate {t} assigned twice")
         if s in seen_sources:
             raise DataError(f"source {s} assigned twice")
-        k = bisect_left(frontier, (s, t), key=_CELL)
-        if k < len(frontier) and _CELL(frontier[k]) == (s, t):
-            num, den, _, _ = frontier[k]
+        gain = p.frontier.get((s, t))
+        if gain is not None:
+            gain_sum += gain
         else:
             cost = p.costs[s][t]
-            num, den = cost.numerator, cost.denominator
-            if not num:
+            if not cost:
                 raise DataError(f"assignment ({s}, {t}) has zero cost")
+            off_frontier += cost
         seen_sources.add(s)
         seen_cands.add(t)
-        num_sum, den_sum = num_sum * den + num * den_sum, den_sum * den
     chosen = sorted(seen_cands)
     for a_pos, a in enumerate(chosen):
         for b in chosen[a_pos + 1 :]:
             if spans_overlap(spans[a], spans[b]):
                 raise DataError(f"chosen candidates {a} and {b} overlap")
-    objective = Fraction(num_sum, den_sum)
+    objective = Fraction(gain_sum, p.scale) + off_frontier
     if objective != sol.objective:
         raise DataError(f"objective {sol.objective} != recomputed {objective}")
     if p.mode is MatchMode.REQUIRE_ALL and len(seen_sources) != n_src:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -61,7 +62,9 @@ class ProjectionConfig(_Value):
     ratio_threshold only for HEURISTIC. The ASSIGNMENT solver insists on
     external candidates because n-gram candidates always overlap. GREEDY
     refuses REQUIRE_ALL: it cannot guarantee to cover every source. EXACT
-    works on any candidates but is guarded by its source count.
+    works on any candidates but is guarded by its source count. Each enum
+    field must hold a member of its enum, ``ratio_threshold`` a rational
+    (not ``bool``) in (0, 1], and ``max_ngram_len`` None or an ``int`` >= 1.
     """
 
     __slots__ = (
@@ -92,10 +95,26 @@ class ProjectionConfig(_Value):
         set_ratio(self, ratio_threshold)
         set_max_ngram(self, max_ngram_len)
         set_mode(self, mode)
+        for name, value, kind in (
+            ("method", method, Method),
+            ("candidate_source", candidate_source, SourceKind),
+            ("solver", solver, Solver),
+            ("mode", mode, MatchMode),
+        ):
+            if type(value) is not kind:
+                raise DataError(f"{name} must be a {kind.__name__}, got {value!r}")
+        # the rule MatchingProblem applies to its cells
+        if not isinstance(ratio_threshold, Rational) or ratio_threshold.__class__ is bool:
+            raise DataError(f"ratio threshold {ratio_threshold!r} is not a rational number")
         if not 0 < ratio_threshold <= 1:
             raise DataError(f"ratio threshold must be in (0, 1], got {ratio_threshold}")
-        if max_ngram_len is not None and max_ngram_len < 1:
-            raise DataError(f"max n-gram length must be >= 1, got {max_ngram_len}")
+        if max_ngram_len is not None:
+            if type(max_ngram_len) is not int:
+                raise DataError(
+                    f"max n-gram length must be an integer or None, got {max_ngram_len!r}"
+                )
+            if max_ngram_len < 1:
+                raise DataError(f"max n-gram length must be >= 1, got {max_ngram_len}")
         if (
             method is Method.CANDIDATE_MATCHING
             and solver is Solver.ASSIGNMENT

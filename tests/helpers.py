@@ -194,14 +194,14 @@ def matching_cost(src: EntitySpan, tgt: EntitySpan, align: AlignmentSet) -> Frac
     return Fraction(count_within(align, src, tgt), len(src) + len(tgt))
 
 
-def positive_cells(p: MatchingProblem) -> list[tuple[int, int, int, int]]:
-    """Every positive cell of ``p.costs`` as ``(numerator, denominator, s, t)``, row-major."""
-    return [
-        (c.numerator, c.denominator, s, t)
-        for s, row in enumerate(p.costs)
-        for t, c in enumerate(row)
-        if c > 0
-    ]
+def positive_cells(p: MatchingProblem) -> list[tuple[tuple[int, int], Fraction]]:
+    """Every positive cell of ``p.costs`` as ``((s, t), cost)``, row-major."""
+    return [((s, t), c) for s, row in enumerate(p.costs) for t, c in enumerate(row) if c > 0]
+
+
+def frontier_cells(p: MatchingProblem) -> list[tuple[tuple[int, int], Fraction]]:
+    """The frontier as ``((s, t), gain / scale)``, in its stored order; reads no dense cost."""
+    return [(cell, Fraction(gain, p.scale)) for cell, gain in p.frontier.items()]
 
 
 BRUTE_FORCE_MAX_SOURCES = 6

@@ -728,6 +728,8 @@ def test_config_file_value_acts_like_its_flag(tmp_path, capsys, key, flag, value
     code, _, err = project_noisy(capsys, tmp_path / "p.conll", *extra, "--config", str(cfg))
     assert code == 1
     assert err.startswith("usage error: ") and flag in err
+    # one converter for both: the bad value as a flag gives the same message
+    assert project_noisy(capsys, tmp_path / "p.conll", *extra, flag, bad)[::2] == (code, err)
 
 
 @pytest.mark.parametrize("command", ["project", "solve", "candidates"])

@@ -33,6 +33,7 @@ from spanproject import (
 from spanproject.core import _Value
 from helpers import (
     count_within,
+    frontier_cells,
     labeled_sentence_reference,
     positive_cells,
     random_nonoverlapping_spans,
@@ -330,15 +331,17 @@ def test_a_sparse_problem_stores_its_costs_on_first_read():
         labeled.entities, cands, ((Fraction(1, 2), Fraction(1, 3), Fraction(0)),)
     )
     # [0,2) is dominated by its aligned hull [0,1), so only the dense problem lists it
-    assert sparse.frontier == ((1, 2, 0, 0),)
-    assert problem.frontier == ((1, 2, 0, 0), (1, 3, 0, 1))
+    assert (sparse.frontier, sparse.scale) == ({(0, 0): 1}, 2)
+    assert (problem.frontier, problem.scale) == ({(0, 0): 3, (0, 1): 2}, 6)
+    assert frontier_cells(sparse) == [((0, 0), Fraction(1, 2))]
+    assert frontier_cells(problem) == [((0, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))]
     for name in ("no_such_field", "positive"):
         with pytest.raises(AttributeError):
             getattr(sparse, name)
     costs = sparse.costs
     assert costs == problem.costs and sparse.costs is costs and sparse == problem
-    assert positive_cells(sparse) == list(problem.frontier)
-    for name, value in (("costs", costs), ("frontier", sparse.frontier)):
+    assert positive_cells(sparse) == frontier_cells(problem)
+    for name, value in (("costs", costs), ("frontier", sparse.frontier), ("scale", 2)):
         with pytest.raises(AttributeError):
             setattr(sparse, name, value)
 
@@ -377,6 +380,26 @@ CONSTRUCTOR_ERRORS = [
     (lambda: EntitySpan(2, 2), "invalid span (2, 2): need 0 <= start < end"),
     (lambda: EntitySpan(-1, 2, "PER"), "invalid span (-1, 2): need 0 <= start < end"),
     (lambda: AlignmentSet({(0, -1)}), "alignment pair (0, -1) has a negative index"),
+    # refused before the sign test, as for Sentence ids: serialize_pharaoh
+    # would write a float or bool index that parse_pharaoh refuses
+    (
+        lambda: AlignmentSet({(0.5, 0)}),
+        "invalid alignment pair: indices must be integers, got float and int",
+    ),
+    (
+        lambda: AlignmentSet({(True, False)}),
+        "invalid alignment pair: indices must be integers, got bool and bool",
+    ),
+    (
+        lambda: AlignmentSet({("0", 0)}),
+        "invalid alignment pair: indices must be integers, got str and int",
+    ),
+    (lambda: LabeledSentence(("a", "b"), ()), "a labeled sentence needs a Sentence, got tuple"),
+    (lambda: LabeledSentence("ab", ()), "a labeled sentence needs a Sentence, got str"),
+    (
+        lambda: LabeledSentence(("a", "b"), (EntitySpan(0, 1, "PER"),)),
+        "a labeled sentence needs a Sentence, got tuple",
+    ),
     (
         lambda: LabeledSentence(_S, (EntitySpan(0, 2),)),
         "entity EntitySpan(start=0, end=2, label=None) in a labeled sentence must carry a label",
@@ -401,6 +424,10 @@ CONSTRUCTOR_ERRORS = [
     (
         lambda: CorpusDocument((LabeledSentence(Sentence(("a",), id=1)),)),
         "sentence at position 0 carries id 1; corpus ids must be consecutive from 0",
+    ),
+    (
+        lambda: CorpusDocument((Sentence(("a",)),)),
+        "corpus element at position 0 is a Sentence, not a LabeledSentence",
     ),
     (
         lambda: CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2, "X"))),

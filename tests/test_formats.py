@@ -174,6 +174,11 @@ def test_corpus_document_requires_consecutive_ids():
     sent = LabeledSentence(Sentence(("a",), id=1))
     with pytest.raises(DataError):
         CorpusDocument((sent,))
+    # every element must be a LabeledSentence, checked before its id is read
+    first = LabeledSentence(Sentence(("a",)))
+    for bad in (Sentence(("b",), id=1), ("b",), None):
+        with pytest.raises(DataError, match="^corpus element at position 1 is a "):
+            CorpusDocument((first, bad))
 
 
 def test_parse_pharaoh():

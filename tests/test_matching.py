@@ -212,13 +212,14 @@ def test_build_problem_equals_matching_cost_on_every_cell():
             for t, tgt in enumerate(cands.spans):
                 assert p.costs[s][t] == matching_cost(src, tgt, align), (trial, s, t)
         assert all(type(c) is Fraction for row in p.costs for c in row), trial
-        # the constructor's frontier is the row-major positive cells, and so is
-        # build_problem's over a set not closed under sub-spans
+        # the constructor's frontier is the row-major positive cells at their
+        # dense costs, and so is build_problem's over a set not closed under
+        # sub-spans
         want = helpers.positive_cells(p)
         rebuilt = MatchingProblem(p.sources, p.candidates, p.costs, p.mode)
-        assert list(rebuilt.frontier) == want, trial
+        assert helpers.frontier_cells(rebuilt) == want, trial
         if cands.closed is None:
-            assert list(p.frontier) == want, trial
+            assert helpers.frontier_cells(p) == want, trial
         assert rebuilt == p
         assert (hash(rebuilt), repr(rebuilt)) == (hash(p), repr(p)), trial
         assert solve_greedy(p) == solve_greedy(rebuilt), trial
@@ -274,16 +275,16 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
             align = random_alignment(rng, n_src, reach, density=rng.choice((0.2, 0.4, 0.7)))
         mode = MatchMode.REQUIRE_ALL if rng.random() < 0.3 else MatchMode.AT_MOST_ONE
         p = build_problem(labeled, cands, align, mode)
-        frontier = p.frontier  # read before the dense view exists
+        frontier = helpers.frontier_cells(p)  # read before the dense view exists
         positive = helpers.positive_cells(p)
         spans = cands.spans
 
-        # a row-major subset of the positive cells
+        # a row-major subset of the positive cells, each gain / scale at its dense cost
         assert set(frontier) <= set(positive), trial
-        cells = [(s, t) for _, _, s, t in frontier]
+        cells = [cell for cell, _ in frontier]
         assert cells == sorted(set(cells)), trial
         if cands.closed is None:
-            assert list(frontier) == positive, trial
+            assert frontier == positive, trial
         else:
             # the cells whose first and last target words are aligned to the source
             want = {
@@ -294,8 +295,8 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
             }
             assert set(cells) == want, trial
         # a left-out cell has a nested candidate of strictly higher cost in its row
-        for num, den, s, t in set(positive) - set(frontier):
-            cost, outer = Fraction(num, den), spans[t]
+        for (s, t), cost in set(positive) - set(frontier):
+            outer = spans[t]
             assert any(
                 outer.start <= span.start and span.end <= outer.end and p.costs[s][u] > cost
                 for u, span in enumerate(spans)
@@ -305,7 +306,7 @@ def test_solvers_read_a_frontier_that_changes_no_solution():
                 validate_solution(p, MatchingSolution(((s, t),), cost))
 
         dense = MatchingProblem(p.sources, cands, p.costs, mode)
-        assert list(dense.frontier) == positive, trial
+        assert helpers.frontier_cells(dense) == positive, trial
         solvers = [solve_exact]
         if mode is MatchMode.AT_MOST_ONE:
             solvers.append(solve_greedy)
@@ -695,7 +696,7 @@ def test_assignment_solver_past_the_float_range():
     cands = CandidateSet(tuple(EntitySpan(t, t + 1) for t in range(10)))
     for mode in MatchMode:
         p = MatchingProblem(sources, cands, prime_fractions(rng, 10, 10, low=0), mode)
-        assert lcm(*(den for _, den, _, _ in helpers.positive_cells(p))) > 10**400
+        assert p.scale == lcm(*(c.denominator for _, c in helpers.positive_cells(p))) > 10**400
         assert solve_assignment_exact(p) == assignment_oracle(p)
 
 

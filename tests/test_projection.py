@@ -253,6 +253,25 @@ def test_projection_config_validation():
         ProjectionConfig(solver=Solver.GREEDY, mode=MatchMode.REQUIRE_ALL)
     # assignment + external is the allowed pairing
     ProjectionConfig(solver=Solver.ASSIGNMENT, candidate_source=SourceKind.EXTERNAL_NER)
+    # an enum field takes only a member of its enum: its bare value would
+    # miss every identity test on the field
+    for field, value in (
+        ("method", "heuristic"),
+        ("candidate_source", "ner"),
+        ("solver", "exact"),
+        ("mode", "all"),
+        ("mode", Method.HEURISTIC),
+    ):
+        with pytest.raises(DataError, match=f"^{field} must be a "):
+            ProjectionConfig(**{field: value})
+    # the threshold is rational and not a bool; max_ngram_len is None or an int
+    for value in (0.5, True, "1/2", None):
+        with pytest.raises(DataError, match="is not a rational number$"):
+            ProjectionConfig(ratio_threshold=value)
+    for value in (True, 2.5, "3"):
+        with pytest.raises(DataError, match="^max n-gram length must be an integer or None"):
+            ProjectionConfig(max_ngram_len=value)
+    ProjectionConfig(ratio_threshold=1, max_ngram_len=None)
 
 
 def test_projection_output_stays_in_bounds_randomized():
