@@ -9,6 +9,7 @@ matching step assigns labels by pairing them with source entities.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .core import EntitySpan, Sentence, _Value, spans_overlap
 from .core import SourceKind  # noqa: F401  (re-exported; core defines it for option parsing)
@@ -24,7 +25,9 @@ class CandidateSet(_Value, derived=("closed",)):
     of a candidate is a candidate, as in every n-gram set); then it maps
     each start to the run of spans sharing it, ``first <= t < past``, and
     the span ``[start, start + k)`` is candidate ``first + k - 1``;
-    ``build_problem`` prices the frontier through that map. The set is
+    ``build_problem`` prices the frontier through that map. The map is a
+    read-only view (``types.MappingProxyType``), so the cached set that
+    every n-gram target of one length shares cannot be changed. The set is
     closed exactly when, for each start with a run of k spans, those spans
     end at ``start + 1`` up to ``start + k`` (dropping a candidate's last
     word leaves a candidate) and the run at ``start + 1`` has at least
@@ -34,10 +37,16 @@ class CandidateSet(_Value, derived=("closed",)):
 
     __slots__ = ("spans", "closed")
     spans: tuple[EntitySpan, ...]
-    closed: dict[int, tuple[int, int]] | None
+    closed: MappingProxyType[int, tuple[int, int]] | None
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
         set_spans, set_closed = self._setters
+        spans = tuple(spans)
+        for pos, span in enumerate(spans):
+            if type(span) is not EntitySpan:
+                raise DataError(
+                    f"candidate at position {pos} must be an EntitySpan, got {type(span).__name__}"
+                )
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
         runs: dict[int, tuple[int, int]] = {}
@@ -59,7 +68,7 @@ class CandidateSet(_Value, derived=("closed",)):
             ):
                 set_closed(self, None)
                 return
-        set_closed(self, runs)
+        set_closed(self, MappingProxyType(runs))
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -17,7 +17,11 @@ contract, kept by the private base class ``_Value``:
 * **== and hash**: two values are equal only when they are of the same class
   and their field tuples are equal; ``hash`` is the hash of the field tuple.
 * **Immutability**: assigning or deleting any attribute raises
-  ``AttributeError``, so a value is safe to share across threads.
+  ``AttributeError``, and no slot holds a ``dict``, ``list`` or ``set``: a
+  derived table (a matching problem's ``frontier`` and ``links``, a
+  candidate set's ``closed`` map) is a read-only ``types.MappingProxyType``
+  view, stored through one function per class. So a value is safe to share
+  across threads and caches.
 * **Copying and pickling** rebuild a value from its field tuple through
   ``__init__``.
 * **Final**: a value type cannot be subclassed; defining a subclass raises
@@ -187,16 +191,24 @@ class AlignmentSet(_Value):
 
     def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()):
         (set_pairs,) = self._setters
-        pairs = frozenset(pairs)
+        # an element that is not a hashable pair fails the frozenset or the
+        # unpacking; only then is each element looked at on its own
+        try:
+            pairs = frozenset(pairs)
+        except TypeError as err:
+            raise _misshapen_pair(pairs, err) from None
         set_pairs(self, pairs)
-        for i, j in pairs:
-            if type(i) is not int or type(j) is not int:
-                raise DataError(
-                    "invalid alignment pair: indices must be integers, got "
-                    f"{type(i).__name__} and {type(j).__name__}"
-                )
-            if i < 0 or j < 0:
-                raise DataError(f"alignment pair ({i}, {j}) has a negative index")
+        try:
+            for i, j in pairs:
+                if type(i) is not int or type(j) is not int:
+                    raise DataError(
+                        "invalid alignment pair: indices must be integers, got "
+                        f"{type(i).__name__} and {type(j).__name__}"
+                    )
+                if i < 0 or j < 0:
+                    raise DataError(f"alignment pair ({i}, {j}) has a negative index")
+        except (TypeError, ValueError) as err:
+            raise _misshapen_pair(pairs, err) from None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -209,6 +221,25 @@ class AlignmentSet(_Value):
                     f"alignment pair ({i}, {j}) out of bounds for sentence pair "
                     f"of lengths ({labeled_len}, {target_len})"
                 )
+
+
+def _misshapen_pair(pairs, err: Exception) -> DataError:
+    """The error naming the first element of ``pairs`` that is not a hashable pair.
+
+    An iterator that the failed ``frozenset`` call consumed may no longer
+    hold that element; then the error quotes ``err``.
+    """
+    from reprlib import repr as short_repr  # an element may be huge
+
+    for pair in pairs:
+        try:
+            hash(pair)
+            i, j = pair
+        except (TypeError, ValueError):
+            return DataError(
+                f"invalid alignment pair {short_repr(pair)}: need a tuple of two integer indices"
+            )
+    return DataError(f"invalid alignment pair: {err}")
 
 
 @lru_cache(maxsize=1024)
@@ -242,13 +273,18 @@ class LabeledSentence(_Value):
         ents = tuple(entities)
         # entities that each end at or before the next one's start are in
         # sorted order already and cannot overlap, so they skip the sort and
-        # the overlap scan; the parsers yield entities this way
+        # the overlap scan; the parsers yield entities this way. The scan
+        # also checks each entity's type, before the sort reads any of them.
         disjoint_in_order = True
         prev_end = 0
         for ent in ents:
+            if type(ent) is not EntitySpan:
+                pos = next(pos for pos, other in enumerate(ents) if other is ent)
+                raise DataError(
+                    f"entity at position {pos} must be an EntitySpan, got {type(ent).__name__}"
+                )
             if ent.start < prev_end:
                 disjoint_in_order = False
-                break
             prev_end = ent.end
         if not disjoint_in_order:
             ents = tuple(sorted(ents, key=EntitySpan.sort_key))

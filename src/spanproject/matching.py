@@ -45,7 +45,10 @@ such as disjoint NER spans, the frontier is every positive cell. Every
 positive row keeps a frontier cell (its one-word cells are their own
 hulls). Every solver reads only the frontier's gains, and
 ``validate_solution`` looks each chosen cell up in it, so their work grows
-with the frontier, not the matrix.
+with the frontier, not the matrix. The frontier, like a problem's per-source
+``links``, is a read-only view (``types.MappingProxyType``): both
+constructors store a problem through one function, ``_store``, so no caller
+can change a problem's answer after it is built.
 
 **The dense view.** The ``costs`` matrix of a ``build_problem`` problem is
 priced on first read and then kept. Only ``render_problem`` (the ``solve``
@@ -61,6 +64,7 @@ from heapq import heapify, heappop
 from itertools import accumulate
 from math import lcm
 from numbers import Rational
+from types import MappingProxyType
 
 from .candidates import CandidateSet
 from .core import (
@@ -93,8 +97,10 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
     source, its alignment pairs counted by target index (``links``); its
     ``costs`` are priced from those on first read, ``Fraction(0)`` in the
     zero cells, and then kept; ``links`` is None on a problem from the
-    constructor. ``candidates`` holds spans only, so the problems of every
-    n-gram target of one length share one set.
+    constructor. Both constructors store a problem through ``_store``,
+    which keeps ``frontier`` and each of ``links``' maps as read-only views.
+    ``candidates`` holds spans only, so the problems of every n-gram target
+    of one length share one set.
     """
 
     __slots__ = ("sources", "candidates", "costs", "mode", "frontier", "scale", "links")
@@ -102,9 +108,9 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
     candidates: CandidateSet
     costs: tuple[tuple[Fraction, ...], ...]
     mode: MatchMode
-    frontier: dict[tuple[int, int], int]
+    frontier: MappingProxyType[tuple[int, int], int]
     scale: int
-    links: list[dict[int, int]] | None
+    links: tuple[MappingProxyType[int, int], ...] | None
 
     def __init__(
         self,
@@ -113,14 +119,18 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        set_sources, set_candidates, set_costs, set_mode, _, _, set_links = self._setters
         sources = tuple(sources)
         costs = tuple(tuple(row) for row in costs)
-        set_sources(self, sources)
-        set_candidates(self, candidates)
-        set_costs(self, costs)
-        set_mode(self, mode)
-        set_links(self, None)
+        for pos, src in enumerate(sources):
+            if type(src) is not EntitySpan:
+                raise DataError(
+                    f"matching source at position {pos} must be an EntitySpan, "
+                    f"got {type(src).__name__}"
+                )
+        if type(candidates) is not CandidateSet:
+            raise DataError(
+                f"a matching problem needs a CandidateSet, got {type(candidates).__name__}"
+            )
         if len(costs) != len(sources):
             raise DataError(f"cost matrix has {len(costs)} rows for {len(sources)} sources")
         positive = []
@@ -141,7 +151,7 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
                     raise DataError(f"negative matching cost {cell}")
                 if num:
                     positive.append((s, t, num, cell.denominator))
-        _set_frontier(self, positive)
+        _store(self, sources, candidates, costs, mode, None, positive)
 
     def __getattr__(self, name: str):
         # reached only when a slot is unset: ``costs`` of a problem from
@@ -175,26 +185,39 @@ class MatchingSolution(_Value):
         set_objective(self, objective)
 
 
-def _set_frontier(p: MatchingProblem, cells: list[tuple[int, int, int, int]]) -> None:
-    """Store row-major ``(s, t, num, den)`` cells as ``p.frontier`` gains over ``p.scale``."""
-    *_, set_frontier, set_scale, _ = MatchingProblem._setters
+def _store(p, sources, candidates, costs, mode, links, cells) -> None:
+    """Store every slot of problem ``p``, the one path both constructors take.
+
+    ``costs`` None leaves the dense matrix to be priced on first read.
+    ``links`` (a dict per source, or None) is kept as a tuple of read-only
+    views, and the row-major ``(s, t, num, den)`` cells as a read-only
+    ``frontier`` of integer gains over ``scale``.
+    """
+    set_sources, set_candidates, set_costs, set_mode, set_frontier, set_scale, set_links = (
+        p._setters
+    )
+    set_sources(p, sources)
+    set_candidates(p, candidates)
+    if costs is not None:
+        set_costs(p, costs)
+    set_mode(p, mode)
     scale = lcm(*{den for _, _, _, den in cells})  # each gain / scale is exactly num / den
-    set_frontier(p, {(s, t): num * (scale // den) for s, t, num, den in cells})
+    set_frontier(p, MappingProxyType({(s, t): num * (scale // den) for s, t, num, den in cells}))
     set_scale(p, scale)
+    set_links(p, None if links is None else tuple(map(MappingProxyType, links)))
 
 
-def _cell_counts(p: MatchingProblem):
-    """Per source of a problem from ``build_problem``, every candidate's ``(count, length)``.
+def _cell_counts(sources, links, spans):
+    """Per source, every candidate's ``(count, length)``, from the source's ``links``.
 
-    ``prefix[j]`` counts the source's ``links`` with target index below
-    ``j``, so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``, and
-    its length is ``len(src) + len(tgt)``. The array runs to the largest
+    ``prefix[j]`` counts the source's links with target index below ``j``,
+    so a cell's count is ``prefix[tgt.end] - prefix[tgt.start]``, and its
+    length is ``len(src) + len(tgt)``. The array runs to the largest
     candidate end: target indices past it fall in no candidate.
     """
-    spans = p.candidates.spans
     bounds = [(span.start, span.end) for span in spans]
     width = max([span.end for span in spans], default=0)
-    for src, counts in zip(p.sources, p.links):
+    for src, counts in zip(sources, links):
         hits = [0] * (width + 1)
         for j, count in counts.items():
             if j < width:
@@ -208,7 +231,7 @@ def _dense_costs(p: MatchingProblem) -> tuple[tuple[Fraction, ...], ...]:
     """The full cost matrix of a problem from ``build_problem``; zero cells share one Fraction."""
     return tuple(
         tuple(Fraction(count, length) if count else _ZERO for count, length in row)
-        for row in _cell_counts(p)
+        for row in _cell_counts(p.sources, p.links, p.candidates.spans)
     )
 
 
@@ -242,40 +265,34 @@ def build_problem(
     """
     entities = labeled.entities
     links = _entity_links(labeled, align)  # links[s][j]: source s's pairs with target j
-    set_sources, set_candidates, _, set_mode, _, _, set_links = MatchingProblem._setters
-    p = object.__new__(MatchingProblem)  # __init__ needs the dense matrix
-    set_sources(p, entities)
-    set_candidates(p, cands)
-    set_mode(p, mode)
-    set_links(p, links)
     closed = cands.closed
     frontier = []
     if closed is None:
-        for s, row in enumerate(_cell_counts(p)):
+        for s, row in enumerate(_cell_counts(entities, links, cands.spans)):
             for t, (count, length) in enumerate(row):
                 if count:
                     frontier.append((s, t, count, length))
-        _set_frontier(p, frontier)
-        return p
-    for s, (src, counts) in enumerate(zip(entities, links)):
-        aligned = sorted(counts)
-        # below[x]: the source's pairs with target index below aligned[x]
-        below = list(accumulate(map(counts.__getitem__, aligned), initial=0))
-        src_len = src.end - src.start
-        for x, start in enumerate(aligned):
-            run = closed.get(start)
-            if run is None:
-                continue  # no candidate starts here, so none contains this word
-            first, past = run
-            reach = start + past - first  # the run's ends: start + 1 .. reach
-            before = below[x]
-            for y in range(x, len(aligned)):
-                last = aligned[y]
-                if last >= reach:
-                    break
-                count = below[y + 1] - before
-                frontier.append((s, first + last - start, count, src_len + last + 1 - start))
-    _set_frontier(p, frontier)
+    else:
+        for s, (src, counts) in enumerate(zip(entities, links)):
+            aligned = sorted(counts)
+            # below[x]: the source's pairs with target index below aligned[x]
+            below = list(accumulate(map(counts.__getitem__, aligned), initial=0))
+            src_len = src.end - src.start
+            for x, start in enumerate(aligned):
+                run = closed.get(start)
+                if run is None:
+                    continue  # no candidate starts here, so none contains this word
+                first, past = run
+                reach = start + past - first  # the run's ends: start + 1 .. reach
+                before = below[x]
+                for y in range(x, len(aligned)):
+                    last = aligned[y]
+                    if last >= reach:
+                        break
+                    count = below[y + 1] - before
+                    frontier.append((s, first + last - start, count, src_len + last + 1 - start))
+    p = object.__new__(MatchingProblem)  # __init__ needs the dense matrix
+    _store(p, entities, cands, None, mode, links, frontier)
     return p
 
 
@@ -516,11 +533,12 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
             off_frontier += cost
         seen_sources.add(s)
         seen_cands.add(t)
+    # candidates are sorted by (start, end), so one that overlaps any later
+    # chosen candidate overlaps the next one
     chosen = sorted(seen_cands)
-    for a_pos, a in enumerate(chosen):
-        for b in chosen[a_pos + 1 :]:
-            if spans_overlap(spans[a], spans[b]):
-                raise DataError(f"chosen candidates {a} and {b} overlap")
+    for a, b in zip(chosen, chosen[1:]):
+        if spans_overlap(spans[a], spans[b]):
+            raise DataError(f"chosen candidates {a} and {b} overlap")
     objective = Fraction(gain_sum, p.scale) + off_frontier
     if objective != sol.objective:
         raise DataError(f"objective {sol.objective} != recomputed {objective}")

@@ -342,7 +342,7 @@ def test_exact_guard_is_exit_3(tmp_path, capsys):
 def test_only_solve_prices_every_cell_and_builds_the_dense_matrix(
     tmp_path, capsys, monkeypatch
 ):
-    def refuse(p):
+    def refuse(*args):
         raise AssertionError("a project run priced every cell or built the dense matrix")
 
     for builder in ("_cell_counts", "_dense_costs"):
@@ -360,7 +360,7 @@ def test_only_solve_prices_every_cell_and_builds_the_dense_matrix(
     for builder, calls in built.items():
         real = getattr(matching, builder)
         monkeypatch.setattr(
-            matching, builder, lambda p, real=real, calls=calls: calls.append(p) or real(p)
+            matching, builder, lambda *args, real=real, calls=calls: calls.append(args) or real(*args)
         )
     code, out, _ = run(
         capsys, "solve", "--sentence", "0",
@@ -368,9 +368,11 @@ def test_only_solve_prices_every_cell_and_builds_the_dense_matrix(
         "--target", fixture("clean_target.conll"),
         "--align", fixture("clean.align"),
     )
-    # one problem, each builder run once for it
-    [problem] = built["_cell_counts"]
-    assert built["_dense_costs"] == [problem]
+    # one problem, each builder run once for it, the counts over its own tables
+    [(problem,)] = built["_dense_costs"]
+    [(sources, links, spans)] = built["_cell_counts"]
+    assert sources is problem.sources and links is problem.links
+    assert spans is problem.candidates.spans
     n_src, n_cand = problem.shape
     assert code == 0 and out.startswith(f"mode=atmost shape={n_src}x{n_cand}\n")
     # the printout holds every cell, the ones no solver would pick too

@@ -321,6 +321,52 @@ def test_every_value_type_is_covered_and_its_setters_are_its_slots():
             getattr(value, name)
 
 
+def _mutable_parts(value):
+    """The dicts, lists and sets reachable from ``value`` through tuples and value slots."""
+    if type(value) in (dict, list, set):
+        yield value
+    elif type(value) is tuple:
+        for item in value:
+            yield from _mutable_parts(item)
+    elif isinstance(value, _Value):
+        for name in value.__slots__:
+            yield from _mutable_parts(getattr(value, name))
+
+
+def test_no_slot_of_a_value_holds_a_mutable_table():
+    from spanproject import build_problem, ngram_candidates, solve_greedy
+
+    labeled = LabeledSentence(
+        Sentence(("a", "b")), (EntitySpan(0, 1, "PER"), EntitySpan(1, 2, "LOC"))
+    )
+    align = AlignmentSet(frozenset({(0, 0), (0, 2), (1, 1)}))
+    ngrams = ngram_candidates(Sentence(("x", "y", "z")), None)
+    ner = CandidateSet((EntitySpan(0, 2), EntitySpan(2, 3)))  # [0, 1) is left out
+    built = [build_problem(labeled, cands, align) for cands in (ngrams, ner)]
+    assert ngrams.closed is not None and ner.closed is None
+    for value in [cls(**fields) for cls, fields, _, _ in VALUE_TYPES] + built:
+        assert list(_mutable_parts(value)) == [], value
+    # item assignment on every derived table raises, the shared n-gram set's too
+    tables = [(p.frontier, (0, 0)) for p in built] + [(p.links[0], 0) for p in built]
+    tables += [(ngrams.closed, 0), (ngram_candidates(Sentence(("p", "q", "r"))).closed, 0)]
+    for table, key in tables:
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    for p in built:
+        with pytest.raises(TypeError):
+            p.links[0] = {}
+    # a caller cannot raise a cell's gain past what costs says
+    problem = MatchingProblem(
+        (EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2))),
+        ((Fraction(1, 2), Fraction(1, 3)),),
+    )
+    with pytest.raises(TypeError):
+        problem.frontier[0, 1] = 10**9
+    assert solve_greedy(problem) == MatchingSolution(((0, 0),), Fraction(1, 2))
+
+
 def test_a_sparse_problem_stores_its_costs_on_first_read():
     from spanproject import build_problem, ngram_candidates
 
@@ -486,6 +532,42 @@ CONSTRUCTOR_ERRORS = [
     (
         lambda: MarkedSentence(("a", "b", "c"), (EntitySpan(2, 4),)),
         "bracket span EntitySpan(start=2, end=4, label=None) exceeds sentence length 3",
+    ),
+    # an element that is not a pair fails the existing frozenset call or the
+    # unpacking loop, and only then is each element looked at
+    (
+        lambda: AlignmentSet({(1, 2, 3)}),
+        "invalid alignment pair (1, 2, 3): need a tuple of two integer indices",
+    ),
+    (
+        lambda: AlignmentSet({(0,)}),
+        "invalid alignment pair (0,): need a tuple of two integer indices",
+    ),
+    (lambda: AlignmentSet({5}), "invalid alignment pair 5: need a tuple of two integer indices"),
+    (
+        lambda: AlignmentSet([[0, 1]]),
+        "invalid alignment pair [0, 1]: need a tuple of two integer indices",
+    ),
+    # a container's elements are type-checked before any attribute is read
+    (lambda: CandidateSet((1, 2)), "candidate at position 0 must be an EntitySpan, got int"),
+    (
+        lambda: LabeledSentence(Sentence(("a",)), ((0, 1, "A"),)),
+        "entity at position 0 must be an EntitySpan, got tuple",
+    ),
+    (
+        # out of order, so the entities would be sorted: the check comes first
+        lambda: LabeledSentence(_S, (EntitySpan(1, 2, "B"), EntitySpan(0, 1, "A"), (0, 1, "A"))),
+        "entity at position 2 must be an EntitySpan, got tuple",
+    ),
+    (
+        lambda: MatchingProblem(
+            (EntitySpan(0, 1, "A"),), [EntitySpan(0, 1)], ((Fraction(1, 2),),)
+        ),
+        "a matching problem needs a CandidateSet, got list",
+    ),
+    (
+        lambda: MatchingProblem(((0, 1),), CandidateSet((EntitySpan(0, 1),)), ((Fraction(1, 2),),)),
+        "matching source at position 0 must be an EntitySpan, got tuple",
     ),
 ]
 

@@ -27,6 +27,7 @@ from spanproject import (
     solve_assignment_exact,
     solve_exact,
     solve_greedy,
+    spans_overlap,
     validate_solution,
 )
 from spanproject.matching import _hungarian_min
@@ -797,6 +798,42 @@ def test_validate_solution_catches_violations():
     req = worked_pair_problem(MatchMode.REQUIRE_ALL)
     with pytest.raises(DataError, match="unassigned"):
         validate_solution(req, MatchingSolution(((0, 0),), Fraction(1, 2)))
+
+
+def test_validate_solution_names_the_first_overlapping_pair():
+    half = Fraction(1, 2)
+
+    def check(spans, chosen):
+        cands = CandidateSet(spans)
+        sources = tuple(EntitySpan(s, s + 1, "A") for s in range(len(chosen)))
+        p = MatchingProblem(sources, cands, ((half,) * len(cands),) * len(chosen))
+        validate_solution(p, MatchingSolution(tuple(enumerate(chosen)), half * len(chosen)))
+
+    # three mutually overlapping chosen candidates: the first two are named
+    spans = (EntitySpan(0, 1), EntitySpan(1, 4), EntitySpan(2, 4), EntitySpan(3, 5))
+    with pytest.raises(DataError) as info:
+        check(spans, (3, 2, 1))
+    assert str(info.value) == "chosen candidates 1 and 2 overlap"
+    # on random chosen sets, the pair a scan over every pair meets first
+    rng = Random(53)
+    for _ in range(300):
+        spans = random_intervals(rng, 8, 6)
+        chosen = sorted(rng.sample(range(len(spans)), rng.randint(0, len(spans))))
+        first = next(
+            (
+                (a, b)
+                for pos, a in enumerate(chosen)
+                for b in chosen[pos + 1 :]
+                if spans_overlap(spans[a], spans[b])
+            ),
+            None,
+        )
+        if first is None:
+            check(spans, chosen)
+        else:
+            with pytest.raises(DataError) as info:
+                check(spans, chosen)
+            assert str(info.value) == "chosen candidates {} and {} overlap".format(*first)
 
 
 def test_every_solver_output_validates_on_random_instances():
