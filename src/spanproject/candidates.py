@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import EntitySpan, Sentence, _Value, spans_overlap
+from .core import EntitySpan, Sentence, _elements, _Value, spans_overlap
 from .core import SourceKind  # noqa: F401  (re-exported; core defines it for option parsing)
 from .errors import DataError
 
@@ -41,12 +41,7 @@ class CandidateSet(_Value, derived=("closed",)):
 
     def __init__(self, spans: tuple[EntitySpan, ...]):
         set_spans, set_closed = self._setters
-        spans = tuple(spans)
-        for pos, span in enumerate(spans):
-            if type(span) is not EntitySpan:
-                raise DataError(
-                    f"candidate at position {pos} must be an EntitySpan, got {type(span).__name__}"
-                )
+        spans = _elements(spans, EntitySpan, "candidate")
         spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
         runs: dict[int, tuple[int, int]] = {}

@@ -26,6 +26,14 @@ contract, kept by the private base class ``_Value``:
   ``__init__``.
 * **Final**: a value type cannot be subclassed; defining a subclass raises
   ``TypeError``.
+* **Inputs**: every sequence field whose elements share one type (a labeled
+  sentence's entities, a candidate set's spans, a corpus's sentences, ...)
+  goes through one helper, ``_elements``, which makes it a tuple and refuses
+  an argument that is not iterable, or an element whose type is not exactly
+  the field's, with a ``DataError``. ``Sentence`` tokens, ``AlignmentSet``
+  pairs and a matching problem's ``costs`` are checked by their own
+  constructors, and the scalar fields one by one; no constructor lets a
+  ``TypeError`` or ``AttributeError`` out for a bad argument.
 """
 
 from __future__ import annotations
@@ -101,6 +109,31 @@ class _Value:
         return type(self), self._values(self)
 
 
+def _not_iterable(values, what: str) -> DataError:
+    """The error for a sequence field given ``values``, which is not iterable."""
+    return DataError(f"{what} sequence must be iterable, got {type(values).__name__}")
+
+
+def _elements(values, kind: type, what: str) -> tuple:
+    """``values`` as a tuple; a ``DataError`` unless each element's type is exactly ``kind``.
+
+    ``what`` names one element in the messages: ``entity at position 2 must
+    be an EntitySpan, got tuple``.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise _not_iterable(values, what) from None
+    for pos, value in enumerate(values):
+        if type(value) is not kind:
+            name = kind.__name__
+            raise DataError(
+                f"{what} at position {pos} must be {'an' if name[0] in 'AEIOU' else 'a'} "
+                f"{name}, got {type(value).__name__}"
+            )
+    return values
+
+
 class Sentence(_Value):
     """An ordered, non-empty list of word tokens plus a stable id."""
 
@@ -110,16 +143,24 @@ class Sentence(_Value):
 
     def __init__(self, tokens: tuple[str, ...], id: int = 0):
         set_tokens, set_id = self._setters
-        tokens = tuple(tokens)
+        try:
+            tokens = tuple(tokens)
+        except TypeError:
+            raise _not_iterable(tokens, "token") from None
         set_tokens(self, tokens)
         set_id(self, id)
         if not tokens:
             raise DataError("sentence must contain at least one token")
-        # the join raises its TypeError for a token that is not a str; the
-        # tokens are good exactly when none is empty and their concatenation
-        # holds no character for which str.isspace() holds; only otherwise is
-        # each token split on its own, to name the first bad one
-        joined = "".join(tokens)
+        # the join fails only for a token that is not a str, and only then is
+        # each token's type looked at, to name the first such token
+        try:
+            joined = "".join(tokens)
+        except TypeError:
+            _elements(tokens, str, "token")  # raises: some token is not a str
+            raise
+        # the tokens are good exactly when none is empty and their
+        # concatenation holds no character for which str.isspace() holds;
+        # only otherwise is each token split on its own, to name the first bad one
         if not all(tokens) or joined.split() != [joined]:
             for tok in tokens:
                 if tok.split() != [tok]:
@@ -191,15 +232,19 @@ class AlignmentSet(_Value):
 
     def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()):
         (set_pairs,) = self._setters
-        # an element that is not a hashable pair fails the frozenset or the
-        # unpacking; only then is each element looked at on its own
+        # an element that is not a hashable tuple of two fails the frozenset,
+        # the type test or the unpacking; only then is each element looked
+        # at on its own
         try:
             pairs = frozenset(pairs)
         except TypeError as err:
             raise _misshapen_pair(pairs, err) from None
         set_pairs(self, pairs)
         try:
-            for i, j in pairs:
+            for pair in pairs:
+                if type(pair) is not tuple:
+                    raise ValueError  # caught below: a frozenset, say, unpacks in no fixed order
+                i, j = pair
                 if type(i) is not int or type(j) is not int:
                     raise DataError(
                         "invalid alignment pair: indices must be integers, got "
@@ -207,7 +252,7 @@ class AlignmentSet(_Value):
                     )
                 if i < 0 or j < 0:
                     raise DataError(f"alignment pair ({i}, {j}) has a negative index")
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise _misshapen_pair(pairs, err) from None
 
     def __len__(self) -> int:
@@ -224,22 +269,29 @@ class AlignmentSet(_Value):
 
 
 def _misshapen_pair(pairs, err: Exception) -> DataError:
-    """The error naming the first element of ``pairs`` that is not a hashable pair.
+    """The error naming the first element of ``pairs`` that is not a hashable 2-tuple.
 
     An iterator that the failed ``frozenset`` call consumed may no longer
     hold that element; then the error quotes ``err``.
     """
     from reprlib import repr as short_repr  # an element may be huge
 
-    for pair in pairs:
+    try:
+        elements = iter(pairs)
+    except TypeError:
+        return _not_iterable(pairs, "alignment pair")
+    for pair in elements:
         try:
             hash(pair)
-            i, j = pair
-        except (TypeError, ValueError):
-            return DataError(
-                f"invalid alignment pair {short_repr(pair)}: need a tuple of two integer indices"
-            )
-    return DataError(f"invalid alignment pair: {err}")
+        except TypeError:
+            break
+        if type(pair) is not tuple or len(pair) != 2:
+            break
+    else:
+        return DataError(f"invalid alignment pair: {err}")
+    return DataError(
+        f"invalid alignment pair {short_repr(pair)}: need a tuple of two integer indices"
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -270,19 +322,13 @@ class LabeledSentence(_Value):
         set_sentence(self, sentence)
         if type(sentence) is not Sentence:
             raise DataError(f"a labeled sentence needs a Sentence, got {type(sentence).__name__}")
-        ents = tuple(entities)
+        ents = _elements(entities, EntitySpan, "entity")
         # entities that each end at or before the next one's start are in
         # sorted order already and cannot overlap, so they skip the sort and
-        # the overlap scan; the parsers yield entities this way. The scan
-        # also checks each entity's type, before the sort reads any of them.
+        # the overlap scan; the parsers yield entities this way
         disjoint_in_order = True
         prev_end = 0
         for ent in ents:
-            if type(ent) is not EntitySpan:
-                pos = next(pos for pos, other in enumerate(ents) if other is ent)
-                raise DataError(
-                    f"entity at position {pos} must be an EntitySpan, got {type(ent).__name__}"
-                )
             if ent.start < prev_end:
                 disjoint_in_order = False
             prev_end = ent.end

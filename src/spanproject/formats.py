@@ -25,6 +25,7 @@ from .core import (
     LabeledSentence,
     Sentence,
     _bio_tags,
+    _elements,
     _Value,
     bio_decode_parsed,
     parse_bio_tag,
@@ -40,14 +41,9 @@ class CorpusDocument(_Value):
 
     def __init__(self, sentences: tuple[LabeledSentence, ...] = ()):
         (set_sentences,) = self._setters
-        sentences = tuple(sentences)
+        sentences = _elements(sentences, LabeledSentence, "corpus element")
         set_sentences(self, sentences)
         for pos, labeled in enumerate(sentences):
-            if type(labeled) is not LabeledSentence:
-                raise DataError(
-                    f"corpus element at position {pos} is a {type(labeled).__name__}, "
-                    "not a LabeledSentence"
-                )
             if labeled.sentence.id != pos:
                 raise DataError(
                     f"sentence at position {pos} carries id {labeled.sentence.id}; "

@@ -72,6 +72,7 @@ from .core import (
     EntitySpan,
     LabeledSentence,
     MatchMode,
+    _elements,
     _entity_links,
     _Value,
     spans_overlap,
@@ -119,14 +120,11 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
         costs: tuple[tuple[Fraction, ...], ...],
         mode: MatchMode = MatchMode.AT_MOST_ONE,
     ):
-        sources = tuple(sources)
-        costs = tuple(tuple(row) for row in costs)
-        for pos, src in enumerate(sources):
-            if type(src) is not EntitySpan:
-                raise DataError(
-                    f"matching source at position {pos} must be an EntitySpan, "
-                    f"got {type(src).__name__}"
-                )
+        sources = _elements(sources, EntitySpan, "matching source")
+        try:
+            costs = tuple(tuple(row) for row in costs)
+        except TypeError:
+            raise DataError("a cost matrix must be an iterable of iterable rows") from None
         if type(candidates) is not CandidateSet:
             raise DataError(
                 f"a matching problem needs a CandidateSet, got {type(candidates).__name__}"
@@ -171,8 +169,8 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
 class MatchingSolution(_Value):
     """Chosen (source index, candidate index) pairs and their summed cost.
 
-    The constructor normalizes assignment order; feasibility is deliberately
-    not checked here, see validate_solution.
+    The constructor takes each assignment as a tuple and normalizes their
+    order; feasibility is deliberately not checked here, see validate_solution.
     """
 
     __slots__ = ("assignments", "objective")
@@ -181,7 +179,12 @@ class MatchingSolution(_Value):
 
     def __init__(self, assignments: tuple[tuple[int, int], ...], objective: Fraction):
         set_assignments, set_objective = self._setters
-        set_assignments(self, tuple(sorted(assignments)))
+        assignments = _elements(assignments, tuple, "assignment")
+        try:
+            assignments = tuple(sorted(assignments))
+        except TypeError as err:
+            raise DataError(f"assignments cannot be ordered: {err}") from None
+        set_assignments(self, assignments)
         set_objective(self, objective)
 
 
@@ -517,7 +520,7 @@ def validate_solution(p: MatchingProblem, sol: MatchingSolution) -> None:
     seen_cands: set[int] = set()
     gain_sum, off_frontier = 0, _ZERO  # the recomputed objective: gain_sum / scale + off_frontier
     for s, t in sol.assignments:
-        if not (0 <= s < n_src and 0 <= t < n_cand):
+        if not (type(s) is int and type(t) is int and 0 <= s < n_src and 0 <= t < n_cand):
             raise DataError(f"assignment ({s}, {t}) out of range for shape {p.shape}")
         if t in seen_cands:
             raise DataError(f"candidate {t} assigned twice")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import EntitySpan, LabeledSentence, Sentence, _Value, spans_overlap
+from .core import EntitySpan, LabeledSentence, Sentence, _elements, _Value, spans_overlap
 from .errors import DataError, FormatError
 
 DEFAULT_MIN_SIMILARITY = Fraction(1, 2)
@@ -39,11 +39,11 @@ class MarkedSentence(_Value):
         entity_translations: tuple[tuple[str, str], ...] = (),
     ):
         set_tokens, set_bracket_spans, set_entity_translations = self._setters
-        tokens = tuple(tokens)
-        bracket_spans = tuple(bracket_spans)
+        tokens = _elements(tokens, str, "token")
+        bracket_spans = _elements(bracket_spans, EntitySpan, "bracket span")
         set_tokens(self, tokens)
         set_bracket_spans(self, bracket_spans)
-        set_entity_translations(self, tuple(entity_translations))
+        set_entity_translations(self, _elements(entity_translations, tuple, "entity translation"))
         ordered = sorted(bracket_spans, key=EntitySpan.sort_key)
         for prev, cur in zip(ordered, ordered[1:]):
             if spans_overlap(prev, cur):

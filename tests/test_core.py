@@ -59,11 +59,11 @@ def test_sentence_rejects_empty_and_whitespace_tokens():
         Sentence(("a",), id=-1)
     # a token that is not a str fails in str.join, before any whitespace check
     for tokens, message in [
-        (("a", 0), "sequence item 1: expected str instance, int found"),
-        ((b"a",), "sequence item 0: expected str instance, bytes found"),
-        (("a", "b c", None), "sequence item 2: expected str instance, NoneType found"),
+        (("a", 0), "token at position 1 must be a str, got int"),
+        ((b"a",), "token at position 0 must be a str, got bytes"),
+        (("a", "b c", None), "token at position 2 must be a str, got NoneType"),
     ]:
-        with pytest.raises(TypeError) as info:
+        with pytest.raises(DataError) as info:
             Sentence(tokens)
         assert str(info.value) == message
     # every code point: a token holding it is rejected exactly when str.isspace()
@@ -303,6 +303,18 @@ def test_value_type_semantics(cls, fields, text, change):
             assert getattr(clone, name) == getattr(value, name), name
 
 
+@pytest.mark.parametrize(
+    ("cls", "fields"), [case[:2] for case in VALUE_TYPES], ids=[c[0].__name__ for c in VALUE_TYPES]
+)
+def test_a_sequence_field_that_is_not_iterable_is_a_data_error(cls, fields):
+    # every field whose valid value is a tuple or frozenset, so a value type
+    # added to VALUE_TYPES later is held to the same rule
+    for name, value in fields.items():
+        if type(value) in (tuple, frozenset):
+            with pytest.raises(DataError):
+                cls(**{**fields, name: 5})
+
+
 def _value_subclasses(cls=_Value):
     for sub in cls.__subclasses__():
         yield sub
@@ -473,7 +485,7 @@ CONSTRUCTOR_ERRORS = [
     ),
     (
         lambda: CorpusDocument((Sentence(("a",)),)),
-        "corpus element at position 0 is a Sentence, not a LabeledSentence",
+        "corpus element at position 0 must be a LabeledSentence, got Sentence",
     ),
     (
         lambda: CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2, "X"))),
@@ -568,6 +580,30 @@ CONSTRUCTOR_ERRORS = [
     (
         lambda: MatchingProblem(((0, 1),), CandidateSet((EntitySpan(0, 1),)), ((Fraction(1, 2),),)),
         "matching source at position 0 must be an EntitySpan, got tuple",
+    ),
+    # a pair must be a tuple: a frozenset unpacks in its own order, not the caller's
+    (
+        lambda: AlignmentSet({frozenset({5, 1})}),
+        "invalid alignment pair frozenset({1, 5}): need a tuple of two integer indices",
+    ),
+    (lambda: AlignmentSet(5), "alignment pair sequence must be iterable, got int"),
+    (lambda: Sentence(5), "token sequence must be iterable, got int"),
+    (lambda: Sentence((1, 2)), "token at position 0 must be a str, got int"),
+    (
+        lambda: MarkedSentence(("a",), ((0, 1),)),
+        "bracket span at position 0 must be an EntitySpan, got tuple",
+    ),
+    (
+        lambda: MatchingSolution(([0, 1],), Fraction(1)),
+        "assignment at position 0 must be a tuple, got list",
+    ),
+    (
+        lambda: MatchingSolution(((0, 1), (0, "x")), Fraction(1)),
+        "assignments cannot be ordered: '<' not supported between instances of 'str' and 'int'",
+    ),
+    (
+        lambda: MatchingProblem((EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), (5,)),
+        "a cost matrix must be an iterable of iterable rows",
     ),
 ]
 

@@ -176,8 +176,9 @@ def test_corpus_document_requires_consecutive_ids():
         CorpusDocument((sent,))
     # every element must be a LabeledSentence, checked before its id is read
     first = LabeledSentence(Sentence(("a",)))
+    message = "^corpus element at position 1 must be a LabeledSentence, got "
     for bad in (Sentence(("b",), id=1), ("b",), None):
-        with pytest.raises(DataError, match="^corpus element at position 1 is a "):
+        with pytest.raises(DataError, match=message):
             CorpusDocument((first, bad))
 
 

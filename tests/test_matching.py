@@ -800,6 +800,21 @@ def test_validate_solution_catches_violations():
         validate_solution(req, MatchingSolution(((0, 0),), Fraction(1, 2)))
 
 
+def test_validate_solution_takes_integer_indices_only():
+    # cell (1, 1) costs 1/3; a bool, a float equal to an index and a float
+    # between indices each name the assignment
+    third = Fraction(1, 3)
+    cands = CandidateSet((EntitySpan(0, 1), EntitySpan(1, 2)))
+    p = MatchingProblem(
+        (EntitySpan(0, 1, "A"), EntitySpan(1, 2, "B")), cands, ((third, 0), (0, third))
+    )
+    validate_solution(p, MatchingSolution(((1, 1),), third))
+    for assignment in ((True, 1), (1, 1.0), (0.5, 0)):
+        with pytest.raises(DataError) as info:
+            validate_solution(p, MatchingSolution((assignment,), third))
+        assert str(info.value) == f"assignment {assignment} out of range for shape (2, 2)"
+
+
 def test_validate_solution_names_the_first_overlapping_pair():
     half = Fraction(1, 2)
 
