@@ -9,6 +9,7 @@ matching step assigns labels by pairing them with source entities.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import lt
 from types import MappingProxyType
 
 from .core import EntitySpan, Sentence, _elements, _Value, spans_overlap
@@ -42,7 +43,11 @@ class CandidateSet(_Value, derived=("closed",)):
     def __init__(self, spans: tuple[EntitySpan, ...]):
         set_spans, set_closed = self._setters
         spans = _elements(spans, EntitySpan, "candidate")
-        spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
+        # spans strictly increasing by (start, end) are sorted and distinct
+        # already, so they skip the hashing and the sort, as n-gram sets do
+        keys = [(span.start, span.end) for span in spans]
+        if not all(map(lt, keys, keys[1:])):
+            spans = tuple(sorted(set(spans), key=EntitySpan.sort_key))
         set_spans(self, spans)
         runs: dict[int, tuple[int, int]] = {}
         start = first = -1
@@ -96,11 +101,21 @@ def _ngram_set(n: int, cap: int) -> CandidateSet:
     """Every span of 1..cap words over n words; the 128 most recent shapes stay cached."""
     return CandidateSet(
         tuple(
-            EntitySpan(start, end)
+            _ngram_span(start, end)
             for start in range(n)
             for end in range(start + 1, min(start + cap, n) + 1)
         )
     )
+
+
+@lru_cache(maxsize=4096)  # about 1 MB when full
+def _ngram_span(start: int, end: int) -> EntitySpan:
+    """The unlabeled span [start, end), built and checked once while it stays cached.
+
+    Each n-gram set holds the spans of every shorter sentence's set, so
+    sets of many lengths share the 4,096 most recently used spans.
+    """
+    return EntitySpan(start, end)
 
 
 def external_candidates(sentence: Sentence, spans: list[EntitySpan]) -> CandidateSet:

@@ -19,6 +19,12 @@ payloads go through the builtin ``marshal``). A heuristic run loads neither
 it reads its inputs, and a matching run loads ``matching`` (and with it
 ``candidates``) before it forks, so no worker compiles either again.
 
+A ``project`` run of more than one ``--jobs`` worker forks before it parses
+its CoNLL files: the parent reads every file and checks every count on
+sentence blocks, and each worker parses the sentences of its own chunk.
+Every other run, ``solve`` among them, parses its whole input first
+(``load_inputs``), and that path also gives every error of a parallel run.
+
 The console script and ``python -m spanproject.cli`` enter through
 ``entrypoint``, which runs ``main`` with the cyclic garbage collector off and
 freezes every live object when ``main`` returns, so that the collections
@@ -41,9 +47,9 @@ import tempfile
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
-from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, Sentence, SourceKind
+from .core import AlignmentSet, EntitySpan, LabeledSentence, MatchMode, SourceKind
 from .errors import (
     DataError,
     FormatError,
@@ -52,7 +58,9 @@ from .errors import (
     UsageError,
 )
 from .formats import (
+    _BLOCK,
     CorpusDocument,
+    _conll_sentences,
     conll_block,
     parse_conll,
     parse_pharaoh,
@@ -70,10 +78,8 @@ from .projection import (
 )
 
 
-# What load_inputs gives per sentence: i -> (labeled, target, alignment, external spans).
-Inputs = Callable[
-    [int], tuple[LabeledSentence, Sentence, AlignmentSet, list[EntitySpan] | None]
-]
+# What load_inputs gives per sentence: i -> (labeled, alignment, external spans).
+Inputs = Callable[[int], tuple[LabeledSentence, AlignmentSet, list[EntitySpan] | None]]
 
 # Per-sentence failures: fatal by default, a skipped sentence under --skip-bad-sentences.
 _SENTENCE_ERRORS = (FormatError, DataError, GuardError, InfeasibleError)
@@ -297,55 +303,124 @@ def load_inputs(args: argparse.Namespace) -> tuple[CorpusDocument, Inputs]:
             )
         labeled_of = labeled_doc.sentences.__getitem__
     else:
-        from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
+        labeled_of = _marked_sentences(args, n)
+    return target, _sentence_inputs(align, labeled_of, _span_records(args, n))
 
-        marked, translations = _line_files(
-            n, (args.marked, "marked file"), (args.translations, "translations file")
-        )
 
-        def labeled_of(i: int) -> LabeledSentence:
-            pairs = translations(i, parse_translations_line)
-            sentence = marked(i, partial(parse_marked_sentence, entity_translations=pairs))
-            return assign_marker_labels(sentence, sentence_id=i)
+def _marked_sentences(args: argparse.Namespace, n: int) -> Callable[[int], LabeledSentence]:
+    """Sentence i's labeled side from the marked and translations files, parsed on call."""
+    from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
 
-    spans_by_id = None
-    if args.spans is not None:
-        spans_by_id = _parse_file(Path(args.spans), parse_span_records)
-        for sentence_id in spans_by_id:
-            if sentence_id >= n:
-                raise DataError(
-                    f"span record for sentence {sentence_id} but corpus has {n} sentences"
-                )
+    marked, translations = _line_files(
+        n, (args.marked, "marked file"), (args.translations, "translations file")
+    )
 
-    def sentence_inputs(i: int):
+    def labeled_of(i: int) -> LabeledSentence:
+        pairs = translations(i, parse_translations_line)
+        sentence = marked(i, partial(parse_marked_sentence, entity_translations=pairs))
+        return assign_marker_labels(sentence, sentence_id=i)
+
+    return labeled_of
+
+
+def _span_records(args: argparse.Namespace, n: int) -> dict[int, list[EntitySpan]] | None:
+    """The --spans records by sentence id, each id checked against the corpus size."""
+    if args.spans is None:
+        return None
+    spans_by_id = _parse_file(Path(args.spans), parse_span_records)
+    for sentence_id in spans_by_id:
+        if sentence_id >= n:
+            raise DataError(f"span record for sentence {sentence_id} but corpus has {n} sentences")
+    return spans_by_id
+
+
+def _sentence_inputs(
+    align: Callable, labeled_of: Callable, spans_by_id: dict[int, list[EntitySpan]] | None
+) -> Inputs:
+    """Sentence i's inputs; its alignment line is parsed before its labeled side."""
+
+    def inputs(i: int):
         alignment = align(i, parse_pharaoh)
         external = None if spans_by_id is None else spans_by_id.get(i, [])
-        return labeled_of(i), target.sentences[i].sentence, alignment, external
+        return labeled_of(i), alignment, external
 
-    return target, sentence_inputs
+    return inputs
+
+
+# A chunk loader: (a, b) -> (the target corpus's sentences a..b-1, every sentence's inputs).
+Loader = Callable[[int, int], tuple[Sequence[LabeledSentence], Inputs]]
+
+
+def _serial_inputs(args: argparse.Namespace) -> tuple[int, Loader]:
+    """``load_inputs``' corpus as a sentence count and a loader of its chunks."""
+    corpus, inputs = load_inputs(args)
+    return len(corpus), lambda a, b: (corpus.sentences[a:b], inputs)
+
+
+def _split_inputs(args: argparse.Namespace, jobs: int) -> tuple[int, Loader] | None:
+    """For a run of more than one worker: the sentence count and a loader that parses a chunk.
+
+    Every file is read here and every count checked, but the CoNLL files
+    are only split into sentence blocks; the loader parses a chunk's blocks
+    of each. None when the run gets one worker, or when a read or a check
+    fails: then ``load_inputs`` raises the serial run's first error. A
+    loader's own format errors are never shown either: its chunk fails, and
+    ``_run_projection`` recomputes it on ``load_inputs``' inputs.
+    """
+    if _worker_count(sys.maxsize, jobs) == 1:
+        return None
+    try:
+        target_text = _read_text(Path(args.target))
+        target_blocks = list(_BLOCK.finditer(target_text))
+        n = len(target_blocks)
+        if _worker_count(n, jobs) == 1:
+            return None
+        [align] = _line_files(n, (args.align, "alignment file"))
+        if args.labeled is not None:
+            labeled_text = _read_text(Path(args.labeled))
+            labeled_blocks = list(_BLOCK.finditer(labeled_text))
+            if len(labeled_blocks) != n:
+                return None
+        else:
+            marked_of = _marked_sentences(args, n)
+        spans_by_id = _span_records(args, n)
+    except (OSError, FormatError, DataError):
+        return None
+
+    def load(a: int, b: int):
+        targets = _conll_sentences(target_text, target_blocks[a:b], a)
+        if args.labeled is None:
+            labeled_of = marked_of
+        else:
+            labeled = _conll_sentences(labeled_text, labeled_blocks[a:b], a)
+            labeled_of = lambda i: labeled[i - a]  # noqa: E731
+        return targets, _sentence_inputs(align, labeled_of, spans_by_id)
+
+    return n, load
 
 
 def _project_range(
-    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, a: int, b: int
+    cfg: ProjectionConfig, load: Loader, skip_bad: bool, a: int, b: int
 ) -> tuple[str, list[str]]:
     """Sentences a..b-1 as CoNLL text, and a warning line per sentence skipped.
 
     The blocks are joined as serialize_conll joins them, so chunk texts
     joined with a newline are the whole output.
     """
+    targets, inputs = load(a, b)
     blocks, warnings = [], []
-    for i in range(a, b):
+    for i, target in enumerate(targets, start=a):
         try:
-            labeled, target, align, external = inputs(i)
+            labeled, align, external = inputs(i)
             if cfg.method is Method.HEURISTIC:
-                result = project_heuristic(labeled, target, align, cfg.ratio_threshold)
+                result = project_heuristic(labeled, target.sentence, align, cfg.ratio_threshold)
             else:
-                result = project_matching(labeled, target, align, cfg, external)
+                result = project_matching(labeled, target.sentence, align, cfg, external)
         except _SENTENCE_ERRORS as exc:
             if not skip_bad:
                 raise type(exc)(f"sentence {i}: {exc}") from exc
             warnings.append(f"warning: sentence {i} skipped: {exc}")
-            result = LabeledSentence(corpus.sentences[i].sentence, ())
+            result = LabeledSentence(target.sentence, ())
         blocks.append(conll_block(result))
     return "\n".join(blocks), warnings
 
@@ -385,22 +460,35 @@ def _fork_chunk(run: Callable[[int, int], tuple[str, list[str]]], a: int, b: int
     return pid, os.fdopen(r, "rb")
 
 
-def _run_projection(
-    cfg: ProjectionConfig, corpus: CorpusDocument, inputs: Inputs, skip_bad: bool, jobs: int
-) -> str:
+def _run_projection(cfg: ProjectionConfig, args: argparse.Namespace) -> str:
     """Project every sentence, print the warnings in sentence order, return the CoNLL text.
 
-    The sentences split into contiguous chunks, one per worker. Chunk 0 runs
-    here; each other chunk runs in a forked child, which shares the parsed
-    inputs copy-on-write. A chunk whose child failed is recomputed here, so
-    the output, warnings and first error are the serial run's, whatever jobs is.
-    A matching run loads ``matching`` before it forks, so the workers share it.
+    The sentences split into contiguous chunks, one per worker. A run of
+    one worker projects ``load_inputs``' corpus. With more, the inputs are
+    read and counted here but their CoNLL files are not parsed: chunk 0 runs
+    here and each other chunk in a forked child, and each chunk parses its
+    own sentences before it projects them. A chunk that fails (a format
+    error, a bad sentence, a child that died) is recomputed here on
+    ``load_inputs``' inputs, which first raises any format or count error in
+    the serial run's order; so the output, warnings and first error are the
+    serial run's, whatever --jobs is. A matching run loads ``matching``
+    before it forks, so the workers share it.
     """
-    n = len(corpus)
+    jobs, skip_bad = args.jobs, args.skip_bad_sentences
+    split = _split_inputs(args, jobs)
+    serial = None if split else _serial_inputs(args)
+    n, load = split or serial
     workers = _worker_count(n, jobs)
     bounds = [n * k // workers for k in range(workers + 1)]
     chunks = list(zip(bounds, bounds[1:]))
-    run = partial(_project_range, cfg, corpus, inputs, skip_bad)
+    run = partial(_project_range, cfg, load, skip_bad)
+
+    def rerun(a: int, b: int) -> tuple[str, list[str]]:
+        nonlocal serial
+        if serial is None:
+            serial = _serial_inputs(args)
+        return _project_range(cfg, serial[1], skip_bad, a, b)
+
     children = {}
     if workers > 1:
         if cfg.method is Method.CANDIDATE_MATCHING:
@@ -410,7 +498,12 @@ def _run_projection(
     try:
         for k, chunk in enumerate(chunks[1:], start=1):
             children[k] = _fork_chunk(run, *chunk)
-        results = [run(*chunks[0])]
+        try:
+            results = [run(*chunks[0])]
+        except _SENTENCE_ERRORS:
+            if split is None:  # load_inputs' inputs: the serial run's first error
+                raise
+            results = [rerun(*chunks[0])]
         for k, chunk in enumerate(chunks[1:], start=1):
             status = 1
             if children[k] is not None:
@@ -419,7 +512,7 @@ def _run_projection(
                     payload = pipe.read()
                 _, status = os.waitpid(pid, 0)
             del children[k]
-            results.append(marshal.loads(payload) if status == 0 else run(*chunk))
+            results.append(marshal.loads(payload) if status == 0 else rerun(*chunk))
     finally:
         for pid, pipe in filter(None, children.values()):  # children not yet reaped
             import signal  # imported here: the serial path never needs it
@@ -435,8 +528,7 @@ def _run_projection(
 
 def cmd_project(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
-    corpus, inputs = load_inputs(args)
-    text = _run_projection(cfg, corpus, inputs, args.skip_bad_sentences, args.jobs)
+    text = _run_projection(cfg, args)
     atomic_write(Path(args.out), text)
     return 0
 
@@ -465,8 +557,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     out = sys.stdout
     try:
-        labeled, target, align, external = inputs(i)
-        problem = matching_problem(labeled, target, align, cfg, external)
+        labeled, align, external = inputs(i)
+        problem = matching_problem(labeled, corpus.sentences[i].sentence, align, cfg, external)
         out.write(render_problem(problem))
         n_src, n_cand = problem.shape
         if n_src == 0 or n_cand == 0:

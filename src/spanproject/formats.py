@@ -71,34 +71,50 @@ def parse_conll(text: str) -> CorpusDocument:
     as tag ``O``. Each distinct tag goes through ``parse_bio_tag`` once, at
     the first line that holds it.
     """
+    return CorpusDocument(tuple(_conll_sentences(text, _BLOCK.finditer(text))))
+
+
+def _conll_sentences(text: str, blocks, first_id: int = 0) -> list[LabeledSentence]:
+    """The sentences of ``blocks``, matches of ``_BLOCK`` in ``text`` in text order.
+
+    Their ids count up from ``first_id``, so a run of a file's blocks parses
+    on its own as the sentences it is in the whole file. A format error names
+    its line of ``text``; lines are counted only then.
+    """
     sentences: list[LabeledSentence] = []
     bio_tags: dict[str, tuple[str, str | None]] = {}
-    line, pos = 1, 0  # line `line` starts at text offset `pos`
-    for match in _BLOCK.finditer(text):
+    for sentence_id, match in enumerate(blocks, start=first_id):
         block = match.group()
         fields = block.split()
         if len(fields) == block.count("\n") + 1:
             # each line of a block holds a field, so here each holds just one: no tags
-            sentences.append(LabeledSentence(Sentence(tuple(fields), id=len(sentences))))
+            sentences.append(LabeledSentence(Sentence(tuple(fields), id=sentence_id)))
             continue
-        line += text.count("\n", pos, match.start())
-        pos = match.start()
         tokens, parsed = [], []
-        for lineno, row in enumerate(block.split("\n"), start=line):
+        for row_index, row in enumerate(block.split("\n")):
             cells = row.split()
             if len(cells) > 2:
                 raise FormatError(
-                    f"expected 'token' or 'token tag', got {len(cells)} fields", line=lineno
+                    f"expected 'token' or 'token tag', got {len(cells)} fields",
+                    line=_line_of(text, match, row_index),
                 )
             tag = cells[1] if len(cells) == 2 else "O"
             bio = bio_tags.get(tag)
             if bio is None:
-                bio = bio_tags[tag] = parse_bio_tag(tag, line=lineno)
+                try:
+                    bio = bio_tags[tag] = parse_bio_tag(tag)
+                except FormatError as exc:
+                    raise FormatError(str(exc), line=_line_of(text, match, row_index)) from None
             tokens.append(cells[0])
             parsed.append(bio)
-        sentence = Sentence(tuple(tokens), id=len(sentences))
+        sentence = Sentence(tuple(tokens), id=sentence_id)
         sentences.append(LabeledSentence(sentence, tuple(bio_decode_parsed(parsed))))
-    return CorpusDocument(tuple(sentences))
+    return sentences
+
+
+def _line_of(text: str, block: re.Match, row_index: int) -> int:
+    """The line number in ``text`` of row ``row_index`` of a ``_BLOCK`` match."""
+    return text.count("\n", 0, block.start()) + 1 + row_index
 
 
 def conll_block(labeled: LabeledSentence) -> str:

@@ -169,8 +169,9 @@ class MatchingProblem(_Value, derived=("frontier", "scale", "links")):
 class MatchingSolution(_Value):
     """Chosen (source index, candidate index) pairs and their summed cost.
 
-    The constructor takes each assignment as a tuple and normalizes their
-    order; feasibility is deliberately not checked here, see validate_solution.
+    The constructor takes each assignment as a tuple of two and normalizes
+    their order; feasibility is deliberately not checked here, see
+    validate_solution.
     """
 
     __slots__ = ("assignments", "objective")
@@ -180,6 +181,14 @@ class MatchingSolution(_Value):
     def __init__(self, assignments: tuple[tuple[int, int], ...], objective: Fraction):
         set_assignments, set_objective = self._setters
         assignments = _elements(assignments, tuple, "assignment")
+        for pos, pair in enumerate(assignments):
+            if len(pair) != 2:
+                from reprlib import repr as short_repr  # an assignment may be huge
+
+                raise DataError(
+                    f"assignment at position {pos} must be a (source, candidate) pair, "
+                    f"got {short_repr(pair)}"
+                )
         try:
             assignments = tuple(sorted(assignments))
         except TypeError as err:

@@ -43,7 +43,16 @@ class MarkedSentence(_Value):
         bracket_spans = _elements(bracket_spans, EntitySpan, "bracket span")
         set_tokens(self, tokens)
         set_bracket_spans(self, bracket_spans)
-        set_entity_translations(self, _elements(entity_translations, tuple, "entity translation"))
+        translations = _elements(entity_translations, tuple, "entity translation")
+        set_entity_translations(self, translations)
+        for pos, pair in enumerate(translations):
+            if len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
+                from reprlib import repr as short_repr  # a translation may be huge
+
+                raise DataError(
+                    f"entity translation at position {pos} must be a (text, label) pair "
+                    f"of strings, got {short_repr(pair)}"
+                )
         ordered = sorted(bracket_spans, key=EntitySpan.sort_key)
         for prev, cur in zip(ordered, ordered[1:]):
             if spans_overlap(prev, cur):

@@ -105,6 +105,38 @@ def test_candidate_set_sorts_and_dedupes():
     assert not cs.is_disjoint()
 
 
+def test_candidate_set_in_order_spans_build_the_set_the_sort_builds():
+    """Spans strictly increasing by (start, end) skip the sort; all others take it."""
+    rng = Random(11)
+
+    def same(cs, want):
+        assert cs == want and cs.spans == want.spans and cs.closed == want.closed
+
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        spans = random_intervals(rng, n, rng.randint(1, 12))  # sorted and distinct
+        shuffled = list(spans)
+        rng.shuffle(shuffled)
+        doubled = sorted([*spans, *rng.choices(spans, k=rng.randint(1, 4))], key=EntitySpan.sort_key)
+        falling = sorted(spans, key=lambda span: (span.start, -span.end))
+        want = CandidateSet(spans)
+        assert want.spans == spans
+        for other in (shuffled, doubled, falling):
+            same(CandidateSet(tuple(other)), want)
+    # sorted by start with falling ends: not in order, so sorted
+    falling = CandidateSet((EntitySpan(0, 3), EntitySpan(0, 2), EntitySpan(0, 1), EntitySpan(1, 2)))
+    assert [(c.start, c.end) for c in falling.spans] == [(0, 1), (0, 2), (0, 3), (1, 2)]
+    assert falling.closed is None
+    # every cached n-gram set equals one built from freshly made spans, shuffled
+    for n in range(1, 41):
+        sentence = Sentence(words(n))
+        for max_len in (*range(1, 9), None):
+            cap = n if max_len is None else min(max_len, n)
+            fresh = [EntitySpan(s, e) for s in range(n) for e in range(s + 1, min(s + cap, n) + 1)]
+            rng.shuffle(fresh)
+            same(ngram_candidates(sentence, max_len), CandidateSet(tuple(fresh)))
+
+
 def test_is_disjoint_catches_nonadjacent_overlap():
     rng = Random(3)
     for _ in range(200):

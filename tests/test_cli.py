@@ -922,6 +922,66 @@ def test_jobs_fatal_error_in_any_chunk_matches_serial(tmp_path, capsys, eight_cp
     assert_no_children()
 
 
+def error_corpus(tmp_path, labeled=None, target=None, align=None, labeled_sentences=8):
+    """eight_sentences' files, with sentence i's CoNLL block or alignment line
+    replaced where the labeled, target or align dict has an i."""
+    labeled, target, align = labeled or {}, target or {}, align or {}
+    files = tmp_path / "src.conll", tmp_path / "tgt.conll", tmp_path / "a.align"
+    files[0].write_text(
+        "\n".join(labeled.get(i, "A B-PER\nb O\nc B-LOC\n") for i in range(labeled_sentences)),
+        encoding="utf-8",
+    )
+    files[1].write_text("\n".join(target.get(i, "x\ny\nz\n") for i in range(8)), encoding="utf-8")
+    files[2].write_text("".join(align.get(i, "0-0 2-2") + "\n" for i in range(8)), encoding="utf-8")
+    return "--labeled", str(files[0]), "--target", str(files[1]), "--align", str(files[2])
+
+
+# Sentence i's CoNLL block starts on line 4i + 1. Under --jobs 2 the chunks
+# are sentences 0-3 and 4-7; under --jobs 4, 0-1, 2-3, 4-5 and 6-7.
+_BAD_TAG = "A B-PER\nb X-Y\nc B-LOC\n"
+_THREE_FIELDS = "A B-PER\nb O\nc B-LOC extra\n"
+_THREE_FIELD_TARGET = "x\ny y y\nz\n"
+_ERROR_ORDER = {
+    "bad-tag-in-the-last-chunk": (
+        {"labeled": {7: _BAD_TAG}}, (),
+        "src.conll: line 30: tag 'X-Y' does not match the BIO grammar",
+    ),
+    "target-error-beats-an-earlier-labeled-error": (
+        {"labeled": {0: _BAD_TAG}, "target": {5: _THREE_FIELD_TARGET}}, (),
+        "tgt.conll: line 22: expected 'token' or 'token tag', got 3 fields",
+    ),
+    "labeled-error-beats-an-earlier-bad-sentence": (
+        {"labeled": {4: _THREE_FIELDS}, "align": {1: "0-0 2-x"}}, (),
+        "src.conll: line 19: expected 'token' or 'token tag', got 3 fields",
+    ),
+    "target-error-beats-a-short-labeled-corpus": (
+        {"labeled_sentences": 7, "target": {6: _THREE_FIELD_TARGET}}, (),
+        "tgt.conll: line 26: expected 'token' or 'token tag', got 3 fields",
+    ),
+    "labeled-error-beats-a-bad-span-record-file": (
+        {"labeled": {6: _BAD_TAG}}, ("--method", "matching", "--candidates", "ner"),
+        "src.conll: line 26: tag 'X-Y' does not match the BIO grammar",
+    ),
+}
+
+
+@pytest.mark.parametrize(("files", "flags", "message"), _ERROR_ORDER.values(), ids=_ERROR_ORDER)
+def test_jobs_raise_the_serial_first_error_of_chunked_parsing(
+    tmp_path, capsys, eight_cpus, files, flags, message
+):
+    """Each chunk parses its own sentences; the first error is still the serial run's."""
+    inputs = error_corpus(tmp_path, **files)
+    if flags:
+        (tmp_path / "spans.jsonl").write_text("{not json\n", encoding="utf-8")
+        flags = (*flags, "--spans", str(tmp_path / "spans.jsonl"))
+    out = tmp_path / "p.conll"
+    for jobs in ("1", "2", "4", "8"):
+        result = run(capsys, "project", *inputs, *flags, "--out", str(out), "--jobs", jobs)
+        assert result == (2, "", f"format error: {tmp_path}/{message}\n"), jobs
+        assert not out.exists()
+        assert_no_children()
+
+
 def test_jobs_succeed_and_reap_every_child(tmp_path, capsys, eight_cpus):
     inputs = eight_sentences(tmp_path)
     outputs = []
@@ -986,10 +1046,10 @@ def test_jobs_recompute_a_chunk_whose_child_dies_unwritten(
     expected, serial = serial_run(capsys, tmp_path, inputs)
     parent, real = os.getpid(), cli._project_range
 
-    def dying(cfg, corpus, inputs, skip_bad, a, b):
+    def dying(cfg, load, skip_bad, a, b):
         if os.getpid() != parent and a == 4:  # the child of sentences 4 and 5
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(cfg, corpus, inputs, skip_bad, a, b)
+        return real(cfg, load, skip_bad, a, b)
 
     monkeypatch.setattr(cli, "_project_range", dying)
     out = tmp_path / "p.conll"

@@ -605,6 +605,28 @@ CONSTRUCTOR_ERRORS = [
         lambda: MatchingProblem((EntitySpan(0, 1, "A"),), CandidateSet((EntitySpan(0, 1),)), (5,)),
         "a cost matrix must be an iterable of iterable rows",
     ),
+    # an assignment or a translation is a pair: validate_solution and
+    # assign_marker_labels unpack each one
+    (
+        lambda: MatchingSolution(((0, 0, 1),), Fraction(1, 2)),
+        "assignment at position 0 must be a (source, candidate) pair, got (0, 0, 1)",
+    ),
+    (
+        lambda: MatchingSolution(((1, 1), (0,)), Fraction(1, 2)),
+        "assignment at position 1 must be a (source, candidate) pair, got (0,)",
+    ),
+    (
+        lambda: MarkedSentence(("a",), (EntitySpan(0, 1),), (("x",),)),
+        "entity translation at position 0 must be a (text, label) pair of strings, got ('x',)",
+    ),
+    (
+        lambda: MarkedSentence(("a",), (EntitySpan(0, 1),), (("x", "PER"), (1, "PER"))),
+        "entity translation at position 1 must be a (text, label) pair of strings, got (1, 'PER')",
+    ),
+    (
+        lambda: MarkedSentence(("a",), (), (("x", None),)),
+        "entity translation at position 0 must be a (text, label) pair of strings, got ('x', None)",
+    ),
 ]
 
 
