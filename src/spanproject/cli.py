@@ -19,11 +19,11 @@ payloads go through the builtin ``marshal``). A heuristic run loads neither
 it reads its inputs, and a matching run loads ``matching`` (and with it
 ``candidates``) before it forks, so no worker compiles either again.
 
-A ``project`` run of more than one ``--jobs`` worker forks before it parses
-its CoNLL files: the parent reads every file and checks every count on
-sentence blocks, and each worker parses the sentences of its own chunk.
-Every other run, ``solve`` among them, parses its whole input first
-(``load_inputs``), and that path also gives every error of a parallel run.
+Every ``project`` and ``solve`` run reads its inputs one way
+(``open_inputs``): every file is read and every count checked on sentence
+blocks, and the CoNLL files are parsed one chunk of sentences at a time. A
+``project`` run of one ``--jobs`` worker, like ``solve``, parses one chunk,
+the whole corpus; with more, each worker parses the sentences of its own.
 
 The console script and ``python -m spanproject.cli`` enter through
 ``entrypoint``, which runs ``main`` with the cyclic garbage collector off and
@@ -41,6 +41,7 @@ import argparse
 import gc
 import marshal
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -59,7 +60,6 @@ from .errors import (
 )
 from .formats import (
     _BLOCK,
-    CorpusDocument,
     _conll_sentences,
     conll_block,
     parse_conll,
@@ -78,8 +78,11 @@ from .projection import (
 )
 
 
-# What load_inputs gives per sentence: i -> (labeled, alignment, external spans).
+# A chunk's inputs per sentence: i -> (labeled, alignment, external spans).
 Inputs = Callable[[int], tuple[LabeledSentence, AlignmentSet, list[EntitySpan] | None]]
+
+# A chunk loader: (a, b) -> (the target corpus's sentences a..b-1, their inputs).
+Loader = Callable[[int, int], tuple[Sequence[LabeledSentence], Inputs]]
 
 # Per-sentence failures: fatal by default, a skipped sentence under --skip-bad-sentences.
 _SENTENCE_ERRORS = (FormatError, DataError, GuardError, InfeasibleError)
@@ -105,9 +108,13 @@ def _read_text(path: Path) -> str:
 
 def _parse_file(path: Path, parse):
     """The whole file's text through parse; a FormatError names the file."""
-    text = _read_text(path)
+    return _in_file(path, parse, _read_text(path))
+
+
+def _in_file(path: Path, parse, *args):
+    """``parse(*args)``, with a FormatError naming the file path."""
     try:
-        return parse(text)
+        return parse(*args)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -284,29 +291,6 @@ def checked_config(args: argparse.Namespace) -> ProjectionConfig:
     return config
 
 
-def load_inputs(args: argparse.Namespace) -> tuple[CorpusDocument, Inputs]:
-    """Read every input file the run names and check that their counts line up.
-
-    Returns the target corpus and a function giving sentence i's inputs.
-    Line-per-sentence files stay raw lines, parsed one sentence at a time
-    (alignment, then translations, then marked line), so --skip-bad-sentences
-    can catch per-sentence damage.
-    """
-    target = _parse_file(Path(args.target), parse_conll)
-    n = len(target)
-    [align] = _line_files(n, (args.align, "alignment file"))
-    if args.labeled is not None:
-        labeled_doc = _parse_file(Path(args.labeled), parse_conll)
-        if len(labeled_doc) != n:
-            raise DataError(
-                f"labeled corpus has {len(labeled_doc)} sentences for {n} target sentences"
-            )
-        labeled_of = labeled_doc.sentences.__getitem__
-    else:
-        labeled_of = _marked_sentences(args, n)
-    return target, _sentence_inputs(align, labeled_of, _span_records(args, n))
-
-
 def _marked_sentences(args: argparse.Namespace, n: int) -> Callable[[int], LabeledSentence]:
     """Sentence i's labeled side from the marked and translations files, parsed on call."""
     from .roundtrip import assign_marker_labels, parse_marked_sentence, parse_translations_line
@@ -334,69 +318,67 @@ def _span_records(args: argparse.Namespace, n: int) -> dict[int, list[EntitySpan
     return spans_by_id
 
 
-def _sentence_inputs(
-    align: Callable, labeled_of: Callable, spans_by_id: dict[int, list[EntitySpan]] | None
-) -> Inputs:
-    """Sentence i's inputs; its alignment line is parsed before its labeled side."""
+def open_inputs(args: argparse.Namespace) -> tuple[int, Loader]:
+    """Read every input file the run names and check that their counts line up.
 
-    def inputs(i: int):
-        alignment = align(i, parse_pharaoh)
-        external = None if spans_by_id is None else spans_by_id.get(i, [])
-        return labeled_of(i), alignment, external
-
-    return inputs
-
-
-# A chunk loader: (a, b) -> (the target corpus's sentences a..b-1, every sentence's inputs).
-Loader = Callable[[int, int], tuple[Sequence[LabeledSentence], Inputs]]
-
-
-def _serial_inputs(args: argparse.Namespace) -> tuple[int, Loader]:
-    """``load_inputs``' corpus as a sentence count and a loader of its chunks."""
-    corpus, inputs = load_inputs(args)
-    return len(corpus), lambda a, b: (corpus.sentences[a:b], inputs)
-
-
-def _split_inputs(args: argparse.Namespace, jobs: int) -> tuple[int, Loader] | None:
-    """For a run of more than one worker: the sentence count and a loader that parses a chunk.
-
-    Every file is read here and every count checked, but the CoNLL files
-    are only split into sentence blocks; the loader parses a chunk's blocks
-    of each. None when the run gets one worker, or when a read or a check
-    fails: then ``load_inputs`` raises the serial run's first error. A
-    loader's own format errors are never shown either: its chunk fails, and
-    ``_run_projection`` recomputes it on ``load_inputs``' inputs.
+    Returns the target corpus's sentence count n and a loader of its
+    chunks. The CoNLL files are only split into sentence blocks here:
+    ``load(a, b)`` parses target blocks a..b-1, then labeled blocks a..b-1,
+    so ``load(0, n)`` raises the first format error of parsing each file
+    whole. Line-per-sentence files stay raw lines, parsed one sentence at a
+    time (alignment, then translations, then marked line), so
+    --skip-bad-sentences can catch per-sentence damage. When a read or a
+    check fails, the CoNLL files read before it are parsed whole first, so
+    that their format errors come before it.
     """
-    if _worker_count(sys.maxsize, jobs) == 1:
-        return None
+    target = labeled = None
     try:
-        target_text = _read_text(Path(args.target))
-        target_blocks = list(_BLOCK.finditer(target_text))
-        n = len(target_blocks)
-        if _worker_count(n, jobs) == 1:
-            return None
+        target = _conll_blocks(args.target)
+        n = len(target[2])
         [align] = _line_files(n, (args.align, "alignment file"))
         if args.labeled is not None:
-            labeled_text = _read_text(Path(args.labeled))
-            labeled_blocks = list(_BLOCK.finditer(labeled_text))
-            if len(labeled_blocks) != n:
-                return None
+            labeled = _conll_blocks(args.labeled)
+            if len(labeled[2]) != n:
+                raise DataError(
+                    f"labeled corpus has {len(labeled[2])} sentences for {n} target sentences"
+                )
         else:
             marked_of = _marked_sentences(args, n)
         spans_by_id = _span_records(args, n)
     except (OSError, FormatError, DataError):
-        return None
+        for conll in filter(None, (target, labeled)):
+            _conll_chunk(conll, 0, len(conll[2]))
+        raise
 
     def load(a: int, b: int):
-        targets = _conll_sentences(target_text, target_blocks[a:b], a)
-        if args.labeled is None:
+        targets = _conll_chunk(target, a, b)
+        if labeled is None:
             labeled_of = marked_of
         else:
-            labeled = _conll_sentences(labeled_text, labeled_blocks[a:b], a)
-            labeled_of = lambda i: labeled[i - a]  # noqa: E731
-        return targets, _sentence_inputs(align, labeled_of, spans_by_id)
+            chunk = _conll_chunk(labeled, a, b)
+            labeled_of = lambda i: chunk[i - a]  # noqa: E731
+
+        def inputs(i: int):
+            alignment = align(i, parse_pharaoh)
+            external = None if spans_by_id is None else spans_by_id.get(i, [])
+            return labeled_of(i), alignment, external
+
+        return targets, inputs
 
     return n, load
+
+
+def _conll_blocks(path: str) -> tuple[Path, str, list[re.Match]]:
+    """A CoNLL file's path, text and ``_BLOCK`` sentence blocks, none of them parsed."""
+    path = Path(path)
+    text = _read_text(path)
+    return path, text, list(_BLOCK.finditer(text))
+
+
+def _conll_chunk(conll: tuple[Path, str, list[re.Match]], a: int, b: int):
+    """Sentences a..b-1 of a ``_conll_blocks`` file; a FormatError names the file."""
+    path, text, blocks = conll
+    return _in_file(path, _conll_sentences, text, blocks[a:b], a)
 
 
 def _project_range(
@@ -463,31 +445,30 @@ def _fork_chunk(run: Callable[[int, int], tuple[str, list[str]]], a: int, b: int
 def _run_projection(cfg: ProjectionConfig, args: argparse.Namespace) -> str:
     """Project every sentence, print the warnings in sentence order, return the CoNLL text.
 
-    The sentences split into contiguous chunks, one per worker. A run of
-    one worker projects ``load_inputs``' corpus. With more, the inputs are
-    read and counted here but their CoNLL files are not parsed: chunk 0 runs
-    here and each other chunk in a forked child, and each chunk parses its
-    own sentences before it projects them. A chunk that fails (a format
-    error, a bad sentence, a child that died) is recomputed here on
-    ``load_inputs``' inputs, which first raises any format or count error in
-    the serial run's order; so the output, warnings and first error are the
-    serial run's, whatever --jobs is. A matching run loads ``matching``
-    before it forks, so the workers share it.
+    The sentences split into contiguous chunks, one per worker, so a run of
+    one worker is the run of one chunk. Chunk 0 runs here and each other
+    chunk in a forked child, and each chunk parses its own sentences through
+    ``open_inputs``' loader before it projects them. A chunk that fails (a
+    format error, a bad sentence, a child that died or was never forked) is
+    recomputed here; if that raises, the whole corpus is parsed first, so
+    that a format error in any chunk comes before a bad sentence. Chunks are
+    taken in order, so the output, warnings and first error are those of
+    --jobs 1, whatever --jobs is. A matching run loads ``matching`` before
+    it forks, so the workers share it.
     """
-    jobs, skip_bad = args.jobs, args.skip_bad_sentences
-    split = _split_inputs(args, jobs)
-    serial = None if split else _serial_inputs(args)
-    n, load = split or serial
-    workers = _worker_count(n, jobs)
+    n, load = open_inputs(args)
+    workers = _worker_count(n, args.jobs)
     bounds = [n * k // workers for k in range(workers + 1)]
     chunks = list(zip(bounds, bounds[1:]))
-    run = partial(_project_range, cfg, load, skip_bad)
+    run = partial(_project_range, cfg, load, args.skip_bad_sentences)
 
-    def rerun(a: int, b: int) -> tuple[str, list[str]]:
-        nonlocal serial
-        if serial is None:
-            serial = _serial_inputs(args)
-        return _project_range(cfg, serial[1], skip_bad, a, b)
+    def run_here(a: int, b: int) -> tuple[str, list[str]]:
+        try:
+            return run(a, b)
+        except _SENTENCE_ERRORS:
+            if workers > 1:  # a format error in another chunk comes first
+                load(0, n)
+            raise
 
     children = {}
     if workers > 1:
@@ -498,12 +479,7 @@ def _run_projection(cfg: ProjectionConfig, args: argparse.Namespace) -> str:
     try:
         for k, chunk in enumerate(chunks[1:], start=1):
             children[k] = _fork_chunk(run, *chunk)
-        try:
-            results = [run(*chunks[0])]
-        except _SENTENCE_ERRORS:
-            if split is None:  # load_inputs' inputs: the serial run's first error
-                raise
-            results = [rerun(*chunks[0])]
+        results = [run_here(*chunks[0])]
         for k, chunk in enumerate(chunks[1:], start=1):
             status = 1
             if children[k] is not None:
@@ -512,10 +488,10 @@ def _run_projection(cfg: ProjectionConfig, args: argparse.Namespace) -> str:
                     payload = pipe.read()
                 _, status = os.waitpid(pid, 0)
             del children[k]
-            results.append(marshal.loads(payload) if status == 0 else rerun(*chunk))
+            results.append(marshal.loads(payload) if status == 0 else run_here(*chunk))
     finally:
         for pid, pipe in filter(None, children.values()):  # children not yet reaped
-            import signal  # imported here: the serial path never needs it
+            import signal  # imported here: a run of one worker never needs it
 
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -548,17 +524,18 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
-    corpus, inputs = load_inputs(args)
+    n, load = open_inputs(args)
+    targets, inputs = load(0, n)
     i = args.sentence
-    if i >= len(corpus):
-        raise UsageError(f"--sentence {i} out of range for corpus of {len(corpus)}")
+    if i >= n:
+        raise UsageError(f"--sentence {i} out of range for corpus of {n}")
 
     from .matching import EXACT_MAX_SOURCES, render_problem
 
     out = sys.stdout
     try:
         labeled, align, external = inputs(i)
-        problem = matching_problem(labeled, corpus.sentences[i].sentence, align, cfg, external)
+        problem = matching_problem(labeled, targets[i].sentence, align, cfg, external)
         out.write(render_problem(problem))
         n_src, n_cand = problem.shape
         if n_src == 0 or n_cand == 0:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanproject import MatchingSolution, matching, parse_conll, spans_overlap
-from spanproject import cli
+from spanproject import cli, formats
 from spanproject.cli import _worker_count, atomic_write, main
 from helpers import FIXTURES, positive_cells, write_round_trip_corpus
 
@@ -922,9 +922,14 @@ def test_jobs_fatal_error_in_any_chunk_matches_serial(tmp_path, capsys, eight_cp
     assert_no_children()
 
 
-def error_corpus(tmp_path, labeled=None, target=None, align=None, labeled_sentences=8):
+def error_corpus(
+    tmp_path, labeled=None, target=None, align=None, labeled_sentences=8, align_lines=8,
+    missing=(),
+):
     """eight_sentences' files, with sentence i's CoNLL block or alignment line
-    replaced where the labeled, target or align dict has an i."""
+    replaced where the labeled, target or align dict has an i. The labeled
+    corpus has labeled_sentences sentences and the alignment file align_lines
+    lines; a file whose role ("labeled" or "align") is in missing is not written."""
     labeled, target, align = labeled or {}, target or {}, align or {}
     files = tmp_path / "src.conll", tmp_path / "tgt.conll", tmp_path / "a.align"
     files[0].write_text(
@@ -932,7 +937,11 @@ def error_corpus(tmp_path, labeled=None, target=None, align=None, labeled_senten
         encoding="utf-8",
     )
     files[1].write_text("\n".join(target.get(i, "x\ny\nz\n") for i in range(8)), encoding="utf-8")
-    files[2].write_text("".join(align.get(i, "0-0 2-2") + "\n" for i in range(8)), encoding="utf-8")
+    files[2].write_text(
+        "".join(align.get(i, "0-0 2-2") + "\n" for i in range(align_lines)), encoding="utf-8"
+    )
+    for role in missing:
+        files[("labeled", "target", "align").index(role)].unlink()
     return "--labeled", str(files[0]), "--target", str(files[1]), "--align", str(files[2])
 
 
@@ -962,6 +971,18 @@ _ERROR_ORDER = {
         {"labeled": {6: _BAD_TAG}}, ("--method", "matching", "--candidates", "ner"),
         "src.conll: line 26: tag 'X-Y' does not match the BIO grammar",
     ),
+    "target-error-beats-a-short-alignment-file": (
+        {"align_lines": 7, "target": {5: _THREE_FIELD_TARGET}}, (),
+        "tgt.conll: line 22: expected 'token' or 'token tag', got 3 fields",
+    ),
+    "target-error-beats-a-missing-alignment-file": (
+        {"missing": ("align",), "target": {6: _THREE_FIELD_TARGET}}, (),
+        "tgt.conll: line 26: expected 'token' or 'token tag', got 3 fields",
+    ),
+    "target-error-beats-a-missing-labeled-file": (
+        {"missing": ("labeled",), "target": {2: _THREE_FIELD_TARGET}}, (),
+        "tgt.conll: line 10: expected 'token' or 'token tag', got 3 fields",
+    ),
 }
 
 
@@ -980,6 +1001,17 @@ def test_jobs_raise_the_serial_first_error_of_chunked_parsing(
         assert result == (2, "", f"format error: {tmp_path}/{message}\n"), jobs
         assert not out.exists()
         assert_no_children()
+
+
+@pytest.mark.parametrize("sentence", ["0", "99"])
+def test_solve_raises_a_format_error_before_it_reads_its_sentence(tmp_path, capsys, sentence):
+    """solve parses the whole corpus first, so a later sentence's format error
+    beats both a good --sentence and one out of range."""
+    inputs = error_corpus(tmp_path, target={6: _THREE_FIELD_TARGET})
+    assert run(capsys, "solve", *inputs, "--sentence", sentence) == (
+        2, "", f"format error: {tmp_path / 'tgt.conll'}: line 26: "
+        "expected 'token' or 'token tag', got 3 fields\n",
+    )
 
 
 def test_jobs_succeed_and_reap_every_child(tmp_path, capsys, eight_cpus):
@@ -1020,6 +1052,27 @@ def serial_run(capsys, tmp_path, inputs) -> tuple[tuple[int, str, str], bytes]:
     return result, out.read_bytes()
 
 
+def record_conll_parses(monkeypatch) -> list[tuple[int, int]]:
+    """The sentence range of every CoNLL block parse in this process, in call
+    order, wherever cli and formats look the block parser up; a forked child's
+    parses are its own."""
+    real, ranges = formats._conll_sentences, []
+
+    def recording(text, blocks, first_id=0):
+        blocks = list(blocks)
+        ranges.append((first_id, first_id + len(blocks)))
+        return real(text, blocks, first_id)
+
+    monkeypatch.setattr(formats, "_conll_sentences", recording)
+    monkeypatch.setattr(cli, "_conll_sentences", recording)
+    return ranges
+
+
+# Under --jobs 4, the parent parses chunk 0 (target, then labeled), then
+# recomputes the chunk of sentences 4 and 5, parsing only its blocks.
+_PARENT_PARSES = [(0, 2), (0, 2), (4, 6), (4, 6)]
+
+
 def test_jobs_recompute_a_chunk_whose_fork_fails(tmp_path, capsys, monkeypatch, eight_cpus):
     inputs = (*eight_sentences(tmp_path, bad=5), "--skip-bad-sentences")
     expected, serial = serial_run(capsys, tmp_path, inputs)
@@ -1032,10 +1085,12 @@ def test_jobs_recompute_a_chunk_whose_fork_fails(tmp_path, capsys, monkeypatch, 
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
+    parses = record_conll_parses(monkeypatch)
     out = tmp_path / "p.conll"
     assert run(capsys, "project", *inputs, "--out", str(out), "--jobs", "4") == expected
     assert calls == [1, 2, 3]
     assert out.read_bytes() == serial
+    assert parses == _PARENT_PARSES
     assert_no_children()
 
 
@@ -1052,9 +1107,11 @@ def test_jobs_recompute_a_chunk_whose_child_dies_unwritten(
         return real(cfg, load, skip_bad, a, b)
 
     monkeypatch.setattr(cli, "_project_range", dying)
+    parses = record_conll_parses(monkeypatch)
     out = tmp_path / "p.conll"
     assert run(capsys, "project", *inputs, "--out", str(out), "--jobs", "4") == expected
     assert out.read_bytes() == serial
+    assert parses == _PARENT_PARSES
     assert_no_children()
 
 
