@@ -1,8 +1,7 @@
 """Batch command-line interface.
 
-Subcommands: ``project`` (label a target corpus), ``candidates`` (dump
-n-gram candidate spans), ``solve`` (debug one sentence's matching problem),
-``evaluate`` (score a prediction against gold).
+Subcommands: ``project`` (label a target corpus), ``solve`` (debug one
+sentence's matching problem), ``evaluate`` (score a prediction against gold).
 
 Exit codes: 0 success, 1 usage, 2 data or format problem, 3 infeasibility
 or solver guard. Each command's options resolve as command line over config
@@ -11,13 +10,13 @@ keys of its own flags. Output files are written atomically (through a
 symbolic link, as open would), so a failing run leaves no partial file.
 
 Each command imports only what it runs: ``candidates`` and ``matching`` for
-matching runs and ``solve``, ``candidates`` for the ``candidates`` command,
-``roundtrip`` for ``--direction tgt2tgt``, ``evaluation`` for ``evaluate``,
-and the JSON codec only for span records and ``evaluate``'s record (worker
-payloads go through the builtin ``marshal``). A heuristic run loads neither
-``candidates`` nor ``matching``. A round-trip run loads ``roundtrip`` while
-it reads its inputs, and a matching run loads ``matching`` (and with it
-``candidates``) before it forks, so no worker compiles either again.
+matching runs and ``solve``, ``roundtrip`` for ``--direction tgt2tgt``,
+``evaluation`` for ``evaluate``, and the JSON codec only for span records
+and ``evaluate``'s record (worker payloads go through the builtin
+``marshal``). A heuristic run loads neither ``candidates`` nor
+``matching``. A round-trip run loads ``roundtrip`` while it reads its
+inputs, and a matching run loads ``matching`` (and with it ``candidates``)
+before it forks, so no worker compiles either again.
 
 Every ``project`` and ``solve`` run reads its inputs one way
 (``open_inputs``): every file is read and every count checked on sentence
@@ -65,7 +64,6 @@ from .formats import (
     parse_conll,
     parse_pharaoh,
     parse_span_records,
-    serialize_span_records,
 )
 from .projection import (
     Method,
@@ -509,19 +507,6 @@ def cmd_project(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_candidates(args: argparse.Namespace) -> int:
-    from .candidates import ngram_candidates
-
-    config = resolve_config(args)
-    doc = _parse_file(Path(args.target), parse_conll)
-    records = {
-        labeled.sentence.id: list(ngram_candidates(labeled.sentence, config.max_ngram_len).spans)
-        for labeled in doc
-    }
-    atomic_write(Path(args.out), serialize_span_records(records))
-    return 0
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = checked_config(args)
     n, load = open_inputs(args)
@@ -617,12 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     project.add_argument("--skip-bad-sentences", action="store_true")
 
-    candidates = commands.add_parser("candidates", help="dump n-gram candidate spans")
-    candidates.add_argument("--target", metavar="PATH", type=_path, required=True)
-    candidates.add_argument("--max-ngram", dest="max_ngram")
-    candidates.add_argument("--config", metavar="PATH", type=_path)
-    candidates.add_argument("--out", metavar="PATH", type=_path, required=True)
-
     solver = commands.add_parser("solve", help="debug one sentence's matching problem")
     _add_common_flags(solver)
     solver.add_argument("--sentence", type=partial(_as_int, flag="--sentence", least=0), default=0)
@@ -639,8 +618,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "project":
             return cmd_project(args)
-        if args.command == "candidates":
-            return cmd_candidates(args)
         if args.command == "solve":
             return cmd_solve(args)
         return cmd_evaluate(args)

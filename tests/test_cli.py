@@ -518,28 +518,28 @@ def test_solve_has_no_jobs_flag(capsys):
     assert "--jobs" in err
 
 
-def test_candidates_subcommand_dumps_ngrams(tmp_path, capsys):
-    corpus = tmp_path / "tgt.conll"
-    corpus.write_text("a\nb\nc\n", encoding="utf-8")
-    out = tmp_path / "cands.jsonl"
-    code, _, err = run(
-        capsys, "candidates", "--target", str(corpus), "--out", str(out), "--max-ngram", "2"
+def test_project_empty_corpus_writes_an_empty_file(tmp_path, capsys):
+    for name in ("src.conll", "tgt.conll", "a.align"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    out = tmp_path / "p.conll"
+    for jobs in ("1", "2"):
+        assert run(
+            capsys, "project", "--labeled", str(tmp_path / "src.conll"),
+            "--target", str(tmp_path / "tgt.conll"), "--align", str(tmp_path / "a.align"),
+            "--out", str(out), "--jobs", jobs,
+        ) == (0, "", "")
+        assert out.read_bytes() == b""
+
+
+def test_the_retired_candidates_command_is_an_unknown_command(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    code, stdout, err = run(
+        capsys, "candidates", "--target", fixture("clean_target.conll"), "--out", str(out)
     )
-    assert (code, err) == (0, "")
-    record = json.loads(out.read_text(encoding="utf-8"))
-    assert record["sentence_id"] == 0
-    assert [(s["start"], s["end"]) for s in record["spans"]] == [
-        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
-    ]
-
-
-def test_candidates_subcommand_empty_corpus(tmp_path, capsys):
-    corpus = tmp_path / "tgt.conll"
-    corpus.write_text("", encoding="utf-8")
-    out = tmp_path / "cands.jsonl"
-    code, _, _ = run(capsys, "candidates", "--target", str(corpus), "--out", str(out))
-    assert code == 0
-    assert out.read_text(encoding="utf-8") == ""
+    # the list of choices is quoted differently from Python 3.12 on
+    assert (code, stdout) == (1, "")
+    assert err.startswith("usage error: argument command: invalid choice: 'candidates'")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -547,18 +547,14 @@ def test_candidates_subcommand_empty_corpus(tmp_path, capsys):
     [
         ("solve", "--method", "heuristic"),
         ("solve", "--threshold", "1/2"),
-        ("candidates", "--candidates", "ngram"),
     ],
-    ids=["solve-method", "solve-threshold", "candidates-candidates"],
+    ids=["solve-method", "solve-threshold"],
 )
 def test_a_flag_the_command_does_not_read_is_unrecognized(
     tmp_path, capsys, monkeypatch, command, flag, value
 ):
     monkeypatch.chdir(tmp_path)
-    argv = {
-        "solve": ("--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")),
-        "candidates": ("--out", "c.jsonl"),
-    }[command]
+    argv = ("--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align"))
     assert run(
         capsys, command, "--target", fixture("clean_target.conll"), *argv, flag, value
     ) == (1, "", f"usage error: unrecognized arguments: {flag} {value}\n")
@@ -596,54 +592,6 @@ def test_solve_ignores_a_method_in_its_config_file(tmp_path, capsys):
 )
 def test_solve_config_still_checks_every_value(tmp_path, capsys, line, message):
     assert solve_with_config(capsys, tmp_path, f"{line}\n") == (1, "", f"usage error: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "line", ["mode = all", "solver = assignment", "method = heuristic", "candidates = ner"],
-    ids=["mode", "solver", "method", "candidates"],
-)
-def test_candidates_config_ignores_the_knobs_it_does_not_read(tmp_path, capsys, line):
-    """Only max_ngram reaches candidates; the other keys are checked but not used."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{line}\n", encoding="utf-8")
-    plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
-    target = ("--target", fixture("clean_target.conll"))
-    assert run(capsys, "candidates", *target, "--out", str(plain)) == (0, "", "")
-    assert run(
-        capsys, "candidates", *target, "--config", str(cfg), "--out", str(configured)
-    ) == (0, "", "")
-    assert configured.read_bytes() == plain.read_bytes()
-
-
-@pytest.mark.parametrize(
-    ("line", "message"),
-    [
-        ("mode = nope", "invalid value 'nope' for --mode; expected one of: atmost, all"),
-        ("threshold = 2", "ratio threshold must be in (0, 1], got 2"),
-    ],
-    ids=["mode", "threshold"],
-)
-def test_candidates_config_still_checks_every_value(tmp_path, capsys, line, message):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{line}\n", encoding="utf-8")
-    out = tmp_path / "c.jsonl"
-    assert run(
-        capsys, "candidates", "--target", fixture("clean_target.conll"),
-        "--config", str(cfg), "--out", str(out),
-    ) == (1, "", f"usage error: {message}\n")
-    assert not out.exists()
-
-
-def test_candidates_rejects_nonpositive_max_ngram(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        "candidates",
-        "--target", fixture("clean_target.conll"),
-        "--out", str(tmp_path / "c.jsonl"),
-        "--max-ngram", "0",
-    )
-    assert code == 1
-    assert "at least 1" in err
 
 
 def test_evaluate_identical_files(capsys):
@@ -734,16 +682,15 @@ def test_config_file_value_acts_like_its_flag(tmp_path, capsys, key, flag, value
     assert project_noisy(capsys, tmp_path / "p.conll", *extra, flag, bad)[::2] == (code, err)
 
 
-@pytest.mark.parametrize("command", ["project", "solve", "candidates"])
+@pytest.mark.parametrize("command", ["project", "solve"])
 def test_config_file_non_integer_max_ngram(tmp_path, capsys, command):
     """The file value and the flag are converted once, by the same function."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("max_ngram = abc\n", encoding="utf-8")
     out = tmp_path / "p.conll"
-    argv = [command, "--target", fixture("clean_target.conll")]
-    if command != "candidates":
-        argv += ["--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
-    if command != "solve":
+    argv = [command, "--target", fixture("clean_target.conll"),
+            "--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
+    if command == "project":
         argv += ["--out", str(out)]
     expected = (1, "", "usage error: invalid integer 'abc' for --max-ngram\n")
     assert run(capsys, *argv, "--config", str(cfg)) == expected
@@ -773,12 +720,11 @@ def test_config_file_missing(tmp_path, capsys):
     assert "cannot read config file" in err
 
 
-@pytest.mark.parametrize("command", ["project", "solve", "candidates"])
+@pytest.mark.parametrize("command", ["project", "solve"])
 def test_empty_config_path_is_an_error(tmp_path, capsys, command):
-    argv = [command, "--target", fixture("clean_target.conll"), "--config", ""]
-    if command != "candidates":
-        argv += ["--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
-    if command != "solve":
+    argv = [command, "--target", fixture("clean_target.conll"), "--config", "",
+            "--labeled", fixture("clean_source.conll"), "--align", fixture("clean.align")]
+    if command == "project":
         argv += ["--out", str(tmp_path / "out")]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -795,7 +741,6 @@ PATH_VALUES = {
     "solve": (
         "--labeled", "--target", "--align", "--spans", "--marked", "--translations", "--config",
     ),
-    "candidates": ("--target", "--config", "--out"),
     "evaluate": ("PRED", "GOLD"),
 }
 
@@ -826,10 +771,6 @@ def working_command_lines(inputs) -> list[list[str]]:
     for command, out in (("project", ["--out", "out.conll"]), ("solve", [])):
         for flags in ([*src2tgt, "--config", str(config)], tgt2tgt, ner):
             lines.append([command, *flags, *out])
-    lines.append(
-        ["candidates", "--target", fixture("clean_target.conll"), "--config", str(config),
-         "--out", "out.jsonl"]
-    )
     lines.append(["evaluate", fixture("clean_gold.conll"), fixture("clean_gold.conll")])
     return lines
 
@@ -1190,7 +1131,6 @@ def test_jobs_must_be_an_integer(tmp_path, capsys):
 _FLAGS = {
     "project": ("--labeled", "--target", "--align", "--out"),
     "solve": ("--labeled", "--target", "--align"),
-    "candidates": ("--target", "--out"),
 }
 
 
@@ -1201,11 +1141,8 @@ _FLAGS = {
         ("project", ("--target", "--out")),
         ("solve", ("--align",)),
         ("solve", ("--target", "--align")),
-        ("candidates", ("--out",)),
-        ("candidates", ("--target", "--out")),
     ],
-    ids=["project-one", "project-two", "solve-one", "solve-two", "candidates-one",
-         "candidates-two"],
+    ids=["project-one", "project-two", "solve-one", "solve-two"],
 )
 def test_the_parser_names_every_missing_required_flag(tmp_path, capsys, command, missing):
     values = {
@@ -1268,7 +1205,7 @@ def _run_in(root, argv, contents: dict[str, bytes]) -> tuple[int, str, str]:
     for name, raw in contents.items():
         (root / name).write_bytes(raw)
     args = [str(root / arg) if arg in contents else arg for arg in argv]
-    if argv[0] in ("project", "candidates"):
+    if argv[0] == "project":
         args += ["--out", str(root / "out.conll")]
     with (
         contextlib.redirect_stdout(io.StringIO()) as out,
@@ -1398,14 +1335,13 @@ _BAD_TAG = (b"x B_PER", "tag 'B_PER' does not match the BIO grammar")
         (("project", *_CLEAN), "clean_source.conll", *_BAD_TAG),
         (("project", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl",
          b"[]", "span record must be a JSON object"),
-        (("candidates", "--target", "clean_target.conll"), "clean_target.conll", *_BAD_TAG),
         (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_gold.conll", *_BAD_TAG),
         (("evaluate", "clean_gold.conll", "clean_source.conll"), "clean_source.conll",
          *_BAD_TAG),
         (("project", "--method", "heuristic", *_CLEAN), "clean_target.conll",
          b"New York City", "expected 'token' or 'token tag', got 3 fields"),
     ],
-    ids=["target", "labeled", "spans", "candidates-target", "pred", "gold", "target-three-fields"],
+    ids=["target", "labeled", "spans", "pred", "gold", "target-three-fields"],
 )
 def test_whole_file_format_errors_name_their_file(tmp_path, argv, bad, line, message):
     contents = _input_files(argv)
@@ -1541,22 +1477,17 @@ def _umask(mask: int):
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask-022", "umask-027"])
 def test_output_files_get_the_mode_open_would_leave(tmp_path, capsys, umask):
     new, replaced = tmp_path / "new.conll", tmp_path / "replaced.conll"
-    candidates = tmp_path / "c.jsonl"
     replaced.write_text("old\n", encoding="utf-8")
     replaced.chmod(0o604)
     with _umask(umask):
         assert project(capsys, new) == (0, "", "")
         assert project(capsys, replaced) == (0, "", "")
-        assert run(
-            capsys, "candidates", "--target", fixture("clean_target.conll"),
-            "--out", str(candidates),
-        ) == (0, "", "")
     # a new file is 0o666 less the umask; a replaced one keeps its mode
-    assert tuple(path.stat().st_mode & 0o7777 for path in (new, candidates, replaced)) == (
-        0o666 & ~umask, 0o666 & ~umask, 0o604
+    assert tuple(path.stat().st_mode & 0o7777 for path in (new, replaced)) == (
+        0o666 & ~umask, 0o604
     )
     assert replaced.read_bytes() == new.read_bytes()
-    assert sorted(tmp_path.iterdir()) == sorted([new, replaced, candidates])  # no temp file
+    assert sorted(tmp_path.iterdir()) == sorted([new, replaced])  # no temp file
 
 
 @pytest.mark.parametrize(

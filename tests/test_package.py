@@ -135,28 +135,17 @@ def test_evaluate_loads_neither_matcher_nor_round_trip():
     ) == set()
 
 
-@pytest.mark.parametrize("command", ["solve", "candidates"])
-def test_solve_and_candidates_load_neither_dataclasses_nor_inspect(tmp_path, command):
-    argv = {
-        "solve": ("--sentence", "0", "--labeled", fixture("clean_source.conll"),
-                  "--target", fixture("clean_target.conll"), "--align", fixture("clean.align")),
-        "candidates": ("--target", fixture("clean_target.conll"),
-                       "--out", str(tmp_path / "c.jsonl")),
-    }[command]
-    first, modules = run_probe(command, *argv)
+@pytest.mark.parametrize("command", ["solve"])
+def test_solve_and_candidates_load_neither_dataclasses_nor_inspect(command):
+    first, modules = run_probe(
+        command, "--sentence", "0", "--labeled", fixture("clean_source.conll"),
+        "--target", fixture("clean_target.conll"), "--align", fixture("clean.align"),
+    )
     assert first == "0 []"
     assert modules & NEVER_LOADED == set()
-    # the footprints README states: solve adds candidates and matching, the
-    # candidates command adds candidates alone
-    loaded, absent = {
-        "solve": ("spanproject.matching", {"spanproject.roundtrip", "spanproject.evaluation"}),
-        "candidates": (
-            "spanproject.candidates",
-            {"spanproject.matching", "spanproject.roundtrip", "spanproject.evaluation"},
-        ),
-    }[command]
-    assert loaded in modules
-    assert modules & absent == set()
+    # the footprint README states: solve adds candidates and matching
+    assert "spanproject.matching" in modules
+    assert modules & {"spanproject.roundtrip", "spanproject.evaluation"} == set()
 
 
 def test_matching_is_loaded_before_every_fork(tmp_path):
