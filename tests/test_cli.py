@@ -547,8 +547,9 @@ def test_the_retired_candidates_command_is_an_unknown_command(tmp_path, capsys):
     [
         ("solve", "--method", "heuristic"),
         ("solve", "--threshold", "1/2"),
+        ("solve", "--out", "o.conll"),
     ],
-    ids=["solve-method", "solve-threshold"],
+    ids=["solve-method", "solve-threshold", "solve-out"],
 )
 def test_a_flag_the_command_does_not_read_is_unrecognized(
     tmp_path, capsys, monkeypatch, command, flag, value
@@ -592,6 +593,80 @@ def test_solve_ignores_a_method_in_its_config_file(tmp_path, capsys):
 )
 def test_solve_config_still_checks_every_value(tmp_path, capsys, line, message):
     assert solve_with_config(capsys, tmp_path, f"{line}\n") == (1, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--config", "run.cfg"), ("--max-ngram", "3"), ("--out", "o.conll")],
+    ids=["config", "max-ngram", "out"],
+)
+def test_evaluate_reads_no_projection_flag(tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.chdir(tmp_path)
+    gold = fixture("clean_gold.conll")
+    assert run(capsys, "evaluate", gold, gold, flag, value) == (
+        1, "", f"usage error: unrecognized arguments: {flag} {value}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def heuristic_with_config(capsys, tmp_path, config_text: str) -> tuple[int, str, str]:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    return project_noisy(
+        capsys, tmp_path / "configured.conll", "--method", "heuristic", "--config", str(cfg)
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode = all\n",
+        "solver = exact\n",
+        "candidates = ner\n",
+        "max_ngram = 1\n",
+        "solver = assignment\n",
+    ],
+    ids=["mode", "solver", "candidates", "max_ngram", "solver-assignment"],
+)
+def test_a_heuristic_project_ignores_the_matching_knobs_in_its_config(tmp_path, capsys, text):
+    """The heuristic reads none of these keys, nor checks the solver's combinations.
+
+    A matching run refuses greedy with mode all and assignment with n-gram
+    candidates; a heuristic run writes the bytes it writes without the key.
+    """
+    plain = tmp_path / "plain.conll"
+    assert project_noisy(capsys, plain, "--method", "heuristic") == (0, "", "")
+    assert heuristic_with_config(capsys, tmp_path, text) == (0, "", "")
+    assert (tmp_path / "configured.conll").read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("mode = nope\n", "invalid value 'nope' for --mode; expected one of: atmost, all"),
+        ("solver = nope\n",
+         "invalid value 'nope' for --solver; expected one of: greedy, exact, assignment"),
+        ("candidates = nope\n",
+         "invalid value 'nope' for --candidates; expected one of: ngram, ner"),
+        ("max_ngram = 0\n", "--max-ngram must be at least 1, got 0"),
+    ],
+    ids=["mode", "solver", "candidates", "max_ngram"],
+)
+def test_a_heuristic_project_config_still_checks_every_value(tmp_path, capsys, text, message):
+    assert heuristic_with_config(capsys, tmp_path, text) == (1, "", f"usage error: {message}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["project", "solve"])
+def test_max_ngram_must_be_at_least_one(tmp_path, capsys, command):
+    argv = [command, "--labeled", fixture("clean_source.conll"),
+            "--target", fixture("clean_target.conll"), "--align", fixture("clean.align")]
+    if command == "project":
+        argv += ["--out", str(tmp_path / "p.conll")]
+    assert run(capsys, *argv, "--max-ngram", "0") == (
+        1, "", "usage error: --max-ngram must be at least 1, got 0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_identical_files(capsys):
@@ -1141,8 +1216,10 @@ _FLAGS = {
         ("project", ("--target", "--out")),
         ("solve", ("--align",)),
         ("solve", ("--target", "--align")),
+        ("project", ("--target", "--align", "--out")),
+        ("solve", ("--target",)),
     ],
-    ids=["project-one", "project-two", "solve-one", "solve-two"],
+    ids=["project-one", "project-two", "solve-one", "solve-two", "project-all", "solve-target"],
 )
 def test_the_parser_names_every_missing_required_flag(tmp_path, capsys, command, missing):
     values = {
@@ -1340,8 +1417,13 @@ _BAD_TAG = (b"x B_PER", "tag 'B_PER' does not match the BIO grammar")
          *_BAD_TAG),
         (("project", "--method", "heuristic", *_CLEAN), "clean_target.conll",
          b"New York City", "expected 'token' or 'token tag', got 3 fields"),
+        (("solve", *_CLEAN), "clean_target.conll", *_BAD_TAG),
+        (("solve", *_CLEAN), "clean_source.conll", *_BAD_TAG),
+        (("solve", *_CLEAN, "--candidates", "ner", "--spans", "spans.jsonl"), "spans.jsonl",
+         b"[]", "span record must be a JSON object"),
     ],
-    ids=["target", "labeled", "spans", "pred", "gold", "target-three-fields"],
+    ids=["target", "labeled", "spans", "pred", "gold", "target-three-fields", "solve-target",
+         "solve-labeled", "solve-spans"],
 )
 def test_whole_file_format_errors_name_their_file(tmp_path, argv, bad, line, message):
     contents = _input_files(argv)
