@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import lt
 from types import MappingProxyType
 
-from .core import EntitySpan, Sentence, _elements, _Value, spans_overlap
+from .core import EntitySpan, Sentence, _elements, _span, _Value, spans_overlap
 from .core import SourceKind  # noqa: F401  (re-exported; core defines it for option parsing)
 from .errors import DataError
 
@@ -98,24 +98,18 @@ def ngram_candidates(sentence: Sentence, max_len: int | None = 8) -> CandidateSe
 
 @lru_cache(maxsize=128)
 def _ngram_set(n: int, cap: int) -> CandidateSet:
-    """Every span of 1..cap words over n words; the 128 most recent shapes stay cached."""
+    """Every span of 1..cap words over n words; the 128 most recent shapes stay cached.
+
+    Each set holds the spans of every shorter sentence's set, so sets of
+    many lengths share their spans through the cached ``core._span``.
+    """
     return CandidateSet(
         tuple(
-            _ngram_span(start, end)
+            _span(start, end, None)
             for start in range(n)
             for end in range(start + 1, min(start + cap, n) + 1)
         )
     )
-
-
-@lru_cache(maxsize=4096)  # about 1 MB when full
-def _ngram_span(start: int, end: int) -> EntitySpan:
-    """The unlabeled span [start, end), built and checked once while it stays cached.
-
-    Each n-gram set holds the spans of every shorter sentence's set, so
-    sets of many lengths share the 4,096 most recently used spans.
-    """
-    return EntitySpan(start, end)
 
 
 def external_candidates(sentence: Sentence, spans: list[EntitySpan]) -> CandidateSet:

@@ -24,10 +24,10 @@ from .core import (
     EntitySpan,
     LabeledSentence,
     Sentence,
+    _bio_spans,
     _bio_tags,
     _elements,
     _Value,
-    bio_decode_parsed,
     parse_bio_tag,
 )
 from .errors import DataError, FormatError
@@ -74,15 +74,26 @@ def parse_conll(text: str) -> CorpusDocument:
     return CorpusDocument(tuple(_conll_sentences(text, _BLOCK.finditer(text))))
 
 
+class _BioTags(dict):
+    """Tag -> ``parse_bio_tag(tag)``, parsed on first lookup; a bad tag is never stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, tag: str) -> tuple[str, str | None]:
+        bio = self[tag] = parse_bio_tag(tag)
+        return bio
+
+
 def _conll_sentences(text: str, blocks, first_id: int = 0) -> list[LabeledSentence]:
     """The sentences of ``blocks``, matches of ``_BLOCK`` in ``text`` in text order.
 
     Their ids count up from ``first_id``, so a run of a file's blocks parses
-    on its own as the sentences it is in the whole file. A format error names
-    its line of ``text``; lines are counted only then.
+    on its own as the sentences it is in the whole file. A block whose lines
+    each hold one field has no tags; a tagged block goes through
+    ``_plain_block``, or else row by row.
     """
     sentences: list[LabeledSentence] = []
-    bio_tags: dict[str, tuple[str, str | None]] = {}
+    bio_tags = _BioTags()
     for sentence_id, match in enumerate(blocks, start=first_id):
         block = match.group()
         fields = block.split()
@@ -90,26 +101,53 @@ def _conll_sentences(text: str, blocks, first_id: int = 0) -> list[LabeledSenten
             # each line of a block holds a field, so here each holds just one: no tags
             sentences.append(LabeledSentence(Sentence(tuple(fields), id=sentence_id)))
             continue
-        tokens, parsed = [], []
-        for row_index, row in enumerate(block.split("\n")):
-            cells = row.split()
-            if len(cells) > 2:
-                raise FormatError(
-                    f"expected 'token' or 'token tag', got {len(cells)} fields",
-                    line=_line_of(text, match, row_index),
-                )
-            tag = cells[1] if len(cells) == 2 else "O"
-            bio = bio_tags.get(tag)
-            if bio is None:
-                try:
-                    bio = bio_tags[tag] = parse_bio_tag(tag)
-                except FormatError as exc:
-                    raise FormatError(str(exc), line=_line_of(text, match, row_index)) from None
-            tokens.append(cells[0])
-            parsed.append(bio)
+        tokens, entities = _plain_block(block, fields, bio_tags) or _row_block(
+            text, match, bio_tags
+        )
         sentence = Sentence(tuple(tokens), id=sentence_id)
-        sentences.append(LabeledSentence(sentence, tuple(bio_decode_parsed(parsed))))
+        sentences.append(LabeledSentence(sentence, tuple(entities)))
     return sentences
+
+
+def _plain_block(block: str, fields: list[str], bio_tags: _BioTags):
+    """The tokens and entities of a block whose every line is ``token tag``, one space.
+
+    That holds exactly when the even and odd items of ``fields``, the
+    block's ``split()``, joined a pair per line, give the block back; then
+    they are its tokens and tags, and no row is split on its own. Returns
+    None for any other block, or for one with a bad tag, which
+    ``_row_block`` then locates.
+    """
+    tokens, tags = fields[0::2], fields[1::2]
+    if "\n".join(map(" ".join, zip(tokens, tags))) != block:
+        return None
+    try:
+        return tokens, _bio_spans(tags, bio_tags.__getitem__)
+    except FormatError:
+        return None
+
+
+def _row_block(text: str, match: re.Match, bio_tags: _BioTags):
+    """The tokens and entities of a ``_BLOCK`` match of ``text``, split row by row.
+
+    A format error names its line of ``text``; lines are counted only then.
+    """
+    tokens, tags = [], []
+    for row_index, row in enumerate(match.group().split("\n")):
+        cells = row.split()
+        if len(cells) > 2:
+            raise FormatError(
+                f"expected 'token' or 'token tag', got {len(cells)} fields",
+                line=_line_of(text, match, row_index),
+            )
+        tag = cells[1] if len(cells) == 2 else "O"
+        try:
+            bio_tags[tag]  # a tag seen first here is parsed, so a bad one raises here
+        except FormatError as exc:
+            raise FormatError(str(exc), line=_line_of(text, match, row_index)) from None
+        tokens.append(cells[0])
+        tags.append(tag)
+    return tokens, _bio_spans(tags, bio_tags.__getitem__)
 
 
 def _line_of(text: str, block: re.Match, row_index: int) -> int:

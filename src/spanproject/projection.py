@@ -31,6 +31,7 @@ from .core import (
     Sentence,
     SourceKind,
     _entity_links,
+    _span,
     _Value,
 )
 from .errors import DataError
@@ -160,7 +161,8 @@ def project_heuristic(
     that ``matching.build_problem`` shares, and an entity's aligned words are
     its sorted target indices. The coverage test ``len / hull < threshold``
     is cross-multiplied (both denominators are positive), so no ``Fraction``
-    is built per entity, and a span is built only once it is kept.
+    is built per entity, and a span is built only once it is kept, through
+    the cached ``core._span``.
     """
     align.check_bounds(len(labeled.sentence), len(target))
     num, den = threshold.numerator, threshold.denominator
@@ -174,7 +176,7 @@ def project_heuristic(
             start, end = _longest_run(aligned)
         if any(start < prior.end and prior.start < end for prior in projected):
             continue
-        projected.append(EntitySpan(start, end, entity.label))
+        projected.append(_span(start, end, entity.label))
     return LabeledSentence(target, tuple(projected))
 
 

@@ -637,6 +637,37 @@ def parse_conll_reference(text: str) -> CorpusDocument:
     return CorpusDocument(tuple(sentences))
 
 
+def bio_decode_oracle(tags: list[str]) -> list[EntitySpan]:
+    """Lenient BIO decoding one tag at a time, written apart from the package's parser.
+
+    Each tag is ``O``, ``B-label`` or ``I-label``. An I- tag extends the span
+    before it only when that span ends at the previous word and has the
+    same label; otherwise it opens a span, as a B- tag does.
+    """
+    spans: list[list] = []  # [start, end, label]
+    for position, tag in enumerate(tags):
+        if tag == "O":
+            continue
+        prefix, label = tag.split("-", 1)
+        assert prefix in ("B", "I") and label, tag
+        last = spans[-1] if spans else None
+        if prefix == "I" and last is not None and last[1] == position and last[2] == label:
+            last[1] += 1
+        else:
+            spans.append([position, position + 1, label])
+    return [EntitySpan(start, end, label) for start, end, label in spans]
+
+
+def check_bounds_reference(align: AlignmentSet, labeled_len: int, target_len: int) -> None:
+    """``AlignmentSet.check_bounds`` as one loop over every pair, in set order."""
+    for i, j in align.pairs:
+        if not (i < labeled_len and j < target_len):
+            raise DataError(
+                f"alignment pair ({i}, {j}) out of bounds for sentence pair "
+                f"of lengths ({labeled_len}, {target_len})"
+            )
+
+
 def parse_pharaoh_reference(line: str) -> AlignmentSet:
     """The token-at-a-time Pharaoh parser that ``parse_pharaoh`` must agree with."""
     pairs: set[tuple[int, int]] = set()

@@ -30,8 +30,10 @@ from spanproject import (
     bio_encode,
     spans_overlap,
 )
-from spanproject.core import _Value
+from spanproject.core import _span, _Value, bio_decode_parsed, parse_bio_tag
 from helpers import (
+    bio_decode_oracle,
+    check_bounds_reference,
     count_within,
     frontier_cells,
     labeled_sentence_reference,
@@ -167,6 +169,43 @@ def test_alignment_set_helpers():
     with pytest.raises(DataError):
         align.check_bounds(5, 4)
     align.check_bounds(6, 4)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def test_check_bounds_equals_the_loop_over_every_pair_on_random_sets():
+    rng = Random(34)
+    raised = 0
+    for _ in range(3_000):
+        n_src, n_tgt = rng.randint(1, 8), rng.randint(1, 8)
+        align = AlignmentSet(
+            (rng.randrange(n_src + 2), rng.randrange(n_tgt + 2))
+            for _ in range(rng.randint(0, 9))
+        )
+        for lengths in ((n_src, n_tgt), (0, 0), (n_src + 2, n_tgt + 2)):
+            got = _outcome(align.check_bounds, *lengths)
+            assert got == _outcome(check_bounds_reference, align, *lengths), (align, lengths)
+            raised += got is not None
+    assert raised > 3_000
+
+
+@given(st.frozensets(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=12))
+def test_the_largest_indices_stay_out_of_repr_eq_hash_and_pickle(pairs):
+    align = AlignmentSet(pairs)
+    assert align._largest == (
+        max((i for i, _ in pairs), default=-1),
+        max((j for _, j in pairs), default=-1),
+    )
+    assert repr(align) == f"AlignmentSet(pairs={pairs!r})"
+    assert align == AlignmentSet(list(pairs)) and hash(align) == hash((pairs,))
+    assert align.__reduce__() == (AlignmentSet, (pairs,))
+    clone = pickle.loads(pickle.dumps(align))
+    assert clone == align and clone._largest == align._largest
 
 
 def test_labeled_sentence_normalizes_and_validates():
@@ -751,6 +790,68 @@ def test_bio_decode_equals_a_run_scan_on_random_tags():
         length = rng.randint(0, 10)
         tags = [rng.choice(("O", "B-PER", "I-PER", "B-LOC", "I-LOC")) for _ in range(length)]
         assert bio_decode(tags) == runs(tags), tags
+
+
+def test_bio_decoders_equal_the_tag_at_a_time_oracle_on_random_tags():
+    rng = Random(35)
+    seen = {"orphan I": 0, "label change": 0, "span at start": 0, "span at end": 0}
+    for _ in range(5_000):
+        tags = [
+            rng.choice(("O", "O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG"))
+            for _ in range(rng.randint(0, 12))
+        ]
+        expected = bio_decode_oracle(tags)
+        assert bio_decode(tags) == expected, tags
+        assert bio_decode(tuple(tags)) == expected, tags
+        assert bio_decode_parsed([parse_bio_tag(tag) for tag in tags]) == expected, tags
+        for prev, cur in zip(["O"] + tags, tags):
+            if cur.startswith("I-"):
+                seen["orphan I"] += prev == "O"
+                seen["label change"] += prev != "O" and prev[2:] != cur[2:]
+        seen["span at start"] += bool(expected) and expected[0].start == 0
+        seen["span at end"] += bool(expected) and expected[-1].end == len(tags)
+    assert min(seen.values()) > 500, seen
+
+
+def test_equal_spans_share_one_object():
+    from spanproject import ngram_candidates, parse_conll, project_heuristic
+
+    doc = parse_conll("a B-PER\nb O\n\nc B-PER\nd O\n")
+    first, second = (labeled.entities[0] for labeled in doc)
+    assert first is second is _span(0, 1, "PER") is bio_decode(["B-PER"])[0]
+    assert EntitySpan(0, 1).with_label("PER") is first
+    projected = project_heuristic(doc.sentences[0], Sentence(("x", "y")), AlignmentSet({(0, 0)}))
+    assert projected.entities[0] is first
+    assert ngram_candidates(Sentence(("x", "y"))).spans[0] is _span(0, 1, None)
+    # a constructor call always builds a new span; keys of another type never share
+    assert EntitySpan(0, 1, "PER") is not first
+    assert _span(1, 2, "PER") is _span(1, 2, "PER")
+    with pytest.raises(DataError, match="must be integers, got bool and int"):
+        _span(True, 2, "PER")
+    # a label of a str subclass is kept as given, not swapped for a cached equal str
+    span = EntitySpan(0, 1).with_label(_Label("PER"))
+    assert type(span.label) is _Label and span == first
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: EntitySpan(3, 3, "PER"), "invalid span (3, 3): need 0 <= start < end"),
+        (lambda: EntitySpan(4, 2), "invalid span (4, 2): need 0 <= start < end"),
+        (lambda: _span(3, 3, "PER"), "invalid span (3, 3): need 0 <= start < end"),
+        (lambda: EntitySpan(0, 1, 5), "span label 5 is not a string"),
+        (lambda: EntitySpan(0, 1, "PER").with_label(5), "span label 5 is not a string"),
+        (lambda: EntitySpan(0, 1).with_label(["A"]), "span label ['A'] is not a string"),
+    ],
+)
+def test_a_bad_span_raises_on_every_call(build, message):
+    for _ in range(3):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_bio_round_trip_randomized():

@@ -26,6 +26,7 @@ from spanproject import (
     serialize_pharaoh,
     serialize_span_records,
 )
+from spanproject import formats
 from spanproject.formats import _pharaoh_pair, conll_block
 from helpers import (
     FIXTURES,
@@ -134,6 +135,51 @@ def test_parse_conll_equals_the_line_parser_on_random_texts():
             assert issubclass(got[0], SpanProjectError)
             kinds["fields" if "fields" in got[1] else "tag"] += 1
     assert min(kinds.values()) > 1_000, kinds
+
+
+def _random_plain_conll_text(rng: Random) -> str:
+    """Single-space ``token tag`` lines and single blank lines, now and then a bad line.
+
+    I- tags come after O and after another label as well as after their own.
+    """
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        if lines:
+            lines.append("")
+        for _ in range(rng.randint(1, 8)):
+            roll = rng.random()
+            tag = rng.choice(_GOOD_TAGS)
+            if roll < 0.005:
+                tag = rng.choice(_BAD_TAGS)
+            elif roll < 0.01:
+                tag += " " + rng.choice(_GOOD_TAGS)  # a third field
+            lines.append(f"{rng.choice(_TOKENS)} {tag}")
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_conll_equals_the_line_parser_on_random_plain_texts(monkeypatch):
+    plain_block = formats._plain_block
+    took = []
+
+    def counting(*args):
+        result = plain_block(*args)
+        took.append(result is not None)
+        return result
+
+    monkeypatch.setattr(formats, "_plain_block", counting)
+    rng = Random(34)
+    kinds = {"ok": 0, "fields": 0, "tag": 0}
+    for _ in range(5_000):
+        text = _random_plain_conll_text(rng)
+        got = _parse_outcome(parse_conll, text)
+        assert got == _parse_outcome(parse_conll_reference, text), repr(text)
+        if isinstance(got, CorpusDocument):
+            kinds["ok"] += 1
+        else:
+            kinds["fields" if "fields" in got[1] else "tag"] += 1
+    assert min(kinds.values()) > 100, kinds
+    # the blocks that took the loop-free path, and the ones that fell back to rows
+    assert took.count(True) > 10_000 and took.count(False) > 100, took.count(True)
 
 
 def test_conll_round_trip_fixture():
